@@ -5,7 +5,9 @@ import pytest
 
 from bilayer1d import (
     SqueezeFamily,
+    classify_first_angle,
     classify_region,
+    classify_second_angle,
     delta_prime_pairing,
     delta_prime_region,
     eps_log_grid,
@@ -57,6 +59,58 @@ REGION_EXAMPLES = {
 def test_region_catalogue():
     for (mu, nu, tau), want in REGION_EXAMPLES.items():
         assert classify_region(mu, nu, tau) == want, (mu, nu, tau)
+
+
+FIRST_ANGLE_EXAMPLES = {
+    (2.0, 2.0, 1.0): "P1",
+    (2.0, 2.0, 1.5): "N1",
+    (2.0, 2.0, 2.0): "N1",
+    (2.0, 3.0, 1.0): "L1",
+    (2.0, 3.0, 1.5): "O1",
+    (1.5, 1.0, 0.5): "K1",
+    (1.5, 1.0, 1.0): "Q1",
+    (1.5, 1.5, 0.5): "S1",
+    (1.5, 1.5, 0.75): "I1",
+    (1.5, 1.0, 0.25): None,  # tau below mu - 1
+    (1.5, 0.5, 1.0): None,  # nu below 2(mu - 1)
+    (2.0, 1.5, 1.0): None,  # nu below 2 at mu = 2
+    (2.0, 2.0, 0.5): None,  # tau below 1 at mu = 2
+    (1.0, 1.0, 1.0): None,  # mu <= 1
+    (0.5, 2.0, 2.0): None,
+    (2.5, 3.0, 2.0): None,  # mu > 2
+}
+
+SECOND_ANGLE_EXAMPLES = {
+    (2.0, 2.0, 2.0): "P2",
+    (2.0, 2.0, 3.0): "N2",
+    (2.0, 3.0, 2.0): "L2",
+    (2.0, 3.0, 3.0): "O2",
+    (1.5, 1.0, 1.0): "K2",
+    (1.5, 1.0, 1.5): "Q2",
+    (1.5, 1.5, 1.0): "S2",
+    (1.5, 1.5, 1.5): "I2",
+    (1.5, 1.0, 0.75): None,  # tau below 2(mu - 1)
+    (1.5, 0.5, 2.0): None,  # nu below 2(mu - 1)
+    (2.0, 2.0, 1.5): None,  # tau below 2 at mu = 2
+    (2.0, 1.5, 2.0): None,  # nu below 2 at mu = 2
+    (1.0, 1.0, 1.0): None,  # mu <= 1
+    (3.0, 2.0, 1.0): None,  # mu > 2
+}
+
+
+@pytest.mark.parametrize(
+    "classify, examples",
+    [
+        (classify_first_angle, FIRST_ANGLE_EXAMPLES),
+        (classify_second_angle, SECOND_ANGLE_EXAMPLES),
+    ],
+    ids=["first", "second"],
+)
+def test_angle_catalogue(classify, examples):
+    labels = {want for want in examples.values() if want is not None}
+    assert len(labels) == 8
+    for (mu, nu, tau), want in examples.items():
+        assert classify(mu, nu, tau) == want, (mu, nu, tau)
 
 
 def test_every_point_gets_exactly_one_region_label():

@@ -58,6 +58,13 @@ def test_closed_form_amplitudes_match_matrix_route():
         via_matrix = scattering_data(spec, k, method="matrix")
         assert abs(closed.a - via_matrix.a) < 1e-10 * abs(closed.a)
         assert abs(closed.b - via_matrix.b) < 1e-10 * max(1.0, abs(closed.b))
+        # k = i*kappa, as PiecewiseWave uses in bound mode; a may vanish there
+        k = 1j * rng.uniform(0.05, 2.0)
+        closed = scattering_data(spec, k, method="closed")
+        via_matrix = scattering_data(spec, k, method="matrix")
+        tol = 1e-10 * max(1.0, abs(closed.a), abs(closed.b))
+        assert abs(closed.a - via_matrix.a) < tol
+        assert abs(closed.b - via_matrix.b) < tol
 
 
 def test_amplitude_grid_matches_pointwise_routes():
