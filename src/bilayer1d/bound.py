@@ -57,10 +57,6 @@ class ChiProblem:
     def kappa_of_chi(self, chi):
         return self.s(chi) / self.l
 
-    def chi_of_kappa(self, kappa):
-        val = (self.rho - kappa * self.l) * (self.rho + kappa * self.l)
-        return float(np.sqrt(max(val, 0.0)))
-
     def coefficients(self, chi):
         """C0, C1, C2 of the root equation, vectorized over chi."""
         chi = np.asarray(chi, dtype=float)
@@ -151,24 +147,6 @@ def build_chi_problem(spec, branch=None):
     )
 
 
-def y_of_chi(problem, chi):
-    """Right-hand side y(chi) of tan(chi) = y(chi).
-
-    Returns signed infinity at poles of y.  chi must lie in (0, rho).
-    """
-    arr = np.asarray(chi, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= problem.rho):
-        raise ValueError("chi must lie strictly inside (0, rho)")
-    c0, _, _ = problem.coefficients(arr)
-    den = problem.denominator(arr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(c0 / den)
-        zero = np.asarray(den) == 0.0
-        if np.any(zero):
-            out[zero] = np.inf * np.sign(np.asarray(c0)[zero])
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class BoundLadder:
     """Roots chi_1 > ... > chi_N and the levels kappa_1 < ... < kappa_N."""
@@ -195,8 +173,42 @@ def _scaled_total_residual(spec, kappa):
     return res, np.maximum(scale, 1.0)
 
 
+def _sign_roots(f, grid, xtol):
+    """Brent-refined zeros of f in each cell of grid where f changes sign
+    between finite values."""
+    vals = f(grid)
+    good = np.isfinite(vals)
+    flips = good[:-1] & good[1:] & (vals[:-1] * vals[1:] < 0.0)
+    return [brentq(f, grid[i], grid[i + 1], xtol=xtol) for i in np.flatnonzero(flips)]
+
+
+def _segment_roots(problem, f, edge, pad, samples, xtol, tails=False):
+    """Zeros of f on (edge, 1 - edge) * rho, scanned piece by piece
+    between the tangent-pole cuts, with pad kept clear of every cut.
+
+    tails adds geometric clusters approaching both ends of each piece:
+    roots can hug a segment endpoint (a pole or the rho edge) at relative
+    distances far below any affordable uniform spacing.
+    """
+    rho = problem.rho
+    lo, hi = rho * edge, rho * (1.0 - edge)
+    cuts = problem.tangent_pole_abscissae()
+    edges = np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], [hi]))
+    roots = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        a, b = a + pad, b - pad
+        if b <= a:
+            continue
+        grid = np.linspace(a, b, max(64, int(samples * (b - a) / rho)))
+        if tails:
+            steps = (b - a) * np.power(10.0, -np.arange(2.0, 14.0))
+            grid = np.unique(np.concatenate((grid, a + steps, b - steps)))
+        roots += _sign_roots(f, grid, xtol)
+    return sorted(roots)
+
+
 def find_roots(problem, samples=None, accept_tol=1e-6):
-    """All roots of the compactified equation, refined to ~1e-12 * rho.
+    """All roots of the compactified equation, refined to ~1e-15 * rho.
 
     The interval (0, rho) is cut at the closed-form tangent-pole
     abscissae; within each piece h(chi) is continuous, so a fine sign
@@ -212,41 +224,12 @@ def find_roots(problem, samples=None, accept_tol=1e-6):
         waves = rho / np.pi
         cross = problem.ratio * np.sqrt(max(0.0, -problem.vshift)) / np.pi
         samples = max(2048, 256 * int(np.ceil(waves + cross + 1.0)))
-    lo = rho * 1e-12
-    hi = rho * (1.0 - 1e-12)
-    cuts = problem.tangent_pole_abscissae()
-    edges = np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], [hi]))
     xtol = 1e-15 * rho
-    pad = 2.0 * xtol
-    roots = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        a, b = a + pad, b - pad
-        if b <= a:
-            continue
-        n = max(64, int(samples * (b - a) / rho))
-        # Roots can hug a segment endpoint (a pole or the rho edge) at
-        # relative distances far below any affordable uniform spacing, so
-        # augment the scan with geometric clusters approaching both ends.
-        span = b - a
-        tails = span * np.power(10.0, -np.arange(2.0, 14.0))
-        grid = np.unique(
-            np.concatenate((np.linspace(a, b, n), a + tails, b - tails))
-        )
-        vals = problem.cleared(grid)
-        good = np.isfinite(vals)
-        sign_change = (
-            good[:-1] & good[1:] & (vals[:-1] * vals[1:] < 0.0)
-        )
-        for i in np.flatnonzero(sign_change):
-            root = brentq(
-                lambda c: problem.cleared(float(c)),
-                grid[i],
-                grid[i + 1],
-                xtol=xtol,
-            )
-            roots.append(root)
+    roots = _segment_roots(
+        problem, problem.cleared, 1e-12, 2.0 * xtol, samples, xtol, tails=True
+    )
     accepted = []
-    for chi in sorted(roots):
+    for chi in roots:
         if accepted and chi - accepted[-1] < 4.0 * xtol:
             continue
         kappa = problem.kappa_of_chi(chi)
@@ -269,34 +252,13 @@ def poles_of_y(problem, samples=4096):
     """Infinite-discontinuity points of y(chi): zeros of its denominator.
 
     Scanned piecewise between the tangent-pole cuts where the
-    denominator is continuous, then bisected.
+    denominator is continuous, then refined.
     """
     rho = problem.rho
     if rho <= 0.0:
         return np.array([])
-    lo, hi = rho * 1e-9, rho * (1.0 - 1e-9)
-    cuts = problem.tangent_pole_abscissae()
-    edges = np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], [hi]))
-    poles = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        a, b = a + rho * 1e-11, b - rho * 1e-11
-        if b <= a:
-            continue
-        n = max(64, int(samples * (b - a) / rho))
-        grid = np.linspace(a, b, n)
-        vals = problem.denominator(grid)
-        good = np.isfinite(vals)
-        flips = good[:-1] & good[1:] & (vals[:-1] * vals[1:] < 0.0)
-        for i in np.flatnonzero(flips):
-            poles.append(
-                brentq(
-                    lambda c: problem.denominator(float(c)),
-                    grid[i],
-                    grid[i + 1],
-                    xtol=1e-11 * rho,
-                )
-            )
-    return np.array(sorted(poles))
+    f = problem.denominator
+    return np.array(_segment_roots(problem, f, 1e-9, rho * 1e-11, samples, 1e-11 * rho))
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +316,10 @@ def verify_ladder(spec, ladder, f_tol=1e-8, grid=None):
         if grid is None:
             grid = max(4096, 512 * (int(ladder.rho / np.pi) + 1))
         ks = np.linspace(kmax * 1e-9, kmax * (1.0 - 1e-12), grid)
-        res, _ = _scaled_total_residual(spec, ks)
-        flips = res[:-1] * res[1:] < 0.0
-        for i in np.flatnonzero(flips):
-            kappa = brentq(
-                lambda k: _scaled_total_residual(spec, float(k))[0],
-                ks[i],
-                ks[i + 1],
-                xtol=1e-12 * kmax,
-            )
+        levels = _sign_roots(
+            lambda k: _scaled_total_residual(spec, k)[0], ks, 1e-12 * kmax
+        )
+        for kappa in levels:
             if ladder.n:
                 dist = np.min(np.abs(ladder.kappas - kappa))
             else:

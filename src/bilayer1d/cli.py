@@ -21,8 +21,8 @@ from .core import DoubleLayerSpec, UnitSystem, Wavenumber, validate_spec
 from .limits import DivergentLimitError, OffResonanceError
 from .squeeze import (
     SqueezeFamily,
+    classify_first_angle,
     delta_prime_pairing,
-    delta_prime_region,
     eps_log_grid,
     interaction_limit,
     realize,
@@ -31,6 +31,7 @@ from .squeeze import (
 from .xfer import (
     NotAnEigenvalueError,
     ScatteringPoleError,
+    amplitude_grid,
     scattering_data,
     scattering_wavefunction,
 )
@@ -64,11 +65,7 @@ def _units(cfg):
     units = cfg.get("units", "eV")
     if units not in ("eV", "nm^-2"):
         raise ConfigError(f'units must be "eV" or "nm^-2", got {units!r}')
-    try:
-        system = UnitSystem(float(cfg.get("ev_to_inv_nm2", UnitSystem().ev_to_inv_nm2)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad ev_to_inv_nm2 override: {exc}") from exc
-    return units, system
+    return units, UnitSystem(_number(cfg, "ev_to_inv_nm2", UnitSystem().ev_to_inv_nm2))
 
 
 def _energy(value, units, system):
@@ -121,7 +118,7 @@ def _spec_of(cfg):
         family = _family_of(cfg)
         if "eps" not in cfg:
             raise ConfigError('a "family" config needs "eps" to realize it')
-        spec = realize(family, float(cfg["eps"]))
+        spec = realize(family, _number(cfg, "eps", None))
     validate_spec(spec)
     return spec
 
@@ -210,15 +207,18 @@ def _probe_of(cfg):
     raise ConfigError(f"unknown test_function kind {kind!r}")
 
 
+def _number(cfg, key, default, cast=float):
+    """cast(cfg[key]), or cast(default) when the key is absent."""
+    try:
+        return cast(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+
+
 def _tol(args, cfg, default=1e-9):
     if args.tol is not None:
         return float(args.tol)
-    if "tol" in cfg:
-        try:
-            return float(cfg["tol"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad tol: {exc}") from exc
-    return default
+    return _number(cfg, "tol", default)
 
 
 # ---------------------------------------------------------------------------
@@ -319,24 +319,21 @@ plot 'deltaprime.csv' using 1:(abs($4)) with linespoints
 def _cmd_scatter(args, cfg):
     spec = _spec_of(cfg)
     ks = _k_grid(cfg)
-    rows = []
-    for k in ks:
-        data = scattering_data(spec, float(k))
-        a, b = data.a, data.b
-        if abs(a) == 0.0:
-            raise ScatteringPoleError(f"vanishing transmission denominator at k={k!r}")
-        rows.append(
-            (
-                float(k),
-                a.real,
-                a.imag,
-                b.real,
-                b.imag,
-                1.0 / abs(a) ** 2,
-                abs(b / a) ** 2,
-                data.unitarity_defect(),
-            )
-        )
+    a, b = amplitude_grid(spec, ks)
+    if np.any(a == 0.0):
+        k = ks[np.argmax(a == 0.0)]
+        raise ScatteringPoleError(f"vanishing transmission denominator at k={k!r}")
+    columns = (
+        ks,
+        a.real,
+        a.imag,
+        b.real,
+        b.imag,
+        1.0 / np.abs(a) ** 2,
+        np.abs(b / a) ** 2,
+        np.abs(np.abs(a) ** 2 - np.abs(b) ** 2 - 1.0),
+    )
+    rows = list(zip(*(c.tolist() for c in columns)))
     header = (
         "k",
         "re_a",
@@ -364,9 +361,7 @@ def _cmd_boundstates(args, cfg):
     tol = _tol(args, cfg)
     if "family" in cfg and "spec" not in cfg:
         family = _family_of(cfg)
-        result = sweep_ladder(
-            family, _eps_grid_of(cfg), tol=tol, workers=args.threads
-        )
+        result = sweep_ladder(family, _eps_grid_of(cfg), tol=tol)
         rows = []
         for eps, ladder in zip(result.eps, result.ladders):
             for index, kappa in enumerate(ladder.kappas, start=1):
@@ -416,16 +411,17 @@ def _cmd_boundstates(args, cfg):
 def _cmd_resonance(args, cfg):
     family = _family_of(cfg)
     tol = _tol(args, cfg)
-    spread_tol = float(cfg.get("spread_tol", tol))
+    spread_tol = _number(cfg, "spread_tol", tol)
+    k_probe = _number(cfg, "k", 1.0)
+    eps_samples = _number(cfg, "eps_samples", [], lambda v: [float(e) for e in v])
     report = interaction_limit(family, res_tol=tol, spread_tol=spread_tol)
-    k_probe = float(cfg.get("k", 1.0))
     samples = []
-    for eps in cfg.get("eps_samples", []):
-        spec = realize(family, float(eps))
+    for eps in eps_samples:
+        spec = realize(family, eps)
         data = scattering_data(spec, k_probe)
         samples.append(
             {
-                "eps": float(eps),
+                "eps": eps,
                 "k": k_probe,
                 "transmission": 1.0 / abs(data.a) ** 2,
                 "limit_transmission": report.interaction.transmission(k_probe),
@@ -453,13 +449,12 @@ def _cmd_wavefunction(args, cfg):
     if mode == "scatter":
         if "k" not in cfg:
             raise ConfigError('scatter mode needs a real "k" (nm^-1)')
-        wn = float(cfg["k"])
-        wave = scattering_wavefunction(spec, wn, mode="scatter")
+        wave = scattering_wavefunction(spec, _number(cfg, "k", None), mode="scatter")
     elif mode == "bound":
         if "kappa" in cfg:
-            kappa = float(cfg["kappa"])
+            kappa = _number(cfg, "kappa", None)
         else:
-            level = int(cfg.get("level", 1))
+            level = _number(cfg, "level", 1, int)
             ladder = find_roots(build_chi_problem(spec))
             if not 1 <= level <= ladder.n:
                 raise NotAnEigenvalueError(
@@ -520,7 +515,7 @@ def _cmd_deltaprime(args, cfg):
         rows.append((res.eps, res.value, companion, gap, slope))
         prev = (res.eps, gap)
     summary = {
-        "region": delta_prime_region(family.mu, family.nu, family.tau),
+        "region": classify_first_angle(family.mu, family.nu, family.tau),
         "gamma": gamma,
         "companion": companion,
         "divergence_power": results[0].divergence_power,
@@ -570,9 +565,6 @@ def _parser():
             "--format", choices=("csv", "json"), default="csv", help="output format"
         )
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument(
-            "--threads", type=int, default=None, help="worker threads for sweeps"
-        )
     return parser
 
 

@@ -18,18 +18,17 @@ lead to a nontrivial limit:
 
 Off resonance the limit is a pair of separated half lines (Dirichlet).
 
-All tangent and sine factors are evaluated through the squared-argument
+All cosine and sine factors are evaluated through the squared-argument
 kernels so that the barrier case (imaginary sigma) stays in real
-arithmetic: coef * tan(sigma) = (coef * sigma) * tanc_sqrt(sigma^2).
+arithmetic: coef * sin(sigma) = (coef * sigma) * sinc_sqrt(sigma^2).
 """
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import as_wavenumber
-from .kernels import cos_sqrt, sinc_sqrt, tanc_sqrt
+from .kernels import cos_sqrt, sinc_sqrt
 
 LABELS = ("G11", "G01", "G10", "G00")
 
@@ -104,12 +103,6 @@ def _real_product(a, b, name):
     return p.real
 
 
-def _tan_term(coef, sigma, name):
-    """coef * tan(sigma) as a real number."""
-    w = (complex(sigma) ** 2).real
-    return _real_product(coef, sigma, name) * tanc_sqrt(w)
-
-
 def _sin_term(coef, sigma, name):
     """coef * sin(sigma) as a real number."""
     w = (complex(sigma) ** 2).real
@@ -120,36 +113,6 @@ def _need(value, name):
     if value is None:
         raise ValueError(f"characteristic {name} is required but absent")
     return value
-
-
-def x_residual(chars):
-    """First-route resonance residual A1 + A2 - A1*A2 (zero on resonance).
-
-    A_j is f_j tan(sigma_j) for a layer with surviving phase and eta_j
-    for a vanishing-phase layer.
-    """
-    if chars.sigma1 == 0:
-        a1 = _need(chars.eta1, "eta1")
-    else:
-        a1 = _tan_term(_need(chars.f1, "f1"), chars.sigma1, "f1*sigma1")
-    if chars.sigma2 == 0:
-        a2 = _need(chars.eta2, "eta2")
-    else:
-        a2 = _tan_term(_need(chars.f2, "f2"), chars.sigma2, "f2*sigma2")
-    return a1 + a2 - a1 * a2
-
-
-def y_residual(chars):
-    """Second-route resonance residual B1 + B2 (zero on resonance)."""
-    if chars.sigma1 == 0:
-        b1 = _need(chars.beta1, "beta1")
-    else:
-        b1 = _tan_term(_need(chars.g1, "g1"), chars.sigma1, "g1*sigma1")
-    if chars.sigma2 == 0:
-        b2 = _need(chars.beta2, "beta2")
-    else:
-        b2 = _tan_term(_need(chars.g2, "g2"), chars.sigma2, "g2*sigma2")
-    return b1 + b2
 
 
 @dataclass(frozen=True)
@@ -296,12 +259,6 @@ class SqueezedInteraction:
         )
 
 
-def squeezed_scattering(ta):
-    """Point interaction from a ThetaAlpha result."""
-    kind = "X" if ta.way == "first" else "Y"
-    return SqueezedInteraction(kind, ta.theta, ta.alpha)
-
-
 def squeezed_bound_level(ta):
     """Bound level of the second-route interaction.
 
@@ -317,12 +274,3 @@ def squeezed_bound_level(ta):
         raise ValueError("degenerate connection: theta + 1/theta = 0")
     kappa = -ta.alpha / denom
     return kappa if kappa > 0.0 else None
-
-
-def jump_conditions(interaction):
-    """Boundary map of the limiting point interaction.
-
-    Returns the 2x2 connection matrix; for the separated verdict raises,
-    since the halves decouple with Dirichlet ends instead of connecting.
-    """
-    return interaction.connection_matrix()

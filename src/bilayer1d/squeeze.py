@@ -39,7 +39,6 @@ from .limits import (
 EQUALITY_TOL = 1e-12
 
 FIRST_ANGLE = ("P1", "K1", "L1", "N1", "Q1", "O1", "S1", "I1")
-SECOND_ANGLE = ("P2", "K2", "L2", "N2", "Q2", "O2", "S2", "I2")
 #: first-angle labels lying on the surface where the first-route limit exists
 X_PLANE = ("P1", "K1", "L1", "S1")
 
@@ -128,43 +127,46 @@ def realize(family, eps):
 # ---------------------------------------------------------------------------
 
 
+#: per angle: the tau edge in units of mu - 1, then the labels at mu = 2
+#: and for 1 < mu < 2, indexed [nu above its edge][tau above its edge]
+_ANGLES = {
+    "first": (1.0, (("P1", "N1"), ("L1", "O1")), (("K1", "Q1"), ("S1", "I1"))),
+    "second": (2.0, (("P2", "N2"), ("L2", "O2")), (("K2", "Q2"), ("S2", "I2"))),
+}
+
+
+def _classify_angle(angle, mu, nu, tau, tol):
+    """Label of (mu, nu, tau) in one angle, or None outside it.
+
+    The angle needs mu in (1, 2], nu >= 2(mu - 1) and tau at or above its
+    edge; the labels tell the boundary planes (on an edge) from the
+    interior (above both).
+    """
+    tau_scale, at_two, inside = _ANGLES[angle]
+    if abs(mu - 2.0) <= tol:
+        excess, labels = 1.0, at_two
+    elif 1.0 < mu < 2.0:
+        excess, labels = mu - 1.0, inside
+    else:
+        return None
+    sides = []
+    for value, edge in ((nu, 2.0 * excess), (tau, tau_scale * excess)):
+        if abs(value - edge) <= tol:
+            sides.append(0)
+        elif value > edge:
+            sides.append(1)
+        else:
+            return None
+    return labels[sides[0]][sides[1]]
+
+
 def classify_first_angle(mu, nu, tau, tol=EQUALITY_TOL):
     """Label within the derivative-jump (first) angle, or None outside.
 
     The angle needs mu in (1, 2], nu >= 2(mu-1) and tau >= mu - 1; the
     eight labels distinguish boundary planes from the interior I1.
     """
-
-    def eq(a, b):
-        return abs(a - b) <= tol
-
-    if eq(mu, 2.0):
-        if eq(nu, 2.0):
-            if eq(tau, 1.0):
-                return "P1"
-            if tau > 1.0:
-                return "N1"
-        elif nu > 2.0:
-            if eq(tau, 1.0):
-                return "L1"
-            if tau > 1.0:
-                return "O1"
-        return None
-    if 1.0 < mu < 2.0:
-        nu_edge = 2.0 * (mu - 1.0)
-        tau_edge = mu - 1.0
-        if eq(nu, nu_edge):
-            if eq(tau, tau_edge):
-                return "K1"
-            if tau > tau_edge:
-                return "Q1"
-        elif nu > nu_edge:
-            if eq(tau, tau_edge):
-                return "S1"
-            if tau > tau_edge:
-                return "I1"
-        return None
-    return None
+    return _classify_angle("first", mu, nu, tau, tol)
 
 
 def classify_second_angle(mu, nu, tau, tol=EQUALITY_TOL):
@@ -172,36 +174,7 @@ def classify_second_angle(mu, nu, tau, tol=EQUALITY_TOL):
 
     Same (mu, nu) footprint as the first angle but the tau threshold is
     doubled: tau >= 2(mu - 1)."""
-
-    def eq(a, b):
-        return abs(a - b) <= tol
-
-    if eq(mu, 2.0):
-        if eq(nu, 2.0):
-            if eq(tau, 2.0):
-                return "P2"
-            if tau > 2.0:
-                return "N2"
-        elif nu > 2.0:
-            if eq(tau, 2.0):
-                return "L2"
-            if tau > 2.0:
-                return "O2"
-        return None
-    if 1.0 < mu < 2.0:
-        edge = 2.0 * (mu - 1.0)
-        if eq(nu, edge):
-            if eq(tau, edge):
-                return "K2"
-            if tau > edge:
-                return "Q2"
-        elif nu > edge:
-            if eq(tau, edge):
-                return "S2"
-            if tau > edge:
-                return "I2"
-        return None
-    return None
+    return _classify_angle("second", mu, nu, tau, tol)
 
 
 def classify_region(mu, nu, tau, tol=EQUALITY_TOL):
@@ -216,11 +189,6 @@ def classify_region(mu, nu, tau, tol=EQUALITY_TOL):
     if label is not None:
         return label
     return "outside"
-
-
-def delta_prime_region(mu, nu, tau, tol=EQUALITY_TOL):
-    """First-angle label used by the distributional pairing, or None."""
-    return classify_first_angle(mu, nu, tau, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ Two independent evaluation routes are kept on purpose:
 * a product of the three interval propagators,
 * the fully expanded entry formulas of that product,
 
-and likewise for the amplitudes a, b (monodromy-based route versus the
-directly expanded closed form).  Tests hold the routes against each other.
+and likewise for the amplitudes a, b (read off the propagator entries
+versus the directly expanded closed form).  Tests hold the routes against
+each other.
 """
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,20 +133,54 @@ class ScatteringData:
         """| |a|^2 - |b|^2 - 1 |, zero for real k by flux conservation."""
         return abs(abs(self.a) ** 2 - abs(self.b) ** 2 - 1.0)
 
-    def monodromy(self):
-        """The complex 2x2 [[a, b], [b*, a*]] in the plane-wave basis."""
-        return np.array(
-            [[self.a, self.b], [np.conj(self.b), np.conj(self.a)]]
+
+def _amplitudes(spec, kc, k2, method):
+    """a, b at wavenumbers kc (real, or i*kappa) with k2 = kc^2 real.
+
+    method="closed" evaluates the expanded amplitude formulas;
+    method="matrix" reads a, b off the entries of the total propagator.
+    Elementwise over arrays.
+    """
+    phase = np.exp(1j * kc * spec.extent)
+    if method == "matrix":
+        l11, l12, l21, l22 = matrix_entries(spec, k2)
+        d = l11 + l22 - 1j * (kc * l12 - l21 / kc)
+        p = l11 - l22
+        q = kc * l12 + l21 / kc
+        return 0.5 * d * phase, 0.5 * (p - 1j * q) / phase
+    if method != "closed":
+        raise ValueError(f"unknown method {method!r}")
+
+    c1, sl1, ks1 = _layer_parts(spec.v1, spec.l1, k2)
+    c2, sl2, ks2 = _layer_parts(spec.v2, spec.l2, k2)
+    eikr = np.exp(1j * kc * spec.r)
+    emikr = 1.0 / eikr
+    sin_kr = np.sin(kc * spec.r)
+    cos_kr = np.cos(kc * spec.r)
+    a = (
+        c1 * c2 * emikr
+        - 0.5j
+        * ((kc * sl1 + ks1 / kc) * c2 + (kc * sl2 + ks2 / kc) * c1)
+        * emikr
+        + 0.5
+        * (
+            1j * (k2 * sl1 * sl2 + ks1 * ks2 / k2) * sin_kr
+            - (ks1 * sl2 + sl1 * ks2) * cos_kr
         )
-
-
-def _amplitudes_from_matrix(m, kc, extent):
-    d = m.l11 + m.l22 - 1j * (kc * m.l12 - m.l21 / kc)
-    p = m.l11 - m.l22
-    q = kc * m.l12 + m.l21 / kc
-    a = 0.5 * d * cmath.exp(1j * kc * extent)
-    b = 0.5 * (p - 1j * q) * cmath.exp(-1j * kc * extent)
-    return ScatteringData(a, b)
+    ) * phase
+    b = (
+        0.5j
+        * (
+            (ks1 / kc - kc * sl1) * c2 * eikr
+            + (ks2 / kc - kc * sl2) * c1 * emikr
+            + (
+                (k2 * sl1 * sl2 - ks1 * ks2 / k2) * sin_kr
+                + 1j * (ks1 * sl2 - sl1 * ks2) * cos_kr
+            )
+        )
+        / phase
+    )
+    return a, b
 
 
 def scattering_data(spec, k, method="closed"):
@@ -160,117 +194,21 @@ def scattering_data(spec, k, method="closed"):
     """
     validate_spec(spec)
     wn = as_wavenumber(k)
-    if method == "matrix":
-        return _amplitudes_from_matrix(
-            total_matrix(spec, wn), wn.k, spec.extent
-        )
-    if method != "closed":
-        raise ValueError(f"unknown method {method!r}")
-
-    kc = wn.k
-    k2 = wn.k2
-    c1, sl1, ks1 = _layer_parts(spec.v1, spec.l1, k2)
-    c2, sl2, ks2 = _layer_parts(spec.v2, spec.l2, k2)
-    r = spec.r
-    eikr = cmath.exp(1j * kc * r)
-    emikr = 1.0 / eikr
-    sin_kr = cmath.sin(kc * r)
-    cos_kr = cmath.cos(kc * r)
-    kk = kc * kc
-
-    a = (
-        c1 * c2 * emikr
-        - 0.5j
-        * ((kc * sl1 + ks1 / kc) * c2 + (kc * sl2 + ks2 / kc) * c1)
-        * emikr
-        + 0.5
-        * (
-            1j * (kk * sl1 * sl2 + ks1 * ks2 / kk) * sin_kr
-            - (ks1 * sl2 + sl1 * ks2) * cos_kr
-        )
-    ) * cmath.exp(1j * kc * spec.extent)
-
-    b = (
-        0.5j
-        * (
-            (ks1 / kc - kc * sl1) * c2 * eikr
-            + (ks2 / kc - kc * sl2) * c1 * emikr
-            + (
-                (kk * sl1 * sl2 - ks1 * ks2 / kk) * sin_kr
-                + 1j * (ks1 * sl2 - sl1 * ks2) * cos_kr
-            )
-        )
-        * cmath.exp(-1j * kc * spec.extent)
-    )
-    return ScatteringData(a, b)
+    a, b = _amplitudes(spec, wn.k, wn.k2, method)
+    return ScatteringData(complex(a), complex(b))
 
 
 def amplitude_grid(spec, ks, method="closed"):
     """Amplitudes over an array of real wavenumbers, as (a, b) arrays.
 
-    Vectorized counterpart of scattering_data for whole k-grids, keeping
-    the same two routes: method="closed" evaluates the expanded amplitude
-    formulas elementwise, method="matrix" assembles the three interval
-    propagators and multiplies them before reading the amplitudes off the
-    product.  Both match the pointwise routes to roundoff (a module
-    invariant, tested at 1e-12 relative).
+    Vectorized counterpart of scattering_data with the same two routes,
+    evaluated elementwise over the whole k-grid.
     """
     validate_spec(spec)
     kc = np.asarray(ks, dtype=float)
     if kc.size and not np.all(kc > 0.0):
         raise ValueError("amplitude_grid expects positive real wavenumbers")
-    k2 = kc * kc
-    c1, sl1, ks1 = _layer_parts(spec.v1, spec.l1, k2)
-    c2, sl2, ks2 = _layer_parts(spec.v2, spec.l2, k2)
-    extent_phase = np.exp(1j * kc * spec.extent)
-
-    if method == "matrix":
-        c0, sl0, ks0 = _layer_parts(0.0, spec.r, k2)
-        i11 = c0 * c1 - sl0 * ks1
-        i12 = c0 * sl1 + sl0 * c1
-        i21 = -ks0 * c1 - c0 * ks1
-        i22 = -ks0 * sl1 + c0 * c1
-        l11 = c2 * i11 + sl2 * i21
-        l12 = c2 * i12 + sl2 * i22
-        l21 = -ks2 * i11 + c2 * i21
-        l22 = -ks2 * i12 + c2 * i22
-        d = l11 + l22 - 1j * (kc * l12 - l21 / kc)
-        p = l11 - l22
-        q = kc * l12 + l21 / kc
-        return 0.5 * d * extent_phase, 0.5 * (p - 1j * q) / extent_phase
-    if method != "closed":
-        raise ValueError(f"unknown method {method!r}")
-
-    r = spec.r
-    eikr = np.exp(1j * kc * r)
-    emikr = 1.0 / eikr
-    sin_kr = np.sin(kc * r)
-    cos_kr = np.cos(kc * r)
-    kk = k2
-    a = (
-        c1 * c2 * emikr
-        - 0.5j
-        * ((kc * sl1 + ks1 / kc) * c2 + (kc * sl2 + ks2 / kc) * c1)
-        * emikr
-        + 0.5
-        * (
-            1j * (kk * sl1 * sl2 + ks1 * ks2 / kk) * sin_kr
-            - (ks1 * sl2 + sl1 * ks2) * cos_kr
-        )
-    ) * extent_phase
-    b = (
-        0.5j
-        * (
-            (ks1 / kc - kc * sl1) * c2 * eikr
-            + (ks2 / kc - kc * sl2) * c1 * emikr
-            + (
-                (kk * sl1 * sl2 - ks1 * ks2 / kk) * sin_kr
-                + 1j * (ks1 * sl2 - sl1 * ks2) * cos_kr
-            )
-        )
-        / extent_phase
-    )
-    return a, b
+    return _amplitudes(spec, kc, kc * kc, method)
 
 
 @dataclass(frozen=True)
@@ -324,6 +262,12 @@ def bound_state_residual(spec, kappa):
 # piecewise wavefunction
 
 
+def _advance(q, dx, psi, dpsi):
+    """(psi, psi') carried a distance dx at local momentum squared q."""
+    c, s, qs = _layer_parts(0.0, dx, q)
+    return psi * c + dpsi * s, -qs * psi + c * dpsi
+
+
 class PiecewiseWave:
     """Wavefunction of the structure, evaluable on all five regions.
 
@@ -343,68 +287,43 @@ class PiecewiseWave:
         self.wavenumber = wn
         self.mode = mode
         self.data = scattering_data(spec, wn)
-        k2 = wn.k2
         self.breaks = [0.0, spec.l1, spec.l1 + spec.r, spec.extent]
         # per interior region: (left edge, local momentum squared,
         # boundary value, boundary slope)
         psi = 1.0 + 0.0j
         dpsi = -1j * wn.k
         self._regions = []
-        for x0, x1, v in (
-            (0.0, spec.l1, spec.v1),
-            (spec.l1, spec.l1 + spec.r, 0.0),
-            (spec.l1 + spec.r, spec.extent, spec.v2),
-        ):
-            q = k2 - v
+        for x0, x1, v in zip(self.breaks, self.breaks[1:], (spec.v1, 0.0, spec.v2)):
+            q = wn.k2 - v
             self._regions.append((x0, q, psi, dpsi))
-            dx = x1 - x0
-            w = q * dx * dx
-            c = cos_sqrt(w)
-            s = dx * sinc_sqrt(w)
-            psi, dpsi = psi * c + dpsi * s, -q * s * psi + c * dpsi
+            psi, dpsi = _advance(q, x1 - x0, psi, dpsi)
+        self._end = (psi, dpsi)
+
+    def _right_wave(self, x):
+        """psi and psi' on the right half line x >= extent."""
+        kc = self.wavenumber.k
+        a, b = self.data.a, self.data.b
+        up = np.exp(1j * kc * x)
+        if self.mode == "bound":
+            # only the decaying piece survives; a(i*kappa) ~ 0
+            return b * up, 1j * kc * b * up
+        down = np.exp(-1j * kc * x)
+        return a * down + b * up, -1j * kc * a * down + 1j * kc * b * up
 
     def _eval(self, x, want_derivative):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
         kc = self.wavenumber.k
+        pick = 1 if want_derivative else 0
         left = x < 0.0
         right = x >= self.breaks[3]
-        if want_derivative:
-            out[left] = -1j * kc * np.exp(-1j * kc * x[left])
-        else:
-            out[left] = np.exp(-1j * kc * x[left])
-        a, b = self.data.a, self.data.b
-        if self.mode == "bound":
-            # only the decaying piece survives; a(i*kappa) ~ 0
-            if want_derivative:
-                out[right] = 1j * kc * b * np.exp(1j * kc * x[right])
-            else:
-                out[right] = b * np.exp(1j * kc * x[right])
-        else:
-            if want_derivative:
-                out[right] = -1j * kc * a * np.exp(
-                    -1j * kc * x[right]
-                ) + 1j * kc * b * np.exp(1j * kc * x[right])
-            else:
-                out[right] = a * np.exp(-1j * kc * x[right]) + b * np.exp(
-                    1j * kc * x[right]
-                )
-        for i, (x0, q, psi0, dpsi0) in enumerate(self._regions):
-            x1 = self.breaks[i + 1]
-            if i == 2:
-                mask = (x >= x0) & (x < x1) & ~right
-            else:
-                mask = (x >= x0) & (x < x1)
-            if not np.any(mask):
-                continue
-            dx = x[mask] - x0
-            w = q * dx * dx
-            c = cos_sqrt(w)
-            s = dx * sinc_sqrt(w)
-            if want_derivative:
-                out[mask] = -q * s * psi0 + c * dpsi0
-            else:
-                out[mask] = psi0 * c + dpsi0 * s
+        incoming = np.exp(-1j * kc * x[left])
+        out[left] = -1j * kc * incoming if want_derivative else incoming
+        out[right] = self._right_wave(x[right])[pick]
+        for (x0, q, psi0, dpsi0), x1 in zip(self._regions, self.breaks[1:]):
+            mask = (x >= x0) & (x < x1)
+            if np.any(mask):
+                out[mask] = _advance(q, x[mask] - x0, psi0, dpsi0)[pick]
         return out if out.ndim else complex(out)
 
     def __call__(self, x):
@@ -414,48 +333,17 @@ class PiecewiseWave:
         return self._eval(x, want_derivative=True)
 
     def continuity_defect(self):
-        """Largest relative mismatch of one-sided limits at the seams.
+        """Relative mismatch of psi and psi' at the right edge.
 
-        Interior seams vanish by construction; the seam at the right edge
-        measures the consistency of a, b with the propagated interior
-        solution (in bound mode it is the eigenvalue residual |a|).
+        The interior seams match by construction; the right edge measures
+        the consistency of a, b with the propagated interior solution (in
+        bound mode it is the eigenvalue residual |a|).  NaN amplitudes
+        give NaN.
         """
-        kc = self.wavenumber.k
         scale = max(1.0, abs(self.data.a), abs(self.data.b))
-        dscale = scale * max(1.0, abs(kc))
-        ends = []
-        for i, (x0, q, psi0, dpsi0) in enumerate(self._regions):
-            dx = self.breaks[i + 1] - x0
-            w = q * dx * dx
-            c = cos_sqrt(w)
-            s = dx * sinc_sqrt(w)
-            ends.append((psi0 * c + dpsi0 * s, -q * s * psi0 + c * dpsi0))
-        worst = max(
-            abs(self._regions[0][2] - 1.0) / scale,
-            abs(self._regions[0][3] + 1j * kc) / dscale,
-        )
-        for i in (0, 1):
-            nxt = self._regions[i + 1]
-            worst = max(
-                worst,
-                abs(ends[i][0] - nxt[2]) / scale,
-                abs(ends[i][1] - nxt[3]) / dscale,
-            )
-        ex = self.breaks[3]
-        a, b = self.data.a, self.data.b
-        if self.mode == "bound":
-            pr = b * np.exp(1j * kc * ex)
-            dpr = 1j * kc * pr
-        else:
-            pr = a * np.exp(-1j * kc * ex) + b * np.exp(1j * kc * ex)
-            dpr = -1j * kc * a * np.exp(-1j * kc * ex) + 1j * kc * b * np.exp(
-                1j * kc * ex
-            )
-        return max(
-            worst,
-            abs(ends[2][0] - pr) / scale,
-            abs(ends[2][1] - dpr) / dscale,
-        )
+        dscale = scale * max(1.0, abs(self.wavenumber.k))
+        (psi, dpsi), (pr, dpr) = self._end, self._right_wave(self.breaks[3])
+        return max(abs(psi - pr) / scale, abs(dpsi - dpr) / dscale)
 
 
 def scattering_wavefunction(spec, k, mode="scatter", eigen_tol=1e-6):
@@ -480,6 +368,14 @@ def scattering_wavefunction(spec, k, mode="scatter", eigen_tol=1e-6):
 # finite-structure resonance helpers
 
 
+def _layer_tangents(spec, k):
+    """k_j tan(k_j l_j) of both layers, defined away from cos zeros."""
+    wn = as_wavenumber(k)
+    c1, _, ks1 = _layer_parts(spec.v1, spec.l1, wn.k2)
+    c2, _, ks2 = _layer_parts(spec.v2, spec.l2, wn.k2)
+    return ks1 / c1, ks2 / c2
+
+
 def divergence_residual(spec, k):
     """k1 tan(k1 l1) + k2 tan(k2 l2) - k1 tan(k1 l1) k2 tan(k2 l2) r.
 
@@ -487,21 +383,13 @@ def divergence_residual(spec, k):
     the structure is squeezed; its zeros define the gap width at which
     the leading divergence cancels.  Finite only away from cos zeros.
     """
-    wn = as_wavenumber(k)
-    c1, _, ks1 = _layer_parts(spec.v1, spec.l1, wn.k2)
-    c2, _, ks2 = _layer_parts(spec.v2, spec.l2, wn.k2)
-    kt1 = ks1 / c1
-    kt2 = ks2 / c2
+    kt1, kt2 = _layer_tangents(spec, k)
     return kt1 + kt2 - kt1 * kt2 * spec.r
 
 
 def cancellation_gap(spec, k):
     """Gap width r* at which divergence_residual vanishes for this k."""
-    wn = as_wavenumber(k)
-    c1, _, ks1 = _layer_parts(spec.v1, spec.l1, wn.k2)
-    c2, _, ks2 = _layer_parts(spec.v2, spec.l2, wn.k2)
-    kt1 = ks1 / c1
-    kt2 = ks2 / c2
+    kt1, kt2 = _layer_tangents(spec, k)
     return (kt1 + kt2) / (kt1 * kt2)
 
 

@@ -274,5 +274,26 @@ def test_numerical_failure_maps_to_exit_4(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise ArithmeticError("synthetic blow-up")
 
-    monkeypatch.setattr(cli, "scattering_data", explode)
+    monkeypatch.setattr(cli, "amplitude_grid", explode)
     assert _run(["scatter", "--config", cfg, "--out", tmp_path / "o"]) == 4
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("resonance", {"k": "abc"}),
+        ("resonance", {"spread_tol": "x"}),
+        ("wavefunction", {"spec": SPEC_SECTION, "mode": "bound", "level": "two"}),
+        ("scatter", {"eps": "small", "k_grid": [1.0]}),
+    ],
+    ids=["resonance-k", "resonance-spread_tol", "wavefunction-level", "scatter-eps"],
+)
+def test_malformed_config_value_is_config_error(tmp_path, command, extra):
+    payload = {"units": "nm^-2", **extra}
+    if "spec" not in extra:
+        payload["family"] = {
+            "mu": 2.0, "nu": 2.0, "tau": 2.0, "h1": 1.3, "h2": -1.3,
+            "d1": 1.0, "d2": 0.6, "c": 2.0,
+        }
+    cfg = _write_config(tmp_path, payload)
+    assert _run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2

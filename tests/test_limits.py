@@ -11,15 +11,14 @@ from bilayer1d import (
     LimitChars,
     OffResonanceError,
     SqueezeFamily,
+    SqueezedInteraction,
     ThetaAlpha,
     cli,
     interaction_limit,
-    jump_conditions,
     limit_chars_of,
     realize,
     scattering_data,
     squeezed_bound_level,
-    squeezed_scattering,
     theta_alpha,
 )
 from bilayer1d.core import EV_TO_INV_NM2 as EV
@@ -191,8 +190,8 @@ def test_off_plane_exponents_have_no_finite_limit():
 
 def test_connection_matrix_and_amplitudes():
     ta = ThetaAlpha(theta=2.0, alpha=-3.0, way="second", spread=0.0)
-    interaction = squeezed_scattering(ta)
-    mat = np.asarray(jump_conditions(interaction))
+    interaction = SqueezedInteraction("Y", 2.0, -3.0)
+    mat = np.asarray(interaction.connection_matrix())
     assert mat == pytest.approx(np.array([[2.0, 0.0], [-3.0, 0.5]]))
     assert np.linalg.det(mat) == pytest.approx(1.0, rel=1e-12)
     for k in (0.3, 1.0, 2.4):

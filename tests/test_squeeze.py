@@ -9,7 +9,6 @@ from bilayer1d import (
     classify_region,
     classify_second_angle,
     delta_prime_pairing,
-    delta_prime_region,
     eps_log_grid,
     forced_branch,
     gamma_strength,
@@ -134,10 +133,10 @@ def test_first_angle_view_can_differ_from_scattering_view():
     # on the closure edge shared by both angles the scattering label wins,
     # while the distributional classification keeps its own name
     assert classify_region(1.5, 1.0, 1.0) == "K2"
-    assert delta_prime_region(1.5, 1.0, 1.0) == "Q1"
-    assert delta_prime_region(2.0, 2.0, 1.0) == "P1"
-    assert delta_prime_region(1.5, 1.5, 0.75) == "I1"
-    assert delta_prime_region(3.0, 2.0, 1.0) is None
+    assert classify_first_angle(1.5, 1.0, 1.0) == "Q1"
+    assert classify_first_angle(2.0, 2.0, 1.0) == "P1"
+    assert classify_first_angle(1.5, 1.5, 0.75) == "I1"
+    assert classify_first_angle(3.0, 2.0, 1.0) is None
 
 
 # ---------------------------------------------------------------------------
