@@ -22,13 +22,19 @@ coincidences where the cleared form has a spurious zero.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .core import validate_spec
-from .kernels import cos_sqrt, sinc_sqrt, tanc_sqrt, tanhc
-from .xfer import matrix_entries
+from .kernels import _finite_scalar, tanc_sqrt, tanhc
+from .xfer import _level_condition
+
+
+def _plain(out):
+    """A 0-d result as a Python float; arrays pass through."""
+    return out if getattr(out, "ndim", 0) else float(out)
 
 
 @dataclass(frozen=True)
@@ -50,46 +56,57 @@ class ChiProblem:
 
     def s(self, chi):
         """sqrt(rho^2 - chi^2) = kappa * l, evaluated stably near rho."""
-        chi = np.asarray(chi, dtype=float)
-        out = np.sqrt(np.maximum((self.rho - chi) * (self.rho + chi), 0.0))
-        return out if out.ndim else float(out)
+        return _plain(self._evaluate(lambda chi, s: s, chi))
 
     def kappa_of_chi(self, chi):
         return self.s(chi) / self.l
 
-    def coefficients(self, chi):
-        """C0, C1, C2 of the root equation, vectorized over chi."""
+    def _evaluate(self, formula, chi):
+        """formula(chi, s), in plain floats for a finite scalar chi with
+        chi > 0 and s > 0, where no divisor of the root equation
+        vanishes; otherwise over a float array, where a zero divisor
+        gives inf or NaN."""
+        x = _finite_scalar(chi)
+        if x is not None and x > 0.0:
+            s2 = (self.rho - x) * (self.rho + x)
+            if s2 > 0.0:
+                return formula(x, math.sqrt(s2))
         chi = np.asarray(chi, dtype=float)
         s = np.sqrt(np.maximum((self.rho - chi) * (self.rho + chi), 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return formula(chi, s)
+
+    def _coefficients(self, chi, s):
         u = chi * chi - self.rho * self.rho - self.vshift
         ubar = u * self.ratio * self.ratio
         t = self.ratio * tanc_sqrt(ubar)  # tan(zbar)/z, branch free
         z = s * self.r_over_l
         t0 = np.tanh(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c0 = 2.0 + (s - u / s) * t
-            # t0/s^2 written through tanh(z)/z to stay finite as s -> 0
-            c1 = 1.0 / s + (t - u * t * self.r_over_l * tanhc(z) / s) / (
-                1.0 + t0
-            )
-            c2 = s - t * (u - s * s * t0) / (1.0 + t0)
+        c0 = 2.0 + (s - u / s) * t
+        # t0/s^2 written through tanh(z)/z to stay finite as s -> 0
+        c1 = 1.0 / s + (t - u * t * self.r_over_l * tanhc(z) / s) / (1.0 + t0)
+        c2 = s - t * (u - s * s * t0) / (1.0 + t0)
         return c0, c1, c2
 
+    def _denominator(self, chi, s):
+        _, c1, c2 = self._coefficients(chi, s)
+        return chi * c1 - c2 / chi
+
+    def _cleared(self, chi, s):
+        c0, c1, c2 = self._coefficients(chi, s)
+        return np.sin(chi) * (chi * c1 - c2 / chi) - np.cos(chi) * c0
+
+    def coefficients(self, chi):
+        """C0, C1, C2 of the root equation, vectorized over chi."""
+        return self._evaluate(self._coefficients, chi)
+
     def denominator(self, chi):
-        chi = np.asarray(chi, dtype=float)
-        _, c1, c2 = self.coefficients(chi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = chi * c1 - c2 / chi
-        return out if out.ndim else float(out)
+        return _plain(self._evaluate(self._denominator, chi))
 
     def cleared(self, chi):
         """h(chi); zero exactly at the bound levels (plus rare
         simultaneous-zero coincidences removed by the residual filter)."""
-        chi = np.asarray(chi, dtype=float)
-        c0, c1, c2 = self.coefficients(chi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.sin(chi) * (chi * c1 - c2 / chi) - np.cos(chi) * c0
-        return out if out.ndim else float(out)
+        return _plain(self._evaluate(self._cleared, chi))
 
     def tangent_pole_abscissae(self):
         """chi values in (0, rho) where the cross-layer tangent blows up.
@@ -139,7 +156,7 @@ def build_chi_problem(spec, branch=None):
     return ChiProblem(
         spec,
         branch,
-        rho=np.sqrt(-vref) * l,
+        rho=math.sqrt(-vref) * l,
         l=l,
         ratio=lother / l,
         vshift=vother * l * l,
@@ -160,17 +177,6 @@ class BoundLadder:
     @property
     def n(self):
         return len(self.kappas)
-
-
-def _scaled_total_residual(spec, kappa):
-    """Pole-free level condition from the propagator, with its scale."""
-    kappa = np.asarray(kappa, dtype=float)
-    l11, l12, l21, l22 = matrix_entries(spec, -kappa * kappa)
-    res = l11 + l22 + kappa * l12 + l21 / kappa
-    scale = np.abs(l11) + np.abs(l22) + np.abs(kappa * l12) + np.abs(
-        l21 / kappa
-    )
-    return res, np.maximum(scale, 1.0)
 
 
 def _sign_roots(f, grid, xtol):
@@ -235,7 +241,7 @@ def find_roots(problem, samples=None, accept_tol=1e-6):
         kappa = problem.kappa_of_chi(chi)
         if kappa <= 0.0:
             continue
-        res, scale = _scaled_total_residual(problem.spec, kappa)
+        res, scale = _level_condition(problem.spec, kappa)
         if abs(res) <= accept_tol * scale:
             accepted.append(chi)
     chis = np.array(accepted)[::-1]
@@ -317,7 +323,7 @@ def verify_ladder(spec, ladder, f_tol=1e-8, grid=None):
             grid = max(4096, 512 * (int(ladder.rho / np.pi) + 1))
         ks = np.linspace(kmax * 1e-9, kmax * (1.0 - 1e-12), grid)
         levels = _sign_roots(
-            lambda k: _scaled_total_residual(spec, k)[0], ks, 1e-12 * kmax
+            lambda k: _level_condition(spec, k)[0], ks, 1e-12 * kmax
         )
         for kappa in levels:
             if ladder.n:

@@ -215,6 +215,14 @@ def _number(cfg, key, default, cast=float):
         raise ConfigError(f"bad {key}: {exc}") from exc
 
 
+def _integer(value):
+    """int(value) for an integer; fractions, booleans and strings are
+    refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def _tol(args, cfg, default=1e-9):
     if args.tol is not None:
         return float(args.tol)
@@ -454,7 +462,7 @@ def _cmd_wavefunction(args, cfg):
         if "kappa" in cfg:
             kappa = _number(cfg, "kappa", None)
         else:
-            level = _number(cfg, "level", 1, int)
+            level = _number(cfg, "level", 1, _integer)
             ladder = find_roots(build_chi_problem(spec))
             if not 1 <= level <= ladder.n:
                 raise NotAnEigenvalueError(

@@ -6,16 +6,44 @@ for w < 0 they turn into the hyperbolic ones of sqrt(-w), with a short
 Taylor series bridging w = 0.  Evaluating propagators through these kernels
 keeps every matrix entry real when the local momentum squared changes sign,
 with no complex square roots and no branch cuts.
+
+Each kernel writes its three branches once.  Arrays evaluate all of them
+and pick elementwise; a finite scalar (Python float, numpy scalar or 0-d
+array) tests the cutoffs once, evaluates only the branch that applies and
+returns a Python float bit-identical to the array element.  Non-finite
+scalars take the array path, so they warn exactly as arrays do.
 """
+
+import math
 
 import numpy as np
 
 # below this the direct formulas lose digits to cancellation; the 4-term
 # series is exact to ~1e-26 there
 SERIES_CUTOFF = 1e-6
+# tanhc switches to its series below this |z|
+_TANHC_CUTOFF = 1e-4
+
+
+def _finite_scalar(x):
+    """x as a Python float when it is a finite scalar, else None."""
+    # isinstance first: np.ndim of a Python float costs a 0-d array
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        if math.isfinite(x):
+            return x
+    return None
 
 
 def _dispatch(w, circular, hyperbolic, series):
+    x = _finite_scalar(w)
+    if x is not None:
+        # math.sqrt is correctly rounded, like np.sqrt
+        if x >= SERIES_CUTOFF:
+            return float(circular(math.sqrt(x)))
+        if x <= -SERIES_CUTOFF:
+            return float(hyperbolic(math.sqrt(-x)))
+        return float(series(x))
     w = np.asarray(w, dtype=float)
     sp = np.sqrt(np.maximum(w, 0.0))
     sn = np.sqrt(np.maximum(-w, 0.0))
@@ -62,14 +90,25 @@ def tanc_sqrt(w):
     )
 
 
+def _tanhc_direct(z):
+    return np.tanh(z) / z
+
+
+def _tanhc_series(z):
+    z2 = z * z
+    return 1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0
+
+
 def tanhc(z):
     """tanh(z)/z for real z, finite and equal to 1 at z = 0."""
+    x = _finite_scalar(z)
+    if x is not None:
+        if abs(x) >= _TANHC_CUTOFF:
+            return float(_tanhc_direct(x))
+        return _tanhc_series(x)
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z2 = z * z
         out = np.where(
-            np.abs(z) >= 1e-4,
-            np.tanh(z) / np.where(z == 0.0, 1.0, z),
-            1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0,
+            np.abs(z) >= _TANHC_CUTOFF, _tanhc_direct(z), _tanhc_series(z)
         )
     return out if out.ndim else float(out)

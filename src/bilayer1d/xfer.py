@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LayerSpec, as_wavenumber, validate_spec
-from .kernels import cos_sqrt, sinc_sqrt
+from .kernels import _finite_scalar, cos_sqrt, sinc_sqrt
 
 
 class ScatteringPoleError(ArithmeticError):
@@ -245,6 +245,20 @@ def reflection_transmission(spec, k):
     )
 
 
+def _level_condition(spec, kappa):
+    """l11 + l22 + kappa*l12 + l21/kappa of the total propagator at
+    k = i*kappa, and its scale: the sum of the terms' magnitudes, at
+    least 1.  Elementwise; a finite nonzero scalar kappa stays a plain
+    float, anything else becomes an array, so kappa = 0 gives inf or NaN.
+    """
+    x = _finite_scalar(kappa)
+    kappa = x if x else np.asarray(kappa, dtype=float)
+    l11, l12, l21, l22 = matrix_entries(spec, -kappa * kappa)
+    value = l11 + l22 + kappa * l12 + l21 / kappa
+    scale = abs(l11) + abs(l22) + abs(kappa * l12) + abs(l21 / kappa)
+    return value, np.maximum(scale, 1.0)
+
+
 def bound_state_residual(spec, kappa):
     """Real function of kappa > 0 whose zeros are the bound levels.
 
@@ -254,8 +268,8 @@ def bound_state_residual(spec, kappa):
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    m = total_matrix(spec, as_wavenumber(1j * kappa))
-    return m.l11 + m.l22 + kappa * m.l12 + m.l21 / kappa
+    validate_spec(spec)
+    return _level_condition(spec, as_wavenumber(1j * kappa).kappa)[0]
 
 
 # ---------------------------------------------------------------------------

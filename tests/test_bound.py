@@ -1,5 +1,7 @@
 """Bound-state ladders via the compact transcendental root problem."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,34 @@ def test_edge_hugging_survivor_is_not_lost():
     ladder = find_roots(build_chi_problem(spec))
     assert ladder.chis.size == 1
     assert ladder.kappas[0] == pytest.approx(0.88417295, abs=5e-7)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DoubleLayerSpec.make(-20.0, 1.3, 5.0, 0.4, 0.3),
+        DoubleLayerSpec.make(-20.0, 1.3, -8.0, 0.6, 0.3),
+        DoubleLayerSpec.make(-9.0, 1.0, 0.0, 0.0, 0.0),
+    ],
+    ids=["barrier", "second-well", "single-well"],
+)
+def test_scalar_chi_calls_equal_array_elements(spec):
+    # chi = 0 and chi = rho zero a divisor of the root equation, and the
+    # second well puts tangent poles inside; outside (0, rho) s clamps to 0
+    problem = build_chi_problem(spec)
+    rho = problem.rho
+    chis = np.concatenate((
+        np.linspace(0.0, rho, 257),
+        [np.nextafter(0.0, 1.0), np.nextafter(rho, 0.0), -0.5 * rho, 1.5 * rho],
+        problem.tangent_pole_abscissae(),
+    ))
+    # zero divisors stay silent; only the overflow of c2 / 5e-324 warns
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        for method in (problem.cleared, problem.denominator, problem.s):
+            want = method(chis)
+            for chi, ref in zip(chis, want):
+                got = method(float(chi))
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (
+                    method.__name__, chi, got, ref)

@@ -284,9 +284,18 @@ def test_numerical_failure_maps_to_exit_4(tmp_path, monkeypatch):
         ("resonance", {"k": "abc"}),
         ("resonance", {"spread_tol": "x"}),
         ("wavefunction", {"spec": SPEC_SECTION, "mode": "bound", "level": "two"}),
+        ("wavefunction", {"spec": SPEC_SECTION, "mode": "bound", "level": 2.7}),
+        ("wavefunction", {"spec": SPEC_SECTION, "mode": "bound", "level": True}),
         ("scatter", {"eps": "small", "k_grid": [1.0]}),
     ],
-    ids=["resonance-k", "resonance-spread_tol", "wavefunction-level", "scatter-eps"],
+    ids=[
+        "resonance-k",
+        "resonance-spread_tol",
+        "wavefunction-level",
+        "wavefunction-level-fraction",
+        "wavefunction-level-bool",
+        "scatter-eps",
+    ],
 )
 def test_malformed_config_value_is_config_error(tmp_path, command, extra):
     payload = {"units": "nm^-2", **extra}

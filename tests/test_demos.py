@@ -1,0 +1,17 @@
+"""Each narrated demo runs to the end without raising."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_main_runs(path, capsys):
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main()
+    assert capsys.readouterr().out

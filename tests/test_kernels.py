@@ -1,8 +1,10 @@
 """Branch-free trigonometric kernels used by the transfer-matrix layer."""
 
 import numpy as np
+import pytest
 
 from bilayer1d.kernels import (
+    _TANHC_CUTOFF,
     SERIES_CUTOFF,
     cos_sqrt,
     sinc_sqrt,
@@ -90,3 +92,27 @@ def test_vectorization_preserves_shape_and_scalars():
     assert cos_sqrt(arr).shape == (2, 2)
     assert np.isscalar(float(cos_sqrt(2.0)))
     assert sinc_sqrt(np.array([])).shape == (0,)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("kernel", [cos_sqrt, sinc_sqrt, tanc_sqrt, tanhc])
+def test_scalar_call_equals_array_element(kernel):
+    # the cutoffs and their neighbours, the non-finite inputs that keep
+    # the array path, and cosh(1000) overflowing to inf
+    edges = [
+        c * side
+        for cut in (SERIES_CUTOFF, _TANHC_CUTOFF)
+        for side in (1.0, -1.0)
+        for c in (cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf))
+    ]
+    points = np.concatenate((WIDE, edges, [0.0, np.inf, -np.inf, np.nan, -1e6]))
+    with np.errstate(over="ignore"):
+        want = kernel(points)
+        for w, ref in zip(points, want):
+            for arg in (float(w), np.float64(w), np.array(w)):
+                got = kernel(arg)
+                assert type(got) is float, (w, type(arg))
+                assert _bits(got) == _bits(ref), (w, got, ref)
