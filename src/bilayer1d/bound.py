@@ -179,13 +179,17 @@ class BoundLadder:
         return len(self.kappas)
 
 
+def _sign_cells(vals):
+    """Indices i of the cells (i, i + 1) of a sampled function where it
+    changes sign between finite values."""
+    good = np.isfinite(vals)
+    return np.flatnonzero(good[:-1] & good[1:] & (vals[:-1] * vals[1:] < 0.0))
+
+
 def _sign_roots(f, grid, xtol):
     """Brent-refined zeros of f in each cell of grid where f changes sign
     between finite values."""
-    vals = f(grid)
-    good = np.isfinite(vals)
-    flips = good[:-1] & good[1:] & (vals[:-1] * vals[1:] < 0.0)
-    return [brentq(f, grid[i], grid[i + 1], xtol=xtol) for i in np.flatnonzero(flips)]
+    return [brentq(f, grid[i], grid[i + 1], xtol=xtol) for i in _sign_cells(f(grid))]
 
 
 def _segment_roots(problem, f, edge, pad, samples, xtol, tails=False):
@@ -309,7 +313,19 @@ def verify_ladder(spec, ladder, f_tol=1e-8, grid=None):
 
     Each kappa_i must zero the direct condition to f_tol (scaled), and a
     fine sign scan of the pole-free propagator residual over the whole
-    admissible interval must produce no level absent from the ladder.
+    admissible interval must produce no level absent from the ladder: a
+    level found at kappa is missed unless some kappa_i lies within
+    1e-8 * max(1, kappa) of it.
+
+    A scan cell (a, b) where the residual changes sign and that holds a
+    ladder level K is certified without refinement when the residual also
+    changes sign on [K - d, K + d] within the cell, d = 5e-9 * max(1, K),
+    since a root there passes the distance test.  The window ends of all
+    such cells are evaluated in one array call; only the cells left
+    uncertified are refined by Brent's method, and their roots are the
+    candidates for missed levels.  For a cell holding one root this is the
+    verdict refinement alone would give.  A cell holding three roots shows
+    one sign change, so the scan can overlook levels there either way.
     """
     if ladder.n:
         value, scale = _direct_condition(spec, ladder.kappas)
@@ -322,10 +338,15 @@ def verify_ladder(spec, ladder, f_tol=1e-8, grid=None):
         if grid is None:
             grid = max(4096, 512 * (int(ladder.rho / np.pi) + 1))
         ks = np.linspace(kmax * 1e-9, kmax * (1.0 - 1e-12), grid)
-        levels = _sign_roots(
-            lambda k: _level_condition(spec, k)[0], ks, 1e-12 * kmax
-        )
-        for kappa in levels:
+
+        def f(k):
+            return _level_condition(spec, k)[0]
+
+        cells = _sign_cells(f(ks))
+        if ladder.n and len(cells):
+            cells = cells[~_certified(f, ks, cells, np.sort(ladder.kappas))]
+        for i in cells:
+            kappa = brentq(f, ks[i], ks[i + 1], xtol=1e-12 * kmax)
             if ladder.n:
                 dist = np.min(np.abs(ladder.kappas - kappa))
             else:
@@ -337,3 +358,22 @@ def verify_ladder(spec, ladder, f_tol=1e-8, grid=None):
         (not len(residuals) or residuals.max() < f_tol) and not len(missed)
     )
     return LadderReport(ok, residuals, missed)
+
+
+def _certified(f, ks, cells, levels):
+    """Mask over the sign-change cells of the grid ks: True where the
+    first of the ascending levels K in the cell has f change sign within
+    5e-9 * max(1, K) of K, inside the cell."""
+    a, b = ks[cells], ks[cells + 1]
+    first = np.searchsorted(levels, a)
+    inside = first < len(levels)
+    level = levels[np.minimum(first, len(levels) - 1)]
+    inside &= level <= b
+    level = level[inside]
+    half = 5e-9 * np.maximum(1.0, level)
+    ends = f(np.concatenate((np.maximum(a[inside], level - half),
+                             np.minimum(b[inside], level + half))))
+    lo, hi = np.split(ends, 2)
+    certified = np.zeros(len(cells), dtype=bool)
+    certified[inside] = np.isfinite(lo) & np.isfinite(hi) & (lo * hi < 0.0)
+    return certified

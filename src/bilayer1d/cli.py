@@ -69,7 +69,7 @@ def _units(cfg):
 
 
 def _energy(value, units, system):
-    v = float(value)
+    v = _real(value)
     return v * system.ev_to_inv_nm2 if units == "eV" else v
 
 
@@ -80,14 +80,14 @@ def _family_of(cfg):
         raise ConfigError('this command needs a "family" section')
     try:
         return SqueezeFamily(
-            float(raw["mu"]),
-            float(raw["nu"]),
-            float(raw["tau"]),
+            _real(raw["mu"]),
+            _real(raw["nu"]),
+            _real(raw["tau"]),
             _energy(raw["h1"], units, system),
             _energy(raw["h2"], units, system),
-            float(raw["d1"]),
-            float(raw["d2"]),
-            float(raw["c"]),
+            _real(raw["d1"]),
+            _real(raw["d2"]),
+            _real(raw["c"]),
         )
     except KeyError as exc:
         raise ConfigError(f"family section is missing {exc.args[0]!r}") from exc
@@ -105,10 +105,10 @@ def _spec_of(cfg):
         try:
             spec = DoubleLayerSpec.make(
                 _energy(raw_spec["v1"], units, system),
-                float(raw_spec["l1"]),
+                _real(raw_spec["l1"]),
                 _energy(raw_spec["v2"], units, system),
-                float(raw_spec["l2"]),
-                float(raw_spec["r"]),
+                _real(raw_spec["l2"]),
+                _real(raw_spec["r"]),
             )
         except KeyError as exc:
             raise ConfigError(f"spec section is missing {exc.args[0]!r}") from exc
@@ -123,17 +123,25 @@ def _spec_of(cfg):
     return spec
 
 
+def _real_list(raw, name):
+    """A nonempty list of JSON numbers as a float array."""
+    try:
+        grid = np.array([_real(v) for v in raw])
+    except ValueError as exc:
+        raise ConfigError(f"{name} must be a nonempty list of numbers: {exc}") from exc
+    if grid.size == 0:
+        raise ConfigError(f"{name} must be a nonempty list of numbers")
+    return grid
+
+
 def _linear_grid(raw, name):
     if isinstance(raw, (list, tuple)):
-        grid = np.asarray(raw, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ConfigError(f"{name} must be a nonempty list of numbers")
-        return grid
+        return _real_list(raw, name)
     if isinstance(raw, dict):
         try:
-            start = float(raw["start"])
-            stop = float(raw["stop"])
-            count = int(raw.get("count", 200))
+            start = _real(raw["start"])
+            stop = _real(raw["stop"])
+            count = _integer(raw.get("count", 200))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad {name}: {exc}") from exc
         if count < 1:
@@ -165,17 +173,14 @@ def _eps_grid_of(cfg):
     if raw is None:
         return eps_log_grid()
     if isinstance(raw, (list, tuple)):
-        grid = np.asarray(raw, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ConfigError("eps_grid must be a nonempty list")
-        return grid
+        return _real_list(raw, "eps_grid")
     if isinstance(raw, dict):
         try:
             return eps_log_grid(
-                float(raw.get("start", 1.0)),
-                float(raw.get("stop", 1e-3)),
-                int(raw.get("per_decade", 8)),
-                float(raw.get("floor", 1e-8)),
+                _real(raw.get("start", 1.0)),
+                _real(raw.get("stop", 1e-3)),
+                _integer(raw.get("per_decade", 8)),
+                _real(raw.get("floor", 1e-8)),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad eps_grid: {exc}") from exc
@@ -188,16 +193,15 @@ def _probe_of(cfg):
         raise ConfigError("test_function must be an object")
     kind = raw.get("kind", "bump")
     try:
+        center = _real(raw.get("center", 0.0))
         if kind == "bump":
-            return probes.bump(raw.get("width", 1.0), raw.get("center", 0.0))
+            return probes.bump(_real(raw.get("width", 1.0)), center)
         if kind == "gaussian_bump":
-            return probes.gaussian_bump(
-                raw["sigma"], raw["width"], raw.get("center", 0.0)
-            )
+            return probes.gaussian_bump(_real(raw["sigma"]), _real(raw["width"]), center)
         if kind == "gaussian":
-            return probes.gaussian(raw["sigma"], raw.get("center", 0.0))
+            return probes.gaussian(_real(raw["sigma"]), center)
         if kind == "tabulated":
-            return probes.tabulated(raw["xs"], raw["ys"])
+            return probes.tabulated(_real_list(raw["xs"], "xs"), _real_list(raw["ys"], "ys"))
     except KeyError as exc:
         raise ConfigError(
             f"test_function {kind!r} is missing {exc.args[0]!r}"
@@ -207,7 +211,17 @@ def _probe_of(cfg):
     raise ConfigError(f"unknown test_function kind {kind!r}")
 
 
-def _number(cfg, key, default, cast=float):
+def _real(value):
+    """float(value) for a finite JSON number; booleans, strings, NaN and
+    infinities are refused rather than converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return float(value)
+
+
+def _number(cfg, key, default, cast=_real):
     """cast(cfg[key]), or cast(default) when the key is absent."""
     try:
         return cast(cfg.get(key, default))
@@ -224,9 +238,7 @@ def _integer(value):
 
 
 def _tol(args, cfg, default=1e-9):
-    if args.tol is not None:
-        return float(args.tol)
-    return _number(cfg, "tol", default)
+    return _number(cfg if args.tol is None else {"tol": args.tol}, "tol", default)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +433,7 @@ def _cmd_resonance(args, cfg):
     tol = _tol(args, cfg)
     spread_tol = _number(cfg, "spread_tol", tol)
     k_probe = _number(cfg, "k", 1.0)
-    eps_samples = _number(cfg, "eps_samples", [], lambda v: [float(e) for e in v])
+    eps_samples = _number(cfg, "eps_samples", [], lambda v: [_real(e) for e in v])
     report = interaction_limit(family, res_tol=tol, spread_tol=spread_tol)
     samples = []
     for eps in eps_samples:

@@ -7,11 +7,14 @@ Taylor series bridging w = 0.  Evaluating propagators through these kernels
 keeps every matrix entry real when the local momentum squared changes sign,
 with no complex square roots and no branch cuts.
 
-Each kernel writes its three branches once.  Arrays evaluate all of them
-and pick elementwise; a finite scalar (Python float, numpy scalar or 0-d
-array) tests the cutoffs once, evaluates only the branch that applies and
-returns a Python float bit-identical to the array element.  Non-finite
-scalars take the array path, so they warn exactly as arrays do.
+Each kernel writes its three branches once and evaluates a branch only
+where it applies.  An array is split by the cutoffs: each branch runs on
+the elements that take it, and when every element takes the same branch
+(the common case on the bound half line) it runs once on the whole
+array.  NaN takes the series branch.  A finite scalar (Python float,
+numpy scalar or 0-d array) tests the cutoffs once and returns a Python
+float bit-identical to the array element.  Non-finite scalars take the
+array path, so they warn exactly as arrays do.
 """
 
 import math
@@ -35,6 +38,29 @@ def _finite_scalar(x):
     return None
 
 
+def _branches(x, *cases):
+    """Elementwise branch choice over the float array x.
+
+    cases are (mask, formula) pairs whose masks split x, each element in
+    exactly one.  A formula sees only its own elements, so an untaken
+    branch neither costs nor warns, and a branch that takes every element
+    runs once on x itself.
+    """
+    # count_nonzero costs a fraction of mask.all() on short arrays
+    counts = [np.count_nonzero(mask) for mask, _ in cases]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (mask, formula), n in zip(cases, counts):
+            if n == x.size:
+                out = formula(x)
+                break
+        else:
+            out = np.empty_like(x)
+            for (mask, formula), n in zip(cases, counts):
+                if n:
+                    out[mask] = formula(x[mask])
+    return out if out.ndim else float(out)
+
+
 def _dispatch(w, circular, hyperbolic, series):
     x = _finite_scalar(w)
     if x is not None:
@@ -45,15 +71,13 @@ def _dispatch(w, circular, hyperbolic, series):
             return float(hyperbolic(math.sqrt(-x)))
         return float(series(x))
     w = np.asarray(w, dtype=float)
-    sp = np.sqrt(np.maximum(w, 0.0))
-    sn = np.sqrt(np.maximum(-w, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            w >= SERIES_CUTOFF,
-            circular(sp),
-            np.where(w <= -SERIES_CUTOFF, hyperbolic(sn), series(w)),
-        )
-    return out if out.ndim else float(out)
+    up, down = w >= SERIES_CUTOFF, w <= -SERIES_CUTOFF
+    return _branches(
+        w,
+        (up, lambda x: circular(np.sqrt(x))),
+        (down, lambda x: hyperbolic(np.sqrt(-x))),
+        (~(up | down), series),
+    )
 
 
 def cos_sqrt(w):
@@ -107,8 +131,5 @@ def tanhc(z):
             return float(_tanhc_direct(x))
         return _tanhc_series(x)
     z = np.asarray(z, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            np.abs(z) >= _TANHC_CUTOFF, _tanhc_direct(z), _tanhc_series(z)
-        )
-    return out if out.ndim else float(out)
+    direct = np.abs(z) >= _TANHC_CUTOFF
+    return _branches(z, (direct, _tanhc_direct), (~direct, _tanhc_series))

@@ -4,11 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from bilayer1d import (
     BoundLadder,
     DoubleLayerSpec,
     SqueezeFamily,
+    bound,
     build_chi_problem,
     find_roots,
     poles_of_y,
@@ -17,6 +19,7 @@ from bilayer1d import (
 )
 from bilayer1d.core import EV_TO_INV_NM2 as EV
 from bilayer1d.oracle import integrate_bound
+from bilayer1d.xfer import _level_condition
 
 from helpers import random_spec, single_well_kappas
 
@@ -123,6 +126,114 @@ def test_verify_ladder_accepts_complete_and_flags_truncated():
     broken = verify_ladder(spec, truncated)
     assert not broken.ok
     assert len(broken.missed) >= 1
+
+
+# an explicit scan size, so that the tests below can rebuild the cells of
+# verify_ladder's scan: GRID points from kmax * 1e-9 to kmax * (1 - 1e-12)
+GRID = 4096
+DEEP = DoubleLayerSpec.make(-30.0, 1.3, 5.0, 0.4, 0.3)
+
+
+def _scan(spec):
+    kmax = np.sqrt(max(-spec.v1, -spec.v2, 0.0))
+    return np.linspace(kmax * 1e-9, kmax * (1.0 - 1e-12), GRID), kmax
+
+
+def _with_kappas(ladder, kappas):
+    # verify_ladder reads the levels and rho, never chis
+    kappas = np.asarray(kappas, dtype=float)
+    return BoundLadder(ladder.chis[: kappas.size], kappas, ladder.rho, ladder.l,
+                       ladder.branch)
+
+
+def _counting_brentq(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(bound, "brentq", counted)
+    return calls
+
+
+def test_verify_ladder_refines_only_uncertified_cells(monkeypatch):
+    ladder = find_roots(build_chi_problem(DEEP))
+    assert ladder.n == 3
+    calls = _counting_brentq(monkeypatch)
+    assert verify_ladder(DEEP, ladder, grid=GRID).ok
+    # every level is certified by the sign change around it
+    assert calls == []
+    verify_ladder(DEEP, _with_kappas(ladder, ladder.kappas[1:]), grid=GRID)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dropped", [0, 1, 2])
+def test_dropped_level_is_missed_at_its_brent_value(dropped):
+    ladder = find_roots(build_chi_problem(DEEP))
+    kappa = ladder.kappas[dropped]
+    report = verify_ladder(
+        DEEP, _with_kappas(ladder, np.delete(ladder.kappas, dropped)), grid=GRID
+    )
+    ks, kmax = _scan(DEEP)
+    i = np.searchsorted(ks, kappa) - 1
+    want = brentq(lambda k: _level_condition(DEEP, k)[0], ks[i], ks[i + 1],
+                  xtol=1e-12 * kmax)
+    assert not report.ok
+    assert report.missed.tobytes() == np.array([want]).tobytes()
+
+
+@pytest.mark.parametrize("shift", [4e-9, -4e-9, 7e-9, -7e-9, 3e-8, -3e-8])
+def test_moved_level_is_flagged_beyond_the_distance_tolerance(shift):
+    # 4e-9 falls inside the certificate's window, 7e-9 outside it but
+    # inside the 1e-8 tolerance, and 3e-8 outside both
+    ladder = find_roots(build_chi_problem(DEEP))
+    kappa = ladder.kappas[1]
+    assert kappa > 1.0
+    moved = ladder.kappas.copy()
+    moved[1] = kappa * (1.0 + shift)
+    report = verify_ladder(DEEP, _with_kappas(ladder, moved), grid=GRID)
+    if abs(shift) < 1e-8:
+        assert len(report.missed) == 0
+    else:
+        assert not report.ok
+        assert len(report.missed) == 1
+        assert abs(report.missed[0] - kappa) < 1e-12 * kappa
+
+
+def test_level_on_a_scan_grid_point_passes(monkeypatch):
+    # a single well whose ground level is a grid point of the scan: the
+    # even condition q tan(q l / 2) = kappa, q = sqrt(V - kappa^2), solved
+    # for the width l
+    depth = 9.0
+    ks, _ = _scan(DoubleLayerSpec.make(-depth, 1.0, 0.0, 0.0, 0.0))
+    target = ks[2730]
+    q = np.sqrt(depth - target * target)
+    spec = DoubleLayerSpec.make(-depth, 2.0 * np.arctan(target / q) / q, 0.0, 0.0, 0.0)
+    ladder = find_roots(build_chi_problem(spec))
+    j = np.argmin(np.abs(ladder.kappas - target))
+    assert abs(ladder.kappas[j] - target) < 1e-12 * target
+    placed = ladder.kappas.copy()
+    placed[j] = target
+    calls = _counting_brentq(monkeypatch)
+    report = verify_ladder(spec, _with_kappas(ladder, placed), grid=GRID)
+    assert report.ok
+    assert len(report.missed) == 0
+    assert calls == []
+
+
+def test_gapped_doublet_is_reported_missed():
+    # an accidental doublet of two unequal wells behind a gap: find_roots
+    # returns 34 of the 36 levels, and verify_ladder names the pair
+    spec = DoubleLayerSpec.make(
+        -10475.535340231465, 1.0009482984339129, -2631.446628040983,
+        0.14540619918341677, 0.4187274250603946,
+    )
+    ladder = find_roots(build_chi_problem(spec))
+    report = verify_ladder(spec, ladder)
+    assert ladder.n == 34
+    assert not report.ok
+    assert report.missed == pytest.approx([17.826912, 17.838377], abs=1e-5)
 
 
 def test_single_well_interface_pole_sits_at_rho_over_sqrt2():

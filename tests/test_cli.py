@@ -278,6 +278,13 @@ def test_numerical_failure_maps_to_exit_4(tmp_path, monkeypatch):
     assert _run(["scatter", "--config", cfg, "--out", tmp_path / "o"]) == 4
 
 
+FAMILY_SECTION = {
+    "mu": 2.0, "nu": 2.0, "tau": 2.0, "h1": 1.3, "h2": -1.3,
+    "d1": 1.0, "d2": 0.6, "c": 2.0,
+}
+WAVE_SCATTER = {"spec": SPEC_SECTION, "mode": "scatter"}
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [
@@ -287,6 +294,26 @@ def test_numerical_failure_maps_to_exit_4(tmp_path, monkeypatch):
         ("wavefunction", {"spec": SPEC_SECTION, "mode": "bound", "level": 2.7}),
         ("wavefunction", {"spec": SPEC_SECTION, "mode": "bound", "level": True}),
         ("scatter", {"eps": "small", "k_grid": [1.0]}),
+        ("wavefunction", {**WAVE_SCATTER, "k": True}),
+        ("wavefunction", {**WAVE_SCATTER, "k": "3"}),
+        ("scatter", {"spec": {**SPEC_SECTION, "r": "0.3"}, "k_grid": [1.0]}),
+        ("scatter", {"spec": {**SPEC_SECTION, "v1": True}, "k_grid": [1.0]}),
+        ("scatter", {"spec": SPEC_SECTION, "ev_to_inv_nm2": "2.6", "k_grid": [1.0]}),
+        ("resonance", {"family": {**FAMILY_SECTION, "mu": "2.0"}}),
+        ("resonance", {"family": {**FAMILY_SECTION, "h1": False}}),
+        ("resonance", {"eps_samples": ["1e-2"]}),
+        ("resonance", {"eps_samples": [True]}),
+        ("scatter", {"spec": SPEC_SECTION, "k_grid": {"start": 0.5, "stop": 1.0, "count": 2.7}}),
+        ("scatter", {"spec": SPEC_SECTION, "k_grid": {"start": "0.5", "stop": 1.0}}),
+        ("scatter", {"spec": SPEC_SECTION, "k_grid": {"start": 0.5, "stop": True}}),
+        ("scatter", {"spec": SPEC_SECTION, "k_grid": [1.0, "2.0"]}),
+        ("boundstates", {"eps_grid": {"stop": 1e-2, "per_decade": 2.5}}),
+        ("boundstates", {"eps_grid": [1.0, "0.1"]}),
+        ("resonance", {"tol": float("nan")}),
+        ("scatter", {"spec": SPEC_SECTION, "k_grid": [1.0, float("inf")]}),
+        ("deltaprime", {"test_function": {"kind": "bump", "width": "2"}}),
+        ("deltaprime", {"test_function": {"kind": "tabulated", "xs": [0.0, True, 2.0],
+                                          "ys": [0.0, 1.0, 0.0]}}),
     ],
     ids=[
         "resonance-k",
@@ -295,14 +322,38 @@ def test_numerical_failure_maps_to_exit_4(tmp_path, monkeypatch):
         "wavefunction-level-fraction",
         "wavefunction-level-bool",
         "scatter-eps",
+        "wavefunction-k-bool",
+        "wavefunction-k-string",
+        "spec-length-string",
+        "spec-energy-bool",
+        "ev_to_inv_nm2-string",
+        "family-exponent-string",
+        "family-energy-bool",
+        "eps_samples-string",
+        "eps_samples-bool",
+        "k_grid-count-fraction",
+        "k_grid-start-string",
+        "k_grid-stop-bool",
+        "k_grid-list-string",
+        "eps_grid-per_decade-fraction",
+        "eps_grid-list-string",
+        "resonance-tol-nan",
+        "k_grid-list-inf",
+        "test_function-width-string",
+        "test_function-xs-bool",
     ],
 )
 def test_malformed_config_value_is_config_error(tmp_path, command, extra):
     payload = {"units": "nm^-2", **extra}
     if "spec" not in extra:
-        payload["family"] = {
-            "mu": 2.0, "nu": 2.0, "tau": 2.0, "h1": 1.3, "h2": -1.3,
-            "d1": 1.0, "d2": 0.6, "c": 2.0,
-        }
+        payload.setdefault("family", FAMILY_SECTION)
     cfg = _write_config(tmp_path, payload)
     assert _run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+def test_non_finite_tol_flag_is_config_error(tmp_path):
+    # a NaN tolerance fails every comparison, so a resonant family was
+    # reported "separated" with exit code 0
+    cfg = _write_config(tmp_path, {"units": "nm^-2", "family": FAMILY_SECTION})
+    argv = ["resonance", "--config", cfg, "--out", tmp_path / "o", "--tol", "nan"]
+    assert _run(argv) == 2

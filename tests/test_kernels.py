@@ -1,5 +1,7 @@
 """Branch-free trigonometric kernels used by the transfer-matrix layer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,95 @@ def test_scalar_call_equals_array_element(kernel):
                 got = kernel(arg)
                 assert type(got) is float, (w, type(arg))
                 assert _bits(got) == _bits(ref), (w, got, ref)
+
+
+def _three_way(circular, hyperbolic, series):
+    """Every branch on the whole array, picked by np.where: the kernels'
+    branch formulas written out once more as the elementwise reference."""
+
+    def reference(w):
+        sp = np.sqrt(np.maximum(w, 0.0))
+        sn = np.sqrt(np.maximum(-w, 0.0))
+        return np.where(
+            w >= SERIES_CUTOFF,
+            circular(sp),
+            np.where(w <= -SERIES_CUTOFF, hyperbolic(sn), series(w)),
+        )
+
+    return reference
+
+
+WHERE_REFERENCE = {
+    cos_sqrt: _three_way(
+        np.cos, np.cosh, lambda w: 1.0 - w / 2.0 + w * w / 24.0 - w * w * w / 720.0
+    ),
+    sinc_sqrt: _three_way(
+        lambda s: np.sin(s) / s,
+        lambda s: np.sinh(s) / s,
+        lambda w: 1.0 - w / 6.0 + w * w / 120.0 - w * w * w / 5040.0,
+    ),
+    tanc_sqrt: _three_way(
+        lambda s: np.tan(s) / s,
+        lambda s: np.tanh(s) / s,
+        lambda w: 1.0 + w / 3.0 + 2.0 * w * w / 15.0 + 17.0 * w * w * w / 315.0,
+    ),
+    tanhc: lambda z: np.where(
+        np.abs(z) >= _TANHC_CUTOFF,
+        np.tanh(z) / z,
+        1.0 - z * z / 3.0 + 2.0 * (z * z) * (z * z) / 15.0,
+    ),
+}
+
+
+def _mixed_points():
+    """All three branches shuffled together, with both cutoffs and their
+    nextafter neighbours, 0, NaN and +-inf."""
+    edges = [
+        c * side
+        for cut in (SERIES_CUTOFF, _TANHC_CUTOFF)
+        for side in (1.0, -1.0)
+        for c in (cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf))
+    ]
+    rng = np.random.default_rng(41)
+    points = np.concatenate(
+        (
+            WIDE,
+            rng.uniform(-3.0 * SERIES_CUTOFF, 3.0 * SERIES_CUTOFF, 40),
+            edges,
+            [0.0, -0.0, np.nan, np.inf, -np.inf, np.nan],
+        )
+    )
+    rng.shuffle(points)
+    return points
+
+
+MIXED = _mixed_points()
+ARRAYS = {
+    "mixed": MIXED,
+    "mixed-2d": MIXED[: MIXED.size // 4 * 4].reshape(-1, 4),
+    "circular-only": MIXED[MIXED >= SERIES_CUTOFF],
+    "hyperbolic-only": MIXED[MIXED <= -SERIES_CUTOFF].reshape(1, -1),
+    "series-only": MIXED[np.abs(MIXED) < SERIES_CUTOFF],
+    "non-finite": np.array([np.nan, np.inf, -np.inf]),
+    "empty": np.array([]),
+    "empty-2d": np.zeros((0, 3)),
+}
+
+
+@pytest.mark.parametrize("case", list(ARRAYS))
+@pytest.mark.parametrize("kernel", [cos_sqrt, sinc_sqrt, tanc_sqrt, tanhc])
+def test_array_call_equals_where_reference_and_scalar_calls(kernel, case):
+    # each branch runs only on its own elements; every element must still
+    # match the all-branch np.where reference and the scalar call bit for
+    # bit, with the shape kept and no warning (none of these overflow)
+    w = ARRAYS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernel(w)
+        scalars = [kernel(float(x)) for x in w.ravel()]
+    with np.errstate(all="ignore"):
+        want = WHERE_REFERENCE[kernel](w)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == w.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array(scalars, dtype=float).tobytes() == got.ravel().tobytes()
