@@ -4,7 +4,9 @@ Everything here walks the stationary wave equation numerically: a
 fixed-step RK4 on the fundamental matrix, or per-piece propagators built
 from complex square roots and hyperbolic functions.  Neither path shares
 code with the branch-free kernels used by the fast routines, so a bug
-cannot cancel between the two.
+cannot cancel between the two.  The level count works in mpmath, which
+is imported only when it runs, so the library itself needs only numpy
+and scipy.
 """
 
 import math
@@ -197,3 +199,48 @@ def integrate_bound(spec, cfg=None):
             continue
         out.append(root)
     return np.array(out)
+
+
+def level_count(spec, kappa, dps=40):
+    """Number of bound levels with decay rate above kappa >= 0, in mpmath.
+
+    By Sturm's oscillation theorem this is the number of zeros of the
+    solution that decays on the left, e^{kappa x} for x < 0.  It is
+    followed in dps-digit arithmetic through each piece with unscaled
+    trigonometric and hyperbolic propagators.  A piece where it
+    oscillates adds the zeros its Pruefer angle passes, a piece where it
+    does not adds one zero when the sign changes, and the tail to the
+    right adds one zero when its decaying part outweighs a growing part of
+    the other sign.
+    """
+    import mpmath as mp
+
+    validate_spec(spec)
+    if kappa < 0:
+        raise ValueError("kappa must be >= 0")
+    with mp.workdps(dps):
+        kappa = mp.mpf(kappa)
+        psi, dpsi = mp.mpf(1), kappa
+        zeros = 0
+        for length, v in _pieces(spec):
+            length = mp.mpf(length)
+            q = mp.mpf(v) + kappa * kappa
+            if q < 0:
+                w = mp.sqrt(-q)
+                angle = mp.atan2(psi, dpsi / w)
+                zeros += int(mp.floor((angle + w * length) / mp.pi) - mp.floor(angle / mp.pi))
+                c, s = mp.cos(w * length), mp.sin(w * length)
+                psi, dpsi = psi * c + dpsi * s / w, dpsi * c - psi * w * s
+                continue
+            if q > 0:
+                w = mp.sqrt(q)
+                c, s = mp.cosh(w * length), mp.sinh(w * length)
+                new = psi * c + dpsi * s / w, dpsi * c + psi * w * s
+            else:
+                new = psi + dpsi * length, dpsi
+            zeros += new[0] * psi < 0
+            psi, dpsi = new
+        if kappa == 0:
+            return zeros + int(psi * dpsi < 0)
+        grow, decay = psi * kappa + dpsi, psi * kappa - dpsi
+        return zeros + int(grow * decay < 0 and abs(decay) > abs(grow))
