@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Tour of the bound sector: the ladder of decay rates of a double well.
 
-Bound levels of the two-layer structure are roots of a transcendental
-equation on a compact interval.  The solver maps the problem onto a
-single dimensionless variable chi in (0, rho), finds every crossing,
-and converts each root back to a decay rate kappa (the eigenvalue is
--kappa^2).  An independent direct integration of the Schrodinger
-equation confirms the ladder.
+Bound levels of the two-layer structure are counted by Sturm's
+oscillation theorem, bracketed one by one and refined to decay rates
+kappa (the eigenvalue is -kappa^2).  Each is also shown as the root chi
+in (0, rho) of the paper's compact equation tan(chi) = y(chi).  An
+independent direct integration of the Schrodinger equation confirms the
+ladder.
 """
 
 import numpy as np

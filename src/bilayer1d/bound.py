@@ -1,24 +1,28 @@
 """Bound-state ladders of the two-layer structure.
 
-Every bound level kappa lies in (0, sqrt(-V_well)) for the deeper
-attractive layer.  Substituting
+Levels are counted by Sturm's oscillation theorem on the three constant
+pieces, the setting of Pruess & Fulton (ACM TOMS 19, 360, 1993) and
+Pryce (Numerical Solution of Sturm-Liouville Problems, OUP 1993).  At
+energy -kappa^2, _phase carries the solution that decays on the left to
+the right end of the last piece where it oscillates, and the one that
+decays on the right back to the same point.  The Pruefer phase G(kappa)
+of the first against the second is continuous and decreasing; the count
+of levels with decay rate at least kappa is N = floor(G / pi) + 1, and
+the levels are where G = j * pi.  Matching inside an oscillating piece,
+not beyond a barrier, keeps G nearly linear, so Brent's method needs few
+steps.  find_roots bisects N until each interval holds one level and
+refines it on G - j * pi; verify_ladder certifies a ladder by counts.
 
-    chi = l * sqrt(-V_well - kappa^2),    rho = l * sqrt(-V_well),
+The paper's compactified problem stays as ChiProblem.  With the deeper
+attractive layer of width l as reference well, chi = l sqrt(-V - kappa^2)
+maps the levels to the roots of tan(chi) = y(chi) on (0, rho),
+rho = l sqrt(-V), where y is a ratio of coefficient functions C0, C1, C2
+collecting the other layer and the gap.  Its cleared form
 
-with l the width of that layer maps the levels to roots of
-tan(chi) = y(chi) on the bounded interval (0, rho), where y is a ratio
-of three coefficient functions C0, C1, C2 collecting the influence of
-the other layer and of the gap.  Root finding happens on the cleared
-form
+    h(chi) = sin(chi) * (chi*C1 - C2/chi) - cos(chi) * C0
 
-    h(chi) = sin(chi) * (chi*C1 - C2/chi) - cos(chi) * C0,
-
-which shares its zero set with tan(chi) - y(chi) and is continuous
-except at poles of the cross-layer tangent factor.  Those pole abscissae
-solve a quadratic and are used as scan-segment boundaries.  Every root
-candidate is accepted only if the independent pole-free residual from
-the total propagator vanishes there, which weeds out the measure-zero
-coincidences where the cleared form has a spurious zero.
+is continuous except at poles of the cross-layer tangent factor, whose
+abscissae solve a quadratic.  BoundLadder gives each level as kappa and chi.
 """
 
 from dataclasses import dataclass
@@ -29,7 +33,6 @@ from scipy.optimize import brentq
 
 from .core import validate_spec
 from .kernels import _finite_scalar, tanc_sqrt, tanhc
-from .xfer import _level_condition
 
 
 def _plain(out):
@@ -57,9 +60,6 @@ class ChiProblem:
     def s(self, chi):
         """sqrt(rho^2 - chi^2) = kappa * l, evaluated stably near rho."""
         return _plain(self._evaluate(lambda chi, s: s, chi))
-
-    def kappa_of_chi(self, chi):
-        return self.s(chi) / self.l
 
     def _evaluate(self, formula, chi):
         """formula(chi, s), in plain floats for a finite scalar chi with
@@ -104,8 +104,8 @@ class ChiProblem:
         return _plain(self._evaluate(self._denominator, chi))
 
     def cleared(self, chi):
-        """h(chi); zero exactly at the bound levels (plus rare
-        simultaneous-zero coincidences removed by the residual filter)."""
+        """h(chi); zero at the bound levels, and at rare points where the
+        cleared factors vanish together."""
         return _plain(self._evaluate(self._cleared, chi))
 
     def tangent_pole_abscissae(self):
@@ -131,16 +131,19 @@ class ChiProblem:
 
 
 def build_chi_problem(spec, branch=None):
-    """Choose the reference well (deeper layer by default) and set up
-    the compactified problem.  Raises if no layer is attractive."""
+    """Choose the reference well and set up the compactified problem.
+
+    By default the reference is the deeper attractive layer of nonzero
+    width (layer 1 on a tie); only when every attractive layer has zero
+    width is one of those taken.  Raises if no layer is attractive.
+    """
     validate_spec(spec)
     if branch is None:
-        if spec.v1 < 0 and (spec.v2 >= 0 or spec.v1 <= spec.v2):
-            branch = 1
-        elif spec.v2 < 0:
-            branch = 2
-        else:
+        wells = [(l == 0.0, v, b) for b, v, l in ((1, spec.v1, spec.l1), (2, spec.v2, spec.l2))
+                 if v < 0]
+        if not wells:
             raise ValueError("no attractive layer, bound sector is empty")
+        branch = min(wells)[2]
     if branch == 1:
         if spec.v1 >= 0:
             raise ValueError("branch 1 requires an attractive first layer")
@@ -179,83 +182,103 @@ class BoundLadder:
         return len(self.kappas)
 
 
-def _sign_cells(vals):
-    """Indices i of the cells (i, i + 1) of a sampled function where it
-    changes sign between finite values."""
-    good = np.isfinite(vals)
-    return np.flatnonzero(good[:-1] & good[1:] & (vals[:-1] * vals[1:] < 0.0))
+def _carry(q, l, psi, dpsi):
+    """(psi, psi') carried a distance l through a piece where
+    psi'' = q * psi with q >= 0, divided by cosh(sqrt(q) * l) so that it
+    cannot overflow.  1 - tanh(x) is written as 2 e^{-2x} / (1 + e^{-2x}),
+    which keeps the decaying part of the solution across a wide barrier."""
+    if q == 0.0:
+        return psi + dpsi * l, dpsi
+    w = math.sqrt(q)
+    p = dpsi / w
+    e = math.exp(-2.0 * w * l)
+    grow = (psi + p) * math.tanh(w * l)
+    rest = 2.0 * e / (1.0 + e)
+    return grow + psi * rest, (grow + p * rest) * w
 
 
-def _sign_roots(f, grid, xtol):
-    """Brent-refined zeros of f in each cell of grid where f changes sign
-    between finite values."""
-    return [brentq(f, grid[i], grid[i + 1], xtol=xtol) for i in _sign_cells(f(grid))]
+def _phase(spec, kappa):
+    """G(kappa) of the module docstring for kappa >= 0, in plain floats;
+    -pi/2 where no piece oscillates, as no level lies deeper there."""
+    k2 = kappa * kappa
+    # (q, l) with psi'' = q psi; the gap never oscillates
+    pieces = ((spec.v1 + k2, spec.l1), (k2, spec.r), (spec.v2 + k2, spec.l2))
+    if pieces[2][0] < 0.0 < pieces[2][1]:
+        last = 2
+    elif pieces[0][0] < 0.0 < pieces[0][1]:
+        last = 0
+    else:
+        return -0.5 * math.pi
+    # the solution decaying on the right, mirrored: carried forward from
+    # the right end through the pieces after the last oscillating one,
+    # where it has no zero since q >= 0
+    back, dback = 1.0, kappa
+    for q, l in pieces[:last:-1]:
+        if l > 0.0:
+            back, dback = _carry(q, l, back, dback)
+    psi, dpsi, zeros = 1.0, kappa, 0
+    for q, l in pieces[:last]:
+        if q < 0.0 < l:
+            w = math.sqrt(-q)
+            angle = math.atan2(psi, dpsi / w)
+            zeros += math.floor((angle + w * l) / math.pi) - math.floor(angle / math.pi)
+            c, s = math.cos(w * l), math.sin(w * l)
+            psi, dpsi = psi * c + dpsi / w * s, dpsi * c - psi * w * s
+        elif l > 0.0:
+            new, dpsi = _carry(q, l, psi, dpsi)
+            zeros += new * psi < 0.0
+            psi = new
+    w = math.sqrt(-pieces[last][0])
+    # psi has the sign (-1)^zeros, so this angle lies in [0, pi]
+    angle = math.atan2(psi, dpsi / w)
+    if angle < 0.0:
+        angle += math.pi
+    return zeros * math.pi + angle + w * pieces[last][1] - math.atan2(back, -dback / w)
 
 
-def _segment_roots(problem, f, edge, pad, samples, xtol, tails=False):
-    """Zeros of f on (edge, 1 - edge) * rho, scanned piece by piece
-    between the tangent-pole cuts, with pad kept clear of every cut.
+def _count(spec, kappa):
+    """N(kappa): the number of levels with decay rate at least kappa."""
+    return math.floor(_phase(spec, kappa) / math.pi) + 1
 
-    tails adds geometric clusters approaching both ends of each piece:
-    roots can hug a segment endpoint (a pole or the rho edge) at relative
-    distances far below any affordable uniform spacing.
+
+def _levels(spec, lo, hi):
+    """The levels with decay rate in [lo, hi), ascending.
+
+    N is bisected until each interval holds one level, which Brent's
+    method refines on G - j * pi to a relative 1e-15, so that a level
+    near threshold keeps its digits.  Levels closer than the float
+    spacing of their decay rate are returned as equal values.
     """
-    rho = problem.rho
-    lo, hi = rho * edge, rho * (1.0 - edge)
-    cuts = problem.tangent_pole_abscissae()
-    edges = np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], [hi]))
-    roots = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        a, b = a + pad, b - pad
-        if b <= a:
-            continue
-        grid = np.linspace(a, b, max(64, int(samples * (b - a) / rho)))
-        if tails:
-            steps = (b - a) * np.power(10.0, -np.arange(2.0, 14.0))
-            grid = np.unique(np.concatenate((grid, a + steps, b - steps)))
-        roots += _sign_roots(f, grid, xtol)
-    return sorted(roots)
+    levels = []
+    stack = [(lo, _count(spec, lo), hi, _count(spec, hi))]
+    while stack:
+        a, na, b, nb = stack.pop()
+        if na - nb == 1:
+            j = nb * math.pi
+            levels.append(brentq(lambda k: _phase(spec, k) - j, a, b,
+                                 xtol=1e-300, rtol=1e-15))
+        elif na > nb:
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                levels += [mid] * (na - nb)
+                continue
+            nmid = _count(spec, mid)
+            stack += [(mid, nmid, b, nb), (a, na, mid, nmid)]
+    return np.array(levels)
 
 
-def find_roots(problem, samples=None, accept_tol=1e-6):
-    """All roots of the compactified equation, refined to ~1e-15 * rho.
+def find_roots(problem):
+    """The levels of the problem's reference well, kappa in (0, rho / l).
 
-    The interval (0, rho) is cut at the closed-form tangent-pole
-    abscissae; within each piece h(chi) is continuous, so a fine sign
-    scan plus Brent refinement finds the crossings.  Candidates must
-    also zero the independent propagator residual (scaled tolerance
-    accept_tol) before they are accepted.
+    Counts of the oscillation theorem bracket each level and Brent's
+    method refines it on the phase G (see the module docstring); chi
+    follows from kappa in closed form.  The levels of a deeper other
+    layer, below -V_well, are not part of the ladder.
     """
-    rho = problem.rho
-    if rho <= 0.0 or problem.l == 0.0:
-        empty = np.array([])
-        return BoundLadder(empty, empty, rho, problem.l, problem.branch)
-    if samples is None:
-        waves = rho / np.pi
-        cross = problem.ratio * np.sqrt(max(0.0, -problem.vshift)) / np.pi
-        samples = max(2048, 256 * int(np.ceil(waves + cross + 1.0)))
-    xtol = 1e-15 * rho
-    roots = _segment_roots(
-        problem, problem.cleared, 1e-12, 2.0 * xtol, samples, xtol, tails=True
-    )
-    accepted = []
-    for chi in roots:
-        if accepted and chi - accepted[-1] < 4.0 * xtol:
-            continue
-        kappa = problem.kappa_of_chi(chi)
-        if kappa <= 0.0:
-            continue
-        res, scale = _level_condition(problem.spec, kappa)
-        if abs(res) <= accept_tol * scale:
-            accepted.append(chi)
-    chis = np.array(accepted)[::-1]
-    return BoundLadder(
-        chis,
-        problem.kappa_of_chi(chis) if len(chis) else np.array([]),
-        rho,
-        problem.l,
-        problem.branch,
-    )
+    rho, l = problem.rho, problem.l
+    kappas = _levels(problem.spec, 0.0, rho / l) if rho > 0.0 and l > 0.0 else np.array([])
+    chis = np.sqrt(np.maximum((rho - kappas * l) * (rho + kappas * l), 0.0))
+    return BoundLadder(chis, kappas, rho, l, problem.branch)
 
 
 def poles_of_y(problem, samples=4096):
@@ -268,7 +291,20 @@ def poles_of_y(problem, samples=4096):
     if rho <= 0.0:
         return np.array([])
     f = problem.denominator
-    return np.array(_segment_roots(problem, f, 1e-9, rho * 1e-11, samples, 1e-11 * rho))
+    xtol = 1e-11 * rho
+    lo, hi = rho * 1e-9, rho * (1.0 - 1e-9)
+    cuts = problem.tangent_pole_abscissae()
+    edges = np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], [hi]))
+    poles = []
+    for a, b in zip(edges[:-1] + xtol, edges[1:] - xtol):
+        if b <= a:
+            continue
+        grid = np.linspace(a, b, max(64, int(samples * (b - a) / rho)))
+        vals = f(grid)
+        good = np.isfinite(vals)
+        cells = np.flatnonzero(good[:-1] & good[1:] & (vals[:-1] * vals[1:] < 0.0))
+        poles += [brentq(f, grid[i], grid[i + 1], xtol=xtol) for i in cells]
+    return np.array(sorted(poles))
 
 
 # ---------------------------------------------------------------------------
@@ -308,72 +344,31 @@ class LadderReport:
         return self.ok
 
 
-def verify_ladder(spec, ladder, f_tol=1e-8, grid=None):
-    """Check a ladder against the direct level condition.
+def verify_ladder(spec, ladder, f_tol=1e-8):
+    """Check a ladder against the direct level condition and the count.
 
-    Each kappa_i must zero the direct condition to f_tol (scaled), and a
-    fine sign scan of the pole-free propagator residual over the whole
-    admissible interval must produce no level absent from the ladder: a
-    level found at kappa is missed unless some kappa_i lies within
-    1e-8 * max(1, kappa) of it.
-
-    A scan cell (a, b) where the residual changes sign and that holds a
-    ladder level K is certified without refinement when the residual also
-    changes sign on [K - d, K + d] within the cell, d = 5e-9 * max(1, K),
-    since a root there passes the distance test.  The window ends of all
-    such cells are evaluated in one array call; only the cells left
-    uncertified are refined by Brent's method, and their roots are the
-    candidates for missed levels.  For a cell holding one root this is the
-    verdict refinement alone would give.  A cell holding three roots shows
-    one sign change, so the scan can overlook levels there either way.
+    Each kappa_i must zero the direct condition to f_tol (scaled).  The
+    ladder is complete when N(0) equals its length and N steps by exactly
+    one across each window kappa_i * (1 -+ 5e-9), the windows being
+    disjoint: then every level lies in the window of exactly one kappa_i.
+    A ladder that fails this is compared with all the levels, found as
+    find_roots finds them, and a level with no kappa_i within
+    1e-8 * max(1, kappa) of it is reported as missed.
     """
-    if ladder.n:
-        value, scale = _direct_condition(spec, ladder.kappas)
-        residuals = np.abs(value) / scale
-    else:
-        residuals = np.array([])
-    kmax = np.sqrt(max(-spec.v1, -spec.v2, 0.0))
-    missed = []
-    if kmax > 0.0:
-        if grid is None:
-            grid = max(4096, 512 * (int(ladder.rho / np.pi) + 1))
-        ks = np.linspace(kmax * 1e-9, kmax * (1.0 - 1e-12), grid)
-
-        def f(k):
-            return _level_condition(spec, k)[0]
-
-        cells = _sign_cells(f(ks))
-        if ladder.n and len(cells):
-            cells = cells[~_certified(f, ks, cells, np.sort(ladder.kappas))]
-        for i in cells:
-            kappa = brentq(f, ks[i], ks[i + 1], xtol=1e-12 * kmax)
-            if ladder.n:
-                dist = np.min(np.abs(ladder.kappas - kappa))
-            else:
-                dist = np.inf
-            if dist > 1e-8 * max(1.0, kappa):
-                missed.append(kappa)
-    missed = np.array(missed)
-    ok = bool(
-        (not len(residuals) or residuals.max() < f_tol) and not len(missed)
+    kappas = np.asarray(ladder.kappas, dtype=float)
+    value, scale = _direct_condition(spec, kappas)
+    residuals = np.abs(value) / scale
+    levels = np.sort(kappas)
+    lo, hi = levels * (1.0 - 5e-9), levels * (1.0 + 5e-9)
+    complete = (
+        _count(spec, 0.0) == levels.size
+        and bool(np.all(hi[:-1] < lo[1:]))
+        and all(_count(spec, a) - _count(spec, b) == 1 for a, b in zip(lo, hi))
     )
+    missed = np.array([])
+    if not complete:
+        found = _levels(spec, 0.0, math.sqrt(max(-spec.v1, -spec.v2, 0.0)))
+        missed = np.array([k for k in found
+                           if not np.any(np.abs(kappas - k) <= 1e-8 * max(1.0, k))])
+    ok = complete and bool(not residuals.size or residuals.max() < f_tol)
     return LadderReport(ok, residuals, missed)
-
-
-def _certified(f, ks, cells, levels):
-    """Mask over the sign-change cells of the grid ks: True where the
-    first of the ascending levels K in the cell has f change sign within
-    5e-9 * max(1, K) of K, inside the cell."""
-    a, b = ks[cells], ks[cells + 1]
-    first = np.searchsorted(levels, a)
-    inside = first < len(levels)
-    level = levels[np.minimum(first, len(levels) - 1)]
-    inside &= level <= b
-    level = level[inside]
-    half = 5e-9 * np.maximum(1.0, level)
-    ends = f(np.concatenate((np.maximum(a[inside], level - half),
-                             np.minimum(b[inside], level + half))))
-    lo, hi = np.split(ends, 2)
-    certified = np.zeros(len(cells), dtype=bool)
-    certified[inside] = np.isfinite(lo) & np.isfinite(hi) & (lo * hi < 0.0)
-    return certified

@@ -523,7 +523,6 @@ def sweep_ladder(
     eps_grid=None,
     *,
     tol=1e-9,
-    samples=None,
     workers=None,
 ):
     """Follow the bound ladder of a family along a squeeze sweep.
@@ -565,7 +564,7 @@ def sweep_ladder(
     def ladder_at(e):
         spec = realize(family, e)
         problem = build_chi_problem(spec, branch)
-        return find_roots(problem, samples=samples)
+        return find_roots(problem)
 
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

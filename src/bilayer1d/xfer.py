@@ -90,7 +90,7 @@ def matrix_entries(spec, k2):
     """Expanded entries of the total propagator as functions of k^2.
 
     Vectorized over k2 (an array of energies is fine); used both by the
-    scalar total_matrix and by root scans on the bound half line.
+    scalar total_matrix and by the level condition on the bound half line.
     """
     c1, sl1, ks1 = _layer_parts(spec.v1, spec.l1, k2)
     c2, sl2, ks2 = _layer_parts(spec.v2, spec.l2, k2)

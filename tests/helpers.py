@@ -3,7 +3,8 @@
 import numpy as np
 from scipy.optimize import brentq
 
-from bilayer1d import DoubleLayerSpec, cancellation_gap
+from bilayer1d import DoubleLayerSpec, SqueezeFamily, cancellation_gap, realize
+from bilayer1d.core import EV_TO_INV_NM2 as EV
 
 
 def random_spec(rng, v_lo=-3.0, v_hi=3.0, l_lo=0.0, l_hi=2.0, r_lo=0.0, r_hi=2.0):
@@ -12,6 +13,40 @@ def random_spec(rng, v_lo=-3.0, v_hi=3.0, l_lo=0.0, l_hi=2.0, r_lo=0.0, r_hi=2.0
     l1, l2 = rng.uniform(l_lo, l_hi, 2)
     r = rng.uniform(r_lo, r_hi)
     return DoubleLayerSpec.make(v1, l1, v2, l2, r)
+
+
+# hard inputs for a level search, as (v1, l1, v2, l2, r): near-degenerate
+# doublets of two wells behind a gap, and a level 1e-5 sqrt|V| below
+# threshold; then squeezed families whose one level sits in a thin well
+GAPPED_DOUBLET = (-10475.535340231465, 1.0009482984339129, -2631.446628040983,
+                  0.14540619918341677, 0.4187274250603946)
+NEAR_THRESHOLD = (-20.315715440261613, 0.971119090728971, -91.41118178888185,
+                  2.5309755436057078, 0.0)
+# draws 93, 107, 162 and 167 of 200 gapped double wells from default_rng(5):
+# v1 = -U(1, 3000), v2 = +-U(1, 3000), l1, l2 = U(0.1, 2), r = U(0, 1)
+GAPPED_DRAWS = {
+    93: (-1147.8823257333381, 1.2668926305450725, -1547.5287796087364,
+         0.8570124209312847, 0.6842002650927205),
+    107: (-2500.2765918161554, 1.2388269478571292, -1462.9410773524487,
+          1.358653621702649, 0.2052769890490146),
+    162: (-1384.041153683431, 1.3304001020129947, -1676.671866254717,
+          0.9546094151543338, 0.7312074895267059),
+    167: (-2426.858382633865, 0.6031592499814092, -2341.3196962345355,
+          0.7892901823430108, 0.9983540036182748),
+}
+BARRIER_WELL = SqueezeFamily(2.0, 2.0, 2.0, 0.5 * EV, -0.5 * EV, 1.0121526769027671, 0.6, 2.0)
+THIN_FAMILY = SqueezeFamily(1.5, 1.5, 1.5, 0.5 * EV, -0.5 * EV, 1.0, 1.0, 2.0)
+THIN_EPS = (1e-7, 1e-8, 1e-9)
+
+
+def fault_specs():
+    """The inputs above by name, with the families realized at small eps."""
+    specs = {"doublet-miss-3": DoubleLayerSpec.make(*GAPPED_DOUBLET),
+             "threshold-loss-0": DoubleLayerSpec.make(*NEAR_THRESHOLD),
+             "barrier-well": realize(BARRIER_WELL, 10.0**-5.5)}
+    specs.update({f"gapped-draw-{d}": DoubleLayerSpec.make(*s) for d, s in GAPPED_DRAWS.items()})
+    specs.update({f"thin-{eps:g}": realize(THIN_FAMILY, eps) for eps in THIN_EPS})
+    return specs
 
 
 def random_wavenumbers(rng, n):

@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from bilayer1d import (
     BoundLadder,
@@ -19,9 +18,17 @@ from bilayer1d import (
 )
 from bilayer1d.core import EV_TO_INV_NM2 as EV
 from bilayer1d.oracle import integrate_bound, level_count
-from bilayer1d.xfer import _level_condition
 
-from helpers import random_spec, single_well_kappas
+from helpers import (
+    BARRIER_WELL,
+    GAPPED_DOUBLET,
+    GAPPED_DRAWS,
+    NEAR_THRESHOLD,
+    THIN_EPS,
+    THIN_FAMILY,
+    random_spec,
+    single_well_kappas,
+)
 
 
 def _well_spec(rng):
@@ -128,59 +135,52 @@ def test_verify_ladder_accepts_complete_and_flags_truncated():
     assert len(broken.missed) >= 1
 
 
-# an explicit scan size, so that the tests below can rebuild the cells of
-# verify_ladder's scan: GRID points from kmax * 1e-9 to kmax * (1 - 1e-12)
-GRID = 4096
 DEEP = DoubleLayerSpec.make(-30.0, 1.3, 5.0, 0.4, 0.3)
 
 
-def _scan(spec):
-    kmax = np.sqrt(max(-spec.v1, -spec.v2, 0.0))
-    return np.linspace(kmax * 1e-9, kmax * (1.0 - 1e-12), GRID), kmax
-
-
 def _with_kappas(ladder, kappas):
-    # verify_ladder reads the levels and rho, never chis
+    # verify_ladder reads the levels, never chis
     kappas = np.asarray(kappas, dtype=float)
     return BoundLadder(ladder.chis[: kappas.size], kappas, ladder.rho, ladder.l,
                        ladder.branch)
 
 
-def _counting_brentq(monkeypatch):
+def _counting(monkeypatch, name):
     calls = []
+    original = getattr(bound, name)
 
     def counted(*args, **kwargs):
         calls.append(args[1:3])
-        return brentq(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(bound, "brentq", counted)
+    monkeypatch.setattr(bound, name, counted)
     return calls
 
 
-def test_verify_ladder_refines_only_uncertified_cells(monkeypatch):
+def test_verify_ladder_refines_only_when_uncertified(monkeypatch):
     ladder = find_roots(build_chi_problem(DEEP))
     assert ladder.n == 3
-    calls = _counting_brentq(monkeypatch)
-    assert verify_ladder(DEEP, ladder, grid=GRID).ok
-    # every level is certified by the sign change around it
-    assert calls == []
-    verify_ladder(DEEP, _with_kappas(ladder, ladder.kappas[1:]), grid=GRID)
-    assert len(calls) == 1
+    brent = _counting(monkeypatch, "brentq")
+    phases = _counting(monkeypatch, "_phase")
+    assert verify_ladder(DEEP, ladder).ok
+    # the certificate alone: N(0), and N at both ends of each level's window
+    assert brent == []
+    assert len(phases) == 2 * ladder.n + 1
+    verify_ladder(DEEP, _with_kappas(ladder, ladder.kappas[1:]))
+    # every level is located to name the missed one
+    assert len(brent) == 3
 
 
 @pytest.mark.parametrize("dropped", [0, 1, 2])
 def test_dropped_level_is_missed_at_its_brent_value(dropped):
     ladder = find_roots(build_chi_problem(DEEP))
     kappa = ladder.kappas[dropped]
-    report = verify_ladder(
-        DEEP, _with_kappas(ladder, np.delete(ladder.kappas, dropped)), grid=GRID
-    )
-    ks, kmax = _scan(DEEP)
-    i = np.searchsorted(ks, kappa) - 1
-    want = brentq(lambda k: _level_condition(DEEP, k)[0], ks[i], ks[i + 1],
-                  xtol=1e-12 * kmax)
+    report = verify_ladder(DEEP, _with_kappas(ladder, np.delete(ladder.kappas, dropped)))
     assert not report.ok
-    assert report.missed.tobytes() == np.array([want]).tobytes()
+    assert report.missed.size == 1
+    missed = report.missed[0]
+    assert missed == pytest.approx(kappa, rel=1e-14)
+    assert level_count(DEEP, missed * (1 - 1e-12)) - level_count(DEEP, missed * (1 + 1e-12)) == 1
 
 
 @pytest.mark.parametrize("shift", [4e-9, -4e-9, 7e-9, -7e-9, 3e-8, -3e-8])
@@ -192,8 +192,11 @@ def test_moved_level_is_flagged_beyond_the_distance_tolerance(shift):
     assert kappa > 1.0
     moved = ladder.kappas.copy()
     moved[1] = kappa * (1.0 + shift)
-    report = verify_ladder(DEEP, _with_kappas(ladder, moved), grid=GRID)
-    if abs(shift) < 1e-8:
+    report = verify_ladder(DEEP, _with_kappas(ladder, moved))
+    if abs(shift) < 5e-9:
+        assert len(report.missed) == 0
+    elif abs(shift) < 1e-8:
+        assert not report.ok
         assert len(report.missed) == 0
     else:
         assert not report.ok
@@ -201,39 +204,41 @@ def test_moved_level_is_flagged_beyond_the_distance_tolerance(shift):
         assert abs(report.missed[0] - kappa) < 1e-12 * kappa
 
 
-def test_level_on_a_scan_grid_point_passes(monkeypatch):
-    # a single well whose ground level is a grid point of the scan: the
-    # even condition q tan(q l / 2) = kappa, q = sqrt(V - kappa^2), solved
-    # for the width l
-    depth = 9.0
-    ks, _ = _scan(DoubleLayerSpec.make(-depth, 1.0, 0.0, 0.0, 0.0))
-    target = ks[2730]
-    q = np.sqrt(depth - target * target)
-    spec = DoubleLayerSpec.make(-depth, 2.0 * np.arctan(target / q) / q, 0.0, 0.0, 0.0)
-    ladder = find_roots(build_chi_problem(spec))
+def test_level_on_a_bisection_point_passes(monkeypatch):
+    # a unit-width single well whose level kappa = sqrt(V) / 2 is the first
+    # point where find_roots bisects the count: it solves the even
+    # condition q tan(q / 2) = kappa, q = sqrt(V - kappa^2), at q = 7 pi / 3
+    q = 7.0 * np.pi / 3.0
+    spec = DoubleLayerSpec.make(-4.0 * q * q / 3.0, 1.0, 0.0, 0.0, 0.0)
+    problem = build_chi_problem(spec)
+    target = 0.5 * problem.rho / problem.l
+    phases = _counting(monkeypatch, "_phase")
+    ladder = find_roots(problem)
+    # N(0), N(rho / l), then N at the midpoint
+    assert phases[2] == (target,)
+    assert ladder.n == 3
     j = np.argmin(np.abs(ladder.kappas - target))
     assert abs(ladder.kappas[j] - target) < 1e-12 * target
     placed = ladder.kappas.copy()
     placed[j] = target
-    calls = _counting_brentq(monkeypatch)
-    report = verify_ladder(spec, _with_kappas(ladder, placed), grid=GRID)
+    brent = _counting(monkeypatch, "brentq")
+    report = verify_ladder(spec, _with_kappas(ladder, placed))
     assert report.ok
     assert len(report.missed) == 0
-    assert calls == []
+    assert brent == []
 
 
-def test_gapped_doublet_is_reported_missed():
-    # an accidental doublet of two unequal wells behind a gap: find_roots
-    # returns 34 of the 36 levels, and verify_ladder names the pair
-    spec = DoubleLayerSpec.make(
-        -10475.535340231465, 1.0009482984339129, -2631.446628040983,
-        0.14540619918341677, 0.4187274250603946,
-    )
+def test_doublet_below_the_float_spacing_is_not_certified():
+    # equal wells 30 nm apart split each level far below the float spacing
+    # of kappa: find_roots keeps both members of each doublet, at equal or
+    # adjacent values, and verify_ladder cannot certify the ladder
+    spec = DoubleLayerSpec.make(-30.0, 1.5, -30.0, 1.5, 30.0)
     ladder = find_roots(build_chi_problem(spec))
+    assert ladder.n == level_count(spec, 0.0) == 6
+    assert ladder.kappas[::2] == pytest.approx(ladder.kappas[1::2], rel=1e-14)
     report = verify_ladder(spec, ladder)
-    assert ladder.n == 34
     assert not report.ok
-    assert report.missed == pytest.approx([17.826912, 17.838377], abs=1e-5)
+    assert report.missed.size == 0
 
 
 def test_single_well_interface_pole_sits_at_rho_over_sqrt2():
@@ -288,12 +293,8 @@ def test_scalar_chi_calls_equal_array_elements(spec):
 
 
 # ---------------------------------------------------------------------------
-# named faults: each ladder must hold exactly the levels that the mpmath
-# count of oracle.level_count finds, each bracketed within rel
-
-CHI_SCAN_FAULT = pytest.mark.xfail(
-    strict=True, reason="the chi scan of find_roots loses or misplaces levels")
-
+# the hard inputs of helpers.py: each ladder must hold exactly the levels
+# of the mpmath count, each bracketed within rel
 
 def _assert_counted(spec, ladder, rel=1e-9):
     assert ladder.n == level_count(spec, 0.0)
@@ -303,13 +304,9 @@ def _assert_counted(spec, ladder, rel=1e-9):
     assert verify_ladder(spec, ladder).ok
 
 
-@CHI_SCAN_FAULT
 def test_gapped_doublet_is_found():
     # doublet-miss-3: an accidental doublet of two unequal wells behind a gap
-    spec = DoubleLayerSpec.make(
-        -10475.535340231465, 1.0009482984339129, -2631.446628040983,
-        0.14540619918341677, 0.4187274250603946,
-    )
+    spec = DoubleLayerSpec.make(*GAPPED_DOUBLET)
     ladder = find_roots(build_chi_problem(spec))
     assert ladder.n == 36
     pair = ladder.kappas[np.abs(ladder.kappas - 17.83) < 0.01]
@@ -317,63 +314,38 @@ def test_gapped_doublet_is_found():
     _assert_counted(spec, ladder)
 
 
-@CHI_SCAN_FAULT
 def test_level_near_threshold_keeps_its_digits():
     # threshold-loss-0: the shallowest level sits 1e-5 sqrt|V| below threshold;
     # the reference is a 60-step bisection of the mpmath count
-    spec = DoubleLayerSpec.make(-20.315715440261613, 0.971119090728971,
-                                -91.41118178888185, 2.5309755436057078, 0.0)
+    spec = DoubleLayerSpec.make(*NEAR_THRESHOLD)
     ladder = find_roots(build_chi_problem(spec))
     assert ladder.kappas[0] == pytest.approx(8.073216910331048e-05, rel=1e-9)
     _assert_counted(spec, ladder)
 
 
-# draws 93, 107, 162 and 167 of 200 gapped double wells from default_rng(5):
-# v1 = -U(1, 3000), v2 = +-U(1, 3000), l1, l2 = U(0.1, 2), r = U(0, 1)
-GAPPED_DRAWS = {
-    93: (-1147.8823257333381, 1.2668926305450725, -1547.5287796087364,
-         0.8570124209312847, 0.6842002650927205),
-    107: (-2500.2765918161554, 1.2388269478571292, -1462.9410773524487,
-          1.358653621702649, 0.2052769890490146),
-    162: (-1384.041153683431, 1.3304001020129947, -1676.671866254717,
-          0.9546094151543338, 0.7312074895267059),
-    167: (-2426.858382633865, 0.6031592499814092, -2341.3196962345355,
-          0.7892901823430108, 0.9983540036182748),
-}
-
-
-@CHI_SCAN_FAULT
 @pytest.mark.parametrize("draw", sorted(GAPPED_DRAWS))
 def test_gapped_double_well_draw_holds_every_level(draw):
     spec = DoubleLayerSpec.make(*GAPPED_DRAWS[draw])
     _assert_counted(spec, find_roots(build_chi_problem(spec)))
 
 
-@CHI_SCAN_FAULT
 def test_barrier_well_survivor_at_small_eps():
-    family = SqueezeFamily(
-        2.0, 2.0, 2.0, 0.5 * EV, -0.5 * EV, 1.0121526769027671, 0.6, 2.0
-    )
-    spec = realize(family, 10.0**-5.5)
+    spec = realize(BARRIER_WELL, 10.0**-5.5)
     ladder = find_roots(build_chi_problem(spec))
     assert ladder.n == 1
     assert ladder.kappas[0] == pytest.approx(0.884248, rel=1e-4)
     _assert_counted(spec, ladder)
 
 
-@CHI_SCAN_FAULT
-@pytest.mark.parametrize("eps, kappa", [(1e-7, 0.574606), (1e-8, 0.574233),
-                                        (1e-9, 0.574116)])
+@pytest.mark.parametrize("eps, kappa", zip(THIN_EPS, (0.574606, 0.574233, 0.574116)))
 def test_thin_family_keeps_its_level(eps, kappa):
-    family = SqueezeFamily(1.5, 1.5, 1.5, 0.5 * EV, -0.5 * EV, 1.0, 1.0, 2.0)
-    spec = realize(family, eps)
+    spec = realize(THIN_FAMILY, eps)
     ladder = find_roots(build_chi_problem(spec))
     assert ladder.n == 1
     assert ladder.kappas[0] == pytest.approx(kappa, rel=2e-6)
     _assert_counted(spec, ladder)
 
 
-@pytest.mark.xfail(strict=True, reason="a zero-width layer is taken as the well")
 @pytest.mark.parametrize("swap", [False, True], ids=["empty-first", "empty-second"])
 def test_zero_width_layer_is_not_the_reference_well(swap):
     layers = ((-10.0, 0.0), (-5.0, 1.0))

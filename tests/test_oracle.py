@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from bilayer1d import DoubleLayerSpec, IntegrationConfig, matrix_entries
+from bilayer1d.bound import _count
 from bilayer1d.oracle import (
     integrate_bound,
     integrate_scatter,
+    level_count,
     oracle_entries,
     scatter_grid,
 )
 from bilayer1d import build_chi_problem, find_roots, scattering_data
 
-from helpers import random_spec
+from helpers import fault_specs, random_spec
 
 
 SPECS = [
@@ -101,3 +103,31 @@ def test_scatter_requires_positive_wavenumber():
         integrate_scatter(spec, 0.0)
     with pytest.raises(ValueError):
         scatter_grid(spec, np.array([0.5, -1.0]))
+
+
+def _kmax(spec):
+    return float(np.sqrt(max(-spec.v1, -spec.v2, 0.0)))
+
+
+def test_phase_count_matches_the_mpmath_count_on_random_wells():
+    # gapped double wells with up to ~40 levels, either layer a barrier,
+    # zero widths included, and shallow structures that may hold no level
+    rng = np.random.default_rng(31)
+    for i in range(240):
+        if i % 4 == 3:
+            spec = random_spec(rng, v_lo=-6.0, v_hi=3.0)
+        else:
+            v = (-rng.uniform(1.0, 3000.0), rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 3000.0))
+            v1, v2 = v[::-1] if i % 2 else v
+            spec = DoubleLayerSpec.make(v1, rng.uniform(0.0, 2.0), v2, rng.uniform(0.0, 2.0),
+                                        rng.uniform(0.0, 1.0) * (i % 5 != 0))
+        for kappa in (0.0, *rng.uniform(0.0, 1.1 * _kmax(spec) + 0.1, 3)):
+            assert _count(spec, kappa) == level_count(spec, kappa), (spec, kappa)
+
+
+@pytest.mark.parametrize("name", sorted(fault_specs()))
+def test_phase_count_matches_the_mpmath_count_on_fault_inputs(name):
+    spec = fault_specs()[name]
+    rng = np.random.default_rng(32)
+    for kappa in (0.0, *rng.uniform(0.0, _kmax(spec), 20)):
+        assert _count(spec, kappa) == level_count(spec, kappa), kappa
