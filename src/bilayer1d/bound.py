@@ -349,8 +349,10 @@ def verify_ladder(spec, ladder, f_tol=1e-8):
 
     Each kappa_i must zero the direct condition to f_tol (scaled).  The
     ladder is complete when N(0) equals its length and N steps by exactly
-    one across each window kappa_i * (1 -+ 5e-9), the windows being
-    disjoint: then every level lies in the window of exactly one kappa_i.
+    one across the window kappa_i -+ h_i of each entry, h_i being
+    5e-9 * kappa_i or a third of the gap to a neighbouring entry if less.
+    The windows are disjoint, so every level then lies in the window of
+    exactly one kappa_i, and a close doublet can be certified.
     A ladder that fails this is compared with all the levels, found as
     find_roots finds them, and a level with no kappa_i within
     1e-8 * max(1, kappa) of it is reported as missed.
@@ -359,12 +361,11 @@ def verify_ladder(spec, ladder, f_tol=1e-8):
     value, scale = _direct_condition(spec, kappas)
     residuals = np.abs(value) / scale
     levels = np.sort(kappas)
-    lo, hi = levels * (1.0 - 5e-9), levels * (1.0 + 5e-9)
-    complete = (
-        _count(spec, 0.0) == levels.size
-        and bool(np.all(hi[:-1] < lo[1:]))
-        and all(_count(spec, a) - _count(spec, b) == 1 for a, b in zip(lo, hi))
-    )
+    gaps = np.diff(levels)
+    half = np.minimum(5e-9 * levels, np.minimum(np.append(gaps, np.inf),
+                                                 np.insert(gaps, 0, np.inf)) / 3.0)
+    complete = _count(spec, 0.0) == levels.size and all(
+        _count(spec, k - h) - _count(spec, k + h) == 1 for k, h in zip(levels, half))
     missed = np.array([])
     if not complete:
         found = _levels(spec, 0.0, math.sqrt(max(-spec.v1, -spec.v2, 0.0)))

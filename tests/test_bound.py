@@ -314,6 +314,17 @@ def test_gapped_doublet_is_found():
     _assert_counted(spec, ladder)
 
 
+@pytest.mark.parametrize("s", [(-30.0, 1.5, -30.0, 1.5, 3.0), (-20.0, 2.0, -20.0, 2.0, 4.0),
+                               (-45.0, 1.2, -45.0, 1.2, 3.5)])
+def test_close_doublets_of_equal_wells_are_certified(s):
+    # each level is a doublet split by 6e-9 to 8e-12 relative, below the
+    # 5e-9 window of verify_ladder, which narrows to keep them apart
+    spec = DoubleLayerSpec.make(*s)
+    ladder = find_roots(build_chi_problem(spec))
+    assert np.min(np.diff(ladder.kappas) / ladder.kappas[1:]) < 1e-8
+    _assert_counted(spec, ladder, rel=1e-12)
+
+
 def test_level_near_threshold_keeps_its_digits():
     # threshold-loss-0: the shallowest level sits 1e-5 sqrt|V| below threshold;
     # the reference is a 60-step bisection of the mpmath count
