@@ -361,9 +361,8 @@ def verify_ladder(spec, ladder, f_tol=1e-8):
     value, scale = _direct_condition(spec, kappas)
     residuals = np.abs(value) / scale
     levels = np.sort(kappas)
-    gaps = np.diff(levels)
-    half = np.minimum(5e-9 * levels, np.minimum(np.append(gaps, np.inf),
-                                                 np.insert(gaps, 0, np.inf)) / 3.0)
+    gaps = np.diff(levels, prepend=-np.inf, append=np.inf)
+    half = np.minimum(5e-9 * levels, np.minimum(gaps[:-1], gaps[1:]) / 3.0)
     complete = _count(spec, 0.0) == levels.size and all(
         _count(spec, k - h) - _count(spec, k + h) == 1 for k, h in zip(levels, half))
     missed = np.array([])

@@ -201,12 +201,12 @@ def integrate_bound(spec, cfg=None):
     return np.array(out)
 
 
-def level_count(spec, kappa, dps=40):
+def level_count(spec, kappa):
     """Number of bound levels with decay rate above kappa >= 0, in mpmath.
 
     By Sturm's oscillation theorem this is the number of zeros of the
     solution that decays on the left, e^{kappa x} for x < 0.  It is
-    followed in dps-digit arithmetic through each piece with unscaled
+    followed in 40-digit arithmetic through each piece with unscaled
     trigonometric and hyperbolic propagators.  A piece where it
     oscillates adds the zeros its Pruefer angle passes, a piece where it
     does not adds one zero when the sign changes, and the tail to the
@@ -218,7 +218,7 @@ def level_count(spec, kappa, dps=40):
     validate_spec(spec)
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    with mp.workdps(dps):
+    with mp.workdps(40):
         kappa = mp.mpf(kappa)
         psi, dpsi = mp.mpf(1), kappa
         zeros = 0
