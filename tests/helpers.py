@@ -49,6 +49,29 @@ def fault_specs():
     return specs
 
 
+# one exponent triple (mu, nu, tau) per region label, and two outside
+REGION_EXAMPLES = {
+    (2.0, 2.0, 1.0): "P1",
+    (2.0, 2.0, 2.0): "P2",
+    (2.0, 2.0, 1.5): "N1",
+    (2.0, 2.0, 3.0): "N2",
+    (1.5, 1.0, 0.5): "K1",
+    (1.5, 1.0, 1.0): "K2",
+    (1.5, 1.0, 0.75): "Q1",
+    (1.5, 1.0, 1.5): "Q2",
+    (2.0, 3.0, 1.0): "L1",
+    (2.0, 3.0, 2.0): "L2",
+    (2.0, 3.0, 1.5): "O1",
+    (2.0, 3.0, 3.0): "O2",
+    (1.5, 1.5, 0.5): "S1",
+    (1.5, 1.5, 1.0): "S2",
+    (1.5, 1.5, 0.75): "I1",
+    (1.5, 1.5, 1.5): "I2",
+    (3.0, 2.0, 1.0): "outside",
+    (0.5, 0.5, 0.5): "outside",
+}
+
+
 def random_wavenumbers(rng, n):
     return rng.uniform(0.15, 3.0, n)
 

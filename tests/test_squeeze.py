@@ -21,6 +21,8 @@ from bilayer1d import (
 from bilayer1d.core import EV_TO_INV_NM2 as EV
 from bilayer1d.squeeze import resonance_residual_of
 
+from helpers import REGION_EXAMPLES
+
 H = 1.31232  # 0.5 eV in 1/nm^2
 
 SURVIVOR_FAMILY = SqueezeFamily(2.0, 2.0, 2.0, 0.5 * EV, -0.5 * EV, 1.0, 0.6, 2.0)
@@ -32,28 +34,6 @@ DIPOLE = SqueezeFamily(1.5, 1.0, 1.0, H, -H, 12.0, 12.0, 20.0)
 # ---------------------------------------------------------------------------
 # region taxonomy
 # ---------------------------------------------------------------------------
-
-REGION_EXAMPLES = {
-    (2.0, 2.0, 1.0): "P1",
-    (2.0, 2.0, 2.0): "P2",
-    (2.0, 2.0, 1.5): "N1",
-    (2.0, 2.0, 3.0): "N2",
-    (1.5, 1.0, 0.5): "K1",
-    (1.5, 1.0, 1.0): "K2",
-    (1.5, 1.0, 0.75): "Q1",
-    (1.5, 1.0, 1.5): "Q2",
-    (2.0, 3.0, 1.0): "L1",
-    (2.0, 3.0, 2.0): "L2",
-    (2.0, 3.0, 1.5): "O1",
-    (2.0, 3.0, 3.0): "O2",
-    (1.5, 1.5, 0.5): "S1",
-    (1.5, 1.5, 1.0): "S2",
-    (1.5, 1.5, 0.75): "I1",
-    (1.5, 1.5, 1.5): "I2",
-    (3.0, 2.0, 1.0): "outside",
-    (0.5, 0.5, 0.5): "outside",
-}
-
 
 def test_region_catalogue():
     for (mu, nu, tau), want in REGION_EXAMPLES.items():
