@@ -16,7 +16,10 @@ lead to a nontrivial limit:
   each layer whose eps power is zero.  A negative power leaves no
   finite alpha on resonance, and theta_alpha refuses it there.
 
-Off resonance the limit is a pair of separated half lines (Dirichlet).
+Each layer enters through one pair (c_j, s_j): (cos sigma_j,
+coef_j * sin sigma_j) for a thick layer and (1, eta_j or beta_j) for a
+thin one; each route forms its expressions from the two pairs.  Off
+resonance the limit is a pair of separated half lines (Dirichlet).
 
 All cosine and sine factors are evaluated through the squared-argument
 kernels so that the barrier case (imaginary sigma) stays in real
@@ -95,20 +98,6 @@ class LimitChars:
                 )
 
 
-def _real_product(a, b, name):
-    """Product of two (possibly imaginary) factors that must be real."""
-    p = complex(a) * complex(b)
-    if abs(p.imag) > 1e-12 * max(1.0, abs(p.real)):
-        raise ValueError(f"{name} came out non-real: {p!r}")
-    return p.real
-
-
-def _sin_term(coef, sigma, name):
-    """coef * sin(sigma) as a real number."""
-    w = (complex(sigma) ** 2).real
-    return _real_product(coef, sigma, name) * sinc_sqrt(w)
-
-
 def _need(value, name):
     if value is None:
         raise ValueError(f"characteristic {name} is required but absent")
@@ -126,69 +115,48 @@ class ThetaAlpha:
     spread: float
 
 
-def _candidates_first(chars):
-    w1 = (complex(chars.sigma1) ** 2).real
-    w2 = (complex(chars.sigma2) ** 2).real
-    cos1, cos2 = cos_sqrt(w1), cos_sqrt(w2)
-    out = []
-    if chars.label == "G11":
-        fs1 = _sin_term(chars.f1, chars.sigma1, "f1*sigma1")
-        fs2 = _sin_term(chars.f2, chars.sigma2, "f2*sigma2")
-        out = [(cos1 - fs1, cos2), (cos1, cos2 - fs2), (-fs1, fs2)]
-    elif chars.label == "G01":
-        fs2 = _sin_term(chars.f2, chars.sigma2, "f2*sigma2")
-        eta1 = _need(chars.eta1, "eta1")
-        out = [(1.0 - eta1, cos2), (1.0, cos2 - fs2), (-eta1, fs2)]
-    elif chars.label == "G10":
-        fs1 = _sin_term(chars.f1, chars.sigma1, "f1*sigma1")
-        eta2 = _need(chars.eta2, "eta2")
-        out = [(cos1 - fs1, 1.0), (cos1, 1.0 - eta2), (-fs1, eta2)]
-    else:
-        eta1 = _need(chars.eta1, "eta1")
-        eta2 = _need(chars.eta2, "eta2")
-        out = [(1.0 - eta1, 1.0), (1.0, 1.0 - eta2), (-eta1, eta2)]
-    return out
-
-
-def _candidates_second(chars):
-    w1 = (complex(chars.sigma1) ** 2).real
-    w2 = (complex(chars.sigma2) ** 2).real
-    cos1, cos2 = cos_sqrt(w1), cos_sqrt(w2)
-    if chars.label == "G11":
-        gs1 = _sin_term(chars.g1, chars.sigma1, "g1*sigma1")
-        gs2 = _sin_term(chars.g2, chars.sigma2, "g2*sigma2")
-        return [(cos1, cos2), (-gs1, gs2)], gs1 * gs2
-    if chars.label == "G01":
-        gs2 = _sin_term(chars.g2, chars.sigma2, "g2*sigma2")
-        beta1 = _need(chars.beta1, "beta1")
-        return [(1.0, cos2), (-beta1, gs2)], beta1 * gs2
-    if chars.label == "G10":
-        gs1 = _sin_term(chars.g1, chars.sigma1, "g1*sigma1")
-        beta2 = _need(chars.beta2, "beta2")
-        return [(cos1, 1.0), (-gs1, beta2)], gs1 * beta2
-    beta1 = _need(chars.beta1, "beta1")
-    beta2 = _need(chars.beta2, "beta2")
-    alpha_thin = _need(chars.alpha_thin, "alpha_thin")
-    return [(1.0, 1.0), (-beta1, beta2)], beta1 * beta2 + alpha_thin
+def _layer_pairs(chars, way):
+    """One (c_j, s_j) pair per layer: (cos sigma, coef * sin sigma) for a
+    thick layer, with coef f_j (first route) or g_j (second), and
+    (1, eta_j or beta_j) for a thin one."""
+    coef, thin = ("f", "eta") if way == "first" else ("g", "beta")
+    pairs = []
+    for j, sigma in ((1, chars.sigma1), (2, chars.sigma2)):
+        if chars.label[j] == "1":
+            w = (complex(sigma) ** 2).real
+            # coef * sigma must be real: both factors real or both imaginary
+            p = complex(getattr(chars, f"{coef}{j}")) * complex(sigma)
+            if abs(p.imag) > 1e-12 * max(1.0, abs(p.real)):
+                raise ValueError(f"{coef}{j}*sigma{j} came out non-real: {p!r}")
+            pairs.append((cos_sqrt(w), p.real * sinc_sqrt(w)))
+        else:
+            pairs.append((1.0, _need(getattr(chars, f"{thin}{j}"), f"{thin}{j}")))
+    return pairs
 
 
 def theta_alpha(chars, way, spread_tol=1e-9):
     """Evaluate the connection strength from the surviving characteristics.
 
-    Every equivalent expression with a nonzero denominator is evaluated;
-    their mean is returned and the relative spread must stay below
-    spread_tol (raise OffResonanceError otherwise).  On the second route
-    the extra coefficient alpha is returned as well, else alpha is 0.
-    Once the expressions agree, a divergent characteristic of chars
-    raises DivergentLimitError.
+    With the layer pairs (c_j, s_j) of _layer_pairs, theta is
+    (c1 - s1)/c2 = c1/(c2 - s2) = -s1/s2 on the first route and
+    c1/c2 = -s1/s2 on the second, where alpha = s1*s2 (plus alpha_thin
+    for two thin layers, label G00); alpha is 0 on the first route.
+    Every expression with a nonzero denominator is evaluated; their mean
+    is returned and the relative spread must stay below spread_tol
+    (raise OffResonanceError otherwise).  Once the expressions agree, a
+    divergent characteristic of chars raises DivergentLimitError.
     """
-    if way == "first":
-        pairs = _candidates_first(chars)
-        alpha = 0.0
-    elif way == "second":
-        pairs, alpha = _candidates_second(chars)
-    else:
+    if way not in ("first", "second"):
         raise ValueError(f"way must be 'first' or 'second', got {way!r}")
+    (c1, s1), (c2, s2) = _layer_pairs(chars, way)
+    if way == "first":
+        pairs = [(c1 - s1, c2), (c1, c2 - s2), (-s1, s2)]
+        alpha = 0.0
+    else:
+        pairs = [(c1, c2), (-s1, s2)]
+        alpha = s1 * s2
+        if chars.label == "G00":
+            alpha += _need(chars.alpha_thin, "alpha_thin")
     values = [num / den for num, den in pairs if den != 0.0]
     if not values:
         raise ValueError("all defining expressions are degenerate (0/0)")

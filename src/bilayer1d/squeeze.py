@@ -14,9 +14,20 @@ pure jump, or no interaction at all.  This module classifies the
 exponents, extracts the finite characteristics, evaluates the resonance
 conditions, follows bound ladders along eps sweeps, and computes the
 distributional pairing with its derivative-jump strength.
+
+Both angles need mu in (1, 2] and nu >= 2(mu - 1); the first needs
+tau >= mu - 1, the second tau >= 2(mu - 1).  Inside an angle three edge
+flags fix the region label: mu = 2, nu on its edge 2(mu - 1), and tau on
+its edge.  One letter table of the flags (P for all three, then N L O K
+Q S, and I for none) gives the letter, and the angle digit follows.  A
+layer is thick, keeping its phase sigma_j, when its flag is set (mu for
+layer 1, nu for layer 2); LimitChars records this as G<mu flag><nu flag>,
+and every per-layer quantity has one rule for a thick and one for a thin
+layer.
 """
 
 import cmath
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -37,22 +48,6 @@ from .limits import (
 
 #: tolerance used when comparing exponents against the critical surfaces
 EQUALITY_TOL = 1e-12
-
-FIRST_ANGLE = ("P1", "K1", "L1", "N1", "Q1", "O1", "S1", "I1")
-#: first-angle labels lying on the surface where the first-route limit exists
-X_PLANE = ("P1", "K1", "L1", "S1")
-
-_LABEL_OF_FIRST = {"P1": "G11", "K1": "G01", "L1": "G10", "S1": "G00"}
-_LABEL_OF_SECOND = {
-    "P2": "G11",
-    "N2": "G11",
-    "K2": "G01",
-    "Q2": "G01",
-    "L2": "G10",
-    "O2": "G10",
-    "S2": "G00",
-    "I2": "G00",
-}
 
 
 @dataclass(frozen=True)
@@ -127,37 +122,29 @@ def realize(family, eps):
 # ---------------------------------------------------------------------------
 
 
-#: per angle: the tau edge in units of mu - 1, then the labels at mu = 2
-#: and for 1 < mu < 2, indexed [nu above its edge][tau above its edge]
-_ANGLES = {
-    "first": (1.0, (("P1", "N1"), ("L1", "O1")), (("K1", "Q1"), ("S1", "I1"))),
-    "second": (2.0, (("P2", "N2"), ("L2", "O2")), (("K2", "Q2"), ("S2", "I2"))),
-}
+#: region letter by the edge flags (mu at 2, nu on its edge, tau on its edge):
+#: P for all three set, then N L O K Q S, and I for none
+_LETTERS = dict(zip(itertools.product((True, False), repeat=3), "PNLOKQSI"))
 
 
-def _classify_angle(angle, mu, nu, tau, tol):
-    """Label of (mu, nu, tau) in one angle, or None outside it.
+def _edges(angle, mu, nu, tau, tol):
+    """Edge flags (mu at 2, nu on its edge, tau on its edge) in one angle.
 
-    The angle needs mu in (1, 2], nu >= 2(mu - 1) and tau at or above its
-    edge; the labels tell the boundary planes (on an edge) from the
-    interior (above both).
+    Angle 1 (first) or 2 (second) needs mu in (1, 2], nu >= 2(mu - 1)
+    and tau >= angle * (mu - 1), where mu within tol of 2 counts as 2;
+    returns None outside it.  A flag is set on the edge and clear above
+    it; the letter of _LETTERS plus the angle digit is the region label.
     """
-    tau_scale, at_two, inside = _ANGLES[angle]
-    if abs(mu - 2.0) <= tol:
-        excess, labels = 1.0, at_two
-    elif 1.0 < mu < 2.0:
-        excess, labels = mu - 1.0, inside
-    else:
+    at_two = abs(mu - 2.0) <= tol
+    if not (at_two or 1.0 < mu < 2.0):
         return None
-    sides = []
-    for value, edge in ((nu, 2.0 * excess), (tau, tau_scale * excess)):
-        if abs(value - edge) <= tol:
-            sides.append(0)
-        elif value > edge:
-            sides.append(1)
-        else:
+    excess = 1.0 if at_two else mu - 1.0
+    flags = [at_two]
+    for value, edge in ((nu, 2.0 * excess), (tau, angle * excess)):
+        if not value - edge >= -tol:  # below the edge, or nan
             return None
-    return labels[sides[0]][sides[1]]
+        flags.append(abs(value - edge) <= tol)
+    return tuple(flags)
 
 
 def classify_first_angle(mu, nu, tau, tol=EQUALITY_TOL):
@@ -166,7 +153,8 @@ def classify_first_angle(mu, nu, tau, tol=EQUALITY_TOL):
     The angle needs mu in (1, 2], nu >= 2(mu-1) and tau >= mu - 1; the
     eight labels distinguish boundary planes from the interior I1.
     """
-    return _classify_angle("first", mu, nu, tau, tol)
+    flags = _edges(1, mu, nu, tau, tol)
+    return None if flags is None else _LETTERS[flags] + "1"
 
 
 def classify_second_angle(mu, nu, tau, tol=EQUALITY_TOL):
@@ -174,7 +162,8 @@ def classify_second_angle(mu, nu, tau, tol=EQUALITY_TOL):
 
     Same (mu, nu) footprint as the first angle but the tau threshold is
     doubled: tau >= 2(mu - 1)."""
-    return _classify_angle("second", mu, nu, tau, tol)
+    flags = _edges(2, mu, nu, tau, tol)
+    return None if flags is None else _LETTERS[flags] + "2"
 
 
 def classify_region(mu, nu, tau, tol=EQUALITY_TOL):
@@ -182,13 +171,11 @@ def classify_region(mu, nu, tau, tol=EQUALITY_TOL):
 
     Points of the first angle below the second-angle threshold keep
     their first-angle label; everything else is "outside"."""
-    label = classify_second_angle(mu, nu, tau, tol)
-    if label is not None:
-        return label
-    label = classify_first_angle(mu, nu, tau, tol)
-    if label is not None:
-        return label
-    return "outside"
+    return (
+        classify_second_angle(mu, nu, tau, tol)
+        or classify_first_angle(mu, nu, tau, tol)
+        or "outside"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,22 +221,43 @@ def _thin_layer_alpha(family, tol):
     """
     p1 = family.h1 * family.d1
     p2 = family.h2 * family.d2
-    terms = (
-        ("layer1", 3.0 - 2.0 * family.mu, family.d1 * p1 * (p1 + 3.0 * p2) / 6.0),
-        (
-            "layer2",
-            3.0 - 3.0 * family.mu + family.nu,
-            family.d2 * p2 * (p2 + 3.0 * p1) / 6.0,
-        ),
-    )
     alpha_thin = 0.0
     divergent = None
-    for name, power, value in terms:
+    for name, power, d, p, partner in (
+        ("layer1", 3.0 - 2.0 * family.mu, family.d1, p1, p2),
+        ("layer2", 3.0 - 3.0 * family.mu + family.nu, family.d2, p2, p1),
+    ):
         if power < -tol:
             divergent = divergent or name
         elif power <= tol:
-            alpha_thin += value
+            alpha_thin += d * p * (p + 3.0 * partner) / 6.0
     return alpha_thin, divergent
+
+
+def _route(family, tol):
+    """Route ("first" or "second") and edge flags of a finite limit.
+
+    The second angle takes priority; the first route needs tau on the
+    first-angle edge tau = mu - 1.  Returns (None, None) elsewhere.
+    Layer 1 is thick, keeping its phase sigma_1 = sqrt(-h_1) d_1, when
+    mu = 2, and layer 2 when nu = 2(mu - 1).
+    """
+    mu, nu, tau = family.mu, family.nu, family.tau
+    flags = _edges(2, mu, nu, tau, tol)
+    if flags is not None:
+        return "second", flags
+    flags = _edges(1, mu, nu, tau, tol)
+    if flags is not None and flags[2]:
+        return "first", flags
+    return None, None
+
+
+def _layers(family, flags):
+    """(j, h_j, d_j, exponent mu or nu, thick) of both layers."""
+    return (
+        (1, family.h1, family.d1, family.mu, flags[0]),
+        (2, family.h2, family.d2, family.nu, flags[1]),
+    )
 
 
 def limit_chars_of(family, tol=EQUALITY_TOL):
@@ -258,6 +266,9 @@ def limit_chars_of(family, tol=EQUALITY_TOL):
     Returns (way, LimitChars) with way "second" inside the second angle
     and "first" on the tau = mu - 1 surface of the first angle; raises
     DivergentLimitError elsewhere, naming the offending characteristic.
+    Each layer gets sigma_j (zero unless thick), then eta_j and, if
+    thick, f_j on the first route, or g_j if thick and beta_j if thin
+    on the second.
 
     With both layers thin on the second route (labels S2 and I2, LimitChars
     label G00), alpha gets, besides the gap term beta1*beta2, the second-
@@ -270,16 +281,8 @@ def limit_chars_of(family, tol=EQUALITY_TOL):
     separated.
     """
     mu, nu, tau = family.mu, family.nu, family.tau
-    second = classify_second_angle(mu, nu, tau, tol)
-    first = classify_first_angle(mu, nu, tau, tol)
-
-    if second is not None:
-        label = _LABEL_OF_SECOND[second]
-        way = "second"
-    elif first in X_PLANE:
-        label = _LABEL_OF_FIRST[first]
-        way = "first"
-    else:
+    way, flags = _route(family, tol)
+    if way is None:
         name = _blocking_characteristic(mu, nu, tau, tol)
         raise DivergentLimitError(
             "no finite squeezing limit for exponents "
@@ -288,49 +291,26 @@ def limit_chars_of(family, tol=EQUALITY_TOL):
             name,
         )
 
-    sigma1 = cmath.sqrt(complex(-family.h1)) * family.d1 if label[1] == "1" else 0.0
-    sigma2 = cmath.sqrt(complex(-family.h2)) * family.d2 if label[2] == "1" else 0.0
+    c = family.c
     kwargs = {}
-    if way == "first":
-        kwargs["eta1"] = -family.h1 * family.d1 * family.c
-        kwargs["eta2"] = -family.h2 * family.d2 * family.c
-        if label[1] == "1":
-            kwargs["f1"] = _power_value(
-                tau - mu / 2.0, cmath.sqrt(complex(-family.h1)) * family.c, "f1", tol
-            )
-        if label[2] == "1":
-            kwargs["f2"] = _power_value(
-                tau - nu / 2.0, cmath.sqrt(complex(-family.h2)) * family.c, "f2", tol
-            )
-    else:
-        root_c = math.sqrt(family.c)
-        if label[1] == "1":
-            kwargs["g1"] = _power_value(
-                (tau - mu) / 2.0,
-                cmath.sqrt(complex(-family.h1 * family.c)),
-                "g1",
-                tol,
+    for j, h, d, p, thick in _layers(family, flags):
+        root = cmath.sqrt(complex(-h))
+        kwargs[f"sigma{j}"] = root * d if thick else 0.0
+        if way == "first":
+            kwargs[f"eta{j}"] = -h * d * c
+            if thick:
+                kwargs[f"f{j}"] = _power_value(tau - p / 2.0, root * c, f"f{j}", tol)
+        elif thick:
+            kwargs[f"g{j}"] = _power_value(
+                (tau - p) / 2.0, cmath.sqrt(complex(-h * c)), f"g{j}", tol
             )
         else:
-            kwargs["beta1"] = _power_value(
-                1.0 - mu + tau / 2.0, -family.h1 * family.d1 * root_c, "beta1", tol
+            kwargs[f"beta{j}"] = _power_value(
+                1.0 - mu + tau / 2.0, -h * d * math.sqrt(c), f"beta{j}", tol
             )
-        if label[2] == "1":
-            kwargs["g2"] = _power_value(
-                (tau - nu) / 2.0,
-                cmath.sqrt(complex(-family.h2 * family.c)),
-                "g2",
-                tol,
-            )
-        else:
-            kwargs["beta2"] = _power_value(
-                1.0 - mu + tau / 2.0, -family.h2 * family.d2 * root_c, "beta2", tol
-            )
-        if label == "G00":
-            kwargs["alpha_thin"], kwargs["divergent"] = _thin_layer_alpha(
-                family, tol
-            )
-    return way, LimitChars(label, sigma1, sigma2, **kwargs)
+    if way == "second" and not (flags[0] or flags[1]):
+        kwargs["alpha_thin"], kwargs["divergent"] = _thin_layer_alpha(family, tol)
+    return way, LimitChars(f"G{flags[0]:d}{flags[1]:d}", **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -347,40 +327,26 @@ def resonance_residual_of(family, tol=EQUALITY_TOL):
     (residual in nm).  Zero residual means the squeezed limit supports a
     nontrivial interaction.
     """
-    mu, nu, tau = family.mu, family.nu, family.tau
-    second = classify_second_angle(mu, nu, tau, tol)
-    first = classify_first_angle(mu, nu, tau, tol)
-    w1 = -family.h1 * family.d1**2
-    w2 = -family.h2 * family.d2**2
-
-    if second is not None:
-        label = _LABEL_OF_SECOND[second]
-        t1 = (
-            -family.h1 * family.d1 * tanc_sqrt(w1)
-            if label[1] == "1"
-            else family.h1 * family.d1
+    way, flags = _route(family, tol)
+    if way is None:
+        raise ValueError(
+            "no resonance condition away from the two critical surfaces "
+            f"(exponents ({family.mu:g}, {family.nu:g}, {family.tau:g}))"
         )
-        t2 = (
-            -family.h2 * family.d2 * tanc_sqrt(w2)
-            if label[2] == "1"
-            else family.h2 * family.d2
-        )
-        return t1 + t2
-    if first in X_PLANE:
-        label = _LABEL_OF_FIRST[first]
-        if label[1] == "1":
-            u1 = cos_sqrt(w1) / (family.h1 * family.d1 * sinc_sqrt(w1))
+    terms = []
+    for _, h, d, _, thick in _layers(family, flags):
+        w = -h * d**2
+        if way == "first":
+            terms.append(
+                cos_sqrt(w) / (h * d * sinc_sqrt(w)) if thick else 1.0 / (h * d)
+            )
+        elif thick:
+            terms.append(-h * d * tanc_sqrt(w))
         else:
-            u1 = 1.0 / (family.h1 * family.d1)
-        if label[2] == "1":
-            u2 = cos_sqrt(w2) / (family.h2 * family.d2 * sinc_sqrt(w2))
-        else:
-            u2 = 1.0 / (family.h2 * family.d2)
-        return -u1 - u2 - family.c
-    raise ValueError(
-        "no resonance condition away from the two critical surfaces "
-        f"(exponents ({mu:g}, {nu:g}, {tau:g}))"
-    )
+            # +h d is the sign fault K2 (test_k2_family_is_on_resonance)
+            terms.append(h * d)
+    t1, t2 = terms
+    return t1 + t2 if way == "second" else -t1 - t2 - family.c
 
 
 @dataclass(frozen=True)
@@ -617,43 +583,37 @@ def stable_level_index(result):
 # Distributional pairing and the derivative-jump strength
 # ---------------------------------------------------------------------------
 
-_GAMMA_FACTORS = {
-    "P1": ("d1", "d2", "c2"),
-    "K1": ("d2", "c2"),
-    "L1": ("d1", "c2"),
-    "N1": ("d1", "d2"),
-    "Q1": ("d2",),
-    "O1": ("d1",),
-    "S1": ("c2",),
-}
+def _balanced(family, balance_tol):
+    """Whether the zero-mean balance h1*d1 + h2*d2 = 0 holds to balance_tol."""
+    balance = family.h1 * family.d1 + family.h2 * family.d2
+    scale = abs(family.h1 * family.d1) + abs(family.h2 * family.d2)
+    return abs(balance) <= balance_tol * scale
 
 
-def gamma_strength(family, region=None, balance_tol=1e-9):
+def gamma_strength(family, balance_tol=1e-9):
     """Derivative-jump strength of the distributional limit.
 
     Defined on the first angle when the zero-mean balance
-    h1*d1 + h2*d2 = 0 holds; in the interior I1 the strength is absent
-    (None) because the pairing itself vanishes.
+    h1*d1 + h2*d2 = 0 holds: h1*d1/2 times the sum of d1, d2 and 2c
+    over the edge flags that are set (mu at 2, nu on its edge, tau on
+    its edge).  In the interior I1 no flag is set and the strength is
+    absent (None) because the pairing itself vanishes.
     """
-    if region is None:
-        region = classify_first_angle(family.mu, family.nu, family.tau)
-    if region is None:
+    flags = _edges(1, family.mu, family.nu, family.tau, EQUALITY_TOL)
+    if flags is None:
         raise ValueError(
             "gamma is defined only on the first angle of exponents"
         )
-    if region not in FIRST_ANGLE:
-        raise ValueError(f"unknown first-angle label {region!r}")
-    if region == "I1":
+    if not any(flags):
         return None
-    balance = family.h1 * family.d1 + family.h2 * family.d2
-    scale = abs(family.h1 * family.d1) + abs(family.h2 * family.d2)
-    if abs(balance) > balance_tol * scale:
+    if not _balanced(family, balance_tol):
+        balance = family.h1 * family.d1 + family.h2 * family.d2
         raise ValueError(
             "the derivative-jump strength needs the zero-mean balance "
             f"h1*d1 + h2*d2 = 0 (got {balance:g})"
         )
-    parts = {"d1": family.d1, "d2": family.d2, "c2": 2.0 * family.c}
-    total = sum(parts[name] for name in _GAMMA_FACTORS[region])
+    parts = (family.d1, family.d2, 2.0 * family.c)
+    total = sum(part for part, flag in zip(parts, flags) if flag)
     return 0.5 * family.h1 * family.d1 * total
 
 
@@ -696,11 +656,7 @@ def delta_prime_pairing(family, eps, probe, balance_tol=1e-9):
     )
 
     mu, nu, tau = family.mu, family.nu, family.tau
-    balance = family.h1 * family.d1 + family.h2 * family.d2
-    scale = abs(family.h1 * family.d1) + abs(family.h2 * family.d2)
-    balanced = abs(balance) <= balance_tol * scale
-
-    if not balanced:
+    if not _balanced(family, balance_tol):
         power = 1.0 - mu
         return PairingResult(
             eps,
@@ -723,7 +679,7 @@ def delta_prime_pairing(family, eps, probe, balance_tol=1e-9):
             "interior exponents: the pairing vanishes in the limit",
         )
     if region is not None:
-        gamma = gamma_strength(family, region, balance_tol)
+        gamma = gamma_strength(family, balance_tol)
         return PairingResult(eps, value, -gamma * probe.df(0.0), gamma, None, "")
 
     # Balanced but off the first angle: the subleading terms decide.

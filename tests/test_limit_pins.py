@@ -322,7 +322,9 @@ def _observe(family):
     return (way, fields, resonance_residual_of(family), outcome)
 
 
-@pytest.mark.parametrize("label, key", list(PINNED), ids="-".join)
+@pytest.mark.parametrize(
+    "label, key", list(PINNED), ids=[f"{label}-{key}" for label, key in PINNED]
+)
 def test_limit_results_are_pinned(label, key):
     assert _observe(_family(label, key)) == PINNED[label, key]
 

@@ -13,13 +13,16 @@ from bilayer1d import (
     SqueezeFamily,
     SqueezedInteraction,
     ThetaAlpha,
+    build_chi_problem,
     cli,
+    find_roots,
     interaction_limit,
     limit_chars_of,
     realize,
     scattering_data,
     squeezed_bound_level,
     theta_alpha,
+    verify_ladder,
 )
 from bilayer1d.core import EV_TO_INV_NM2 as EV
 from bilayer1d.squeeze import resonance_residual_of
@@ -180,6 +183,41 @@ def test_first_route_resonance_gives_pure_jump():
     assert report.alpha == pytest.approx(0.0, abs=1e-12)
     assert abs(abs(report.theta) - 1.0) > 0.05
     assert report.kappa_limit is None
+
+
+# Two known faults of the squeezing limit, kept as strict expected
+# failures until one eps-expansion computes every label.  The ladders of
+# both families converge (test_known_fault_ladders_converge), to levels
+# that the limit must reproduce.
+K1_FAMILY = SqueezeFamily(1.5, 1.0, 0.5, -H, -H, 1.0, 1.0, 1.1573262590561457)
+K2_FAMILY = SqueezeFamily(
+    1.5, 1.0, 1.0, H * np.tan(np.sqrt(H)) / np.sqrt(H), -H, 1.0, 1.0, 2.0
+)
+
+
+@pytest.mark.parametrize(
+    "family, kappa", [(K1_FAMILY, 0.22238), (K2_FAMILY, 2.1714)], ids=["K1", "K2"]
+)
+def test_known_fault_ladders_converge(family, kappa):
+    spec = realize(family, 1e-10)
+    ladder = find_roots(build_chi_problem(spec))
+    assert verify_ladder(spec, ladder).ok
+    assert ladder.kappas[0] == pytest.approx(kappa, rel=1e-4)
+
+
+@pytest.mark.xfail(strict=True, reason="K1: first route at mu = 3/2 gives alpha = 0")
+def test_k1_family_keeps_its_bound_level():
+    report = interaction_limit(K1_FAMILY)
+    assert report.kappa_limit == pytest.approx(0.22238, rel=1e-3)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="K2: second-route residual has +h d for a thin layer"
+)
+def test_k2_family_is_on_resonance():
+    report = interaction_limit(K2_FAMILY)
+    assert report.verdict == "Y"
+    assert report.kappa_limit == pytest.approx(2.1714, rel=1e-3)
 
 
 def test_off_plane_exponents_have_no_finite_limit():

@@ -216,7 +216,7 @@ def test_gamma_strength_catalogue():
     s1 = SqueezeFamily(1.5, 1.5, 0.5, h1, h2, d1, d2, c)
     assert gamma_strength(s1) == pytest.approx(h1 * d1 * c)
     q1 = SqueezeFamily(1.5, 1.0, 1.0, h1, h2, d1, d2, c)
-    assert gamma_strength(q1, region="Q1") == pytest.approx(0.5 * h1 * d1 * d2)
+    assert gamma_strength(q1) == pytest.approx(0.5 * h1 * d1 * d2)
     i1 = SqueezeFamily(1.5, 1.5, 0.75, h1, h2, d1, d2, c)
     assert gamma_strength(i1) is None
     null = SqueezeFamily(2.0, 2.0, 1.0, 0.0, 0.0, d1, d2, c)
@@ -231,7 +231,7 @@ def test_gamma_strength_requires_balance():
 
 def test_pairing_converges_for_the_balanced_dipole():
     probe = probes.gaussian(3.0, center=-3.0)
-    gamma = gamma_strength(DIPOLE, region="Q1")
+    gamma = gamma_strength(DIPOLE)
     eps_grid = np.logspace(-3, -5, 5)
     gaps = []
     for eps in eps_grid:
