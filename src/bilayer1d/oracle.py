@@ -26,12 +26,10 @@ class IntegrationConfig:
 
     h: RK4 step (None = auto; must resolve the narrowest piece).
     method: "rk4" or "exact" (per-piece complex propagators).
-    scan_points: grid density of the bound-level scan.
     """
 
     h: float = None
     method: str = "rk4"
-    scan_points: int = 2000
 
 
 def _pieces(spec):
@@ -163,9 +161,12 @@ def integrate_bound(spec, cfg=None):
 
     The decaying-match function m(kappa) = psi'(L) + kappa psi(L) for the
     solution started as (1, kappa) at the left edge vanishes exactly at
-    the bound levels; it is scanned on a grid and refined by bisection.
-    The default propagators are the exact per-piece ones, since RK4
-    struggles with the exponential growth in deep wells.
+    the bound levels.  Each level is first bracketed alone by bisecting
+    (0, kmax) with level_count, then refined on m with brentq, so close
+    doublets are separated.  Levels that no float midpoint separates are
+    returned at the upper end of their bracket.  The default propagators
+    are the exact per-piece ones, since RK4 struggles with the
+    exponential growth in deep wells.
     """
     validate_spec(spec)
     cfg = cfg or IntegrationConfig(method="exact")
@@ -178,27 +179,20 @@ def integrate_bound(spec, cfg=None):
         l11, l12, l21, l22 = oracle_entries(spec, [-kappa * kappa], cfg)
         return float(l21[0] + kappa * (l11[0] + l22[0]) + kappa * kappa * l12[0])
 
-    grid = np.linspace(0.0, kmax, max(cfg.scan_points, 16))
-    l11, l12, l21, l22 = oracle_entries(spec, -grid * grid, cfg)
-    values = l21 + grid * (l11 + l22) + grid * grid * l12
-    roots = []
-    for i in range(grid.size - 1):
-        va, vb = values[i], values[i + 1]
-        if va == 0.0:
-            roots.append(grid[i])
-            continue
-        if va * vb < 0.0:
-            roots.append(brentq(match, grid[i], grid[i + 1], xtol=1e-13))
-    if values[-1] == 0.0:
-        roots.append(grid[-1])
-    out = []
-    for root in sorted(roots):
-        if root <= 0.0:
-            continue
-        if out and abs(root - out[-1]) < 1e-9 * max(1.0, kmax):
-            continue
-        out.append(root)
-    return np.array(out)
+    levels = []
+    # (lo, hi, N(lo), N(hi)): the interval (lo, hi] holds N(lo) - N(hi) levels
+    stack = [(0.0, kmax, level_count(spec, 0.0), level_count(spec, kmax))]
+    while stack:
+        lo, hi, n_lo, n_hi = stack.pop()
+        mid = 0.5 * (lo + hi)
+        if n_lo - n_hi == 1:
+            levels.append(brentq(match, lo, hi, xtol=1e-13))
+        elif n_lo > n_hi and not lo < mid < hi:
+            levels.extend([hi] * (n_lo - n_hi))
+        elif n_lo > n_hi:
+            n_mid = level_count(spec, mid)
+            stack += [(lo, mid, n_lo, n_mid), (mid, hi, n_mid, n_hi)]
+    return np.sort(np.array(levels))
 
 
 def level_count(spec, kappa):

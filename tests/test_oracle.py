@@ -85,6 +85,16 @@ def test_integrate_bound_matches_root_solver():
     assert checked >= 5
 
 
+@pytest.mark.parametrize("name", sorted(fault_specs()))
+def test_integrate_bound_finds_every_level(name):
+    # gapped doublets, a level near threshold and thin wells: each level is
+    # bracketed alone by the mpmath count before the shooting refinement
+    spec = fault_specs()[name]
+    levels = integrate_bound(spec)
+    assert levels.size == level_count(spec, 0.0)
+    assert np.all(np.diff(levels) > 0.0)
+
+
 def test_too_coarse_step_is_rejected():
     spec = DoubleLayerSpec.make(1.0, 0.8, -2.0, 0.1, 0.4)
     with pytest.raises(ValueError):
