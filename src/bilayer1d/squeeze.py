@@ -141,9 +141,10 @@ def _edges(angle, mu, nu, tau, tol):
     excess = 1.0 if at_two else mu - 1.0
     flags = [at_two]
     for value, edge in ((nu, 2.0 * excess), (tau, angle * excess)):
-        if not value - edge >= -tol:  # below the edge, or nan
+        on_edge = abs(value - edge) <= tol
+        if not (on_edge or value > edge):
             return None
-        flags.append(abs(value - edge) <= tol)
+        flags.append(on_edge)
     return tuple(flags)
 
 
