@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import validate_spec
-from .kernels import _finite_scalar, tanc_sqrt, tanhc
+from .kernels import tanc_sqrt, tanhc
 
 
 def _plain(out):
@@ -62,15 +62,9 @@ class ChiProblem:
         return _plain(self._evaluate(lambda chi, s: s, chi))
 
     def _evaluate(self, formula, chi):
-        """formula(chi, s), in plain floats for a finite scalar chi with
-        chi > 0 and s > 0, where no divisor of the root equation
-        vanishes; otherwise over a float array, where a zero divisor
-        gives inf or NaN."""
-        x = _finite_scalar(chi)
-        if x is not None and x > 0.0:
-            s2 = (self.rho - x) * (self.rho + x)
-            if s2 > 0.0:
-                return formula(x, math.sqrt(s2))
+        """formula(chi, s) over chi as a float array, 0-d for a scalar;
+        s clamps to 0 where |chi| >= rho, and a zero divisor of the root
+        equation gives inf or NaN without a warning."""
         chi = np.asarray(chi, dtype=float)
         s = np.sqrt(np.maximum((self.rho - chi) * (self.rho + chi), 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -281,7 +275,11 @@ def find_roots(problem):
     return BoundLadder(chis, kappas, rho, l, problem.branch)
 
 
-def poles_of_y(problem, samples=4096):
+# grid points per rho of the poles_of_y scan
+POLE_SAMPLES = 4096
+
+
+def poles_of_y(problem):
     """Infinite-discontinuity points of y(chi): zeros of its denominator.
 
     Scanned piecewise between the tangent-pole cuts where the
@@ -299,7 +297,7 @@ def poles_of_y(problem, samples=4096):
     for a, b in zip(edges[:-1] + xtol, edges[1:] - xtol):
         if b <= a:
             continue
-        grid = np.linspace(a, b, max(64, int(samples * (b - a) / rho)))
+        grid = np.linspace(a, b, max(64, int(POLE_SAMPLES * (b - a) / rho)))
         vals = f(grid)
         good = np.isfinite(vals)
         cells = np.flatnonzero(good[:-1] & good[1:] & (vals[:-1] * vals[1:] < 0.0))
@@ -344,10 +342,14 @@ class LadderReport:
         return self.ok
 
 
-def verify_ladder(spec, ladder, f_tol=1e-8):
+# scaled residual of the direct level condition that verify_ladder accepts
+LEVEL_TOL = 1e-8
+
+
+def verify_ladder(spec, ladder):
     """Check a ladder against the direct level condition and the count.
 
-    Each kappa_i must zero the direct condition to f_tol (scaled).  The
+    Each kappa_i must zero the direct condition to LEVEL_TOL (scaled).  The
     ladder is complete when N(0) equals its length and N steps by exactly
     one across the window kappa_i -+ h_i of each entry, h_i being
     5e-9 * kappa_i or a third of the gap to a neighbouring entry if less.
@@ -370,5 +372,5 @@ def verify_ladder(spec, ladder, f_tol=1e-8):
         found = _levels(spec, 0.0, math.sqrt(max(-spec.v1, -spec.v2, 0.0)))
         missed = np.array([k for k in found
                            if not np.any(np.abs(kappas - k) <= 1e-8 * max(1.0, k))])
-    ok = complete and bool(not residuals.size or residuals.max() < f_tol)
+    ok = complete and bool(not residuals.size or residuals.max() < LEVEL_TOL)
     return LadderReport(ok, residuals, missed)

@@ -18,7 +18,6 @@ import numpy as np
 from . import probes
 from .bound import build_chi_problem, find_roots, verify_ladder
 from .core import DoubleLayerSpec, UnitSystem, Wavenumber, validate_spec
-from .limits import DivergentLimitError, OffResonanceError
 from .squeeze import (
     SqueezeFamily,
     classify_first_angle,
@@ -584,7 +583,8 @@ def _parser():
         p.add_argument(
             "--format", choices=("csv", "json"), default="csv", help="output format"
         )
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        if name in ("boundstates", "resonance"):
+            p.add_argument("--tol", type=float, default=None, help="tolerance override")
     return parser
 
 
@@ -596,8 +596,6 @@ _DISPATCH = {
     "deltaprime": _cmd_deltaprime,
 }
 
-_DOMAIN_ERRORS = (NotAnEigenvalueError, DivergentLimitError, OffResonanceError)
-
 
 def main(argv=None):
     args = _parser().parse_args(argv)
@@ -607,13 +605,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
-    except (ArithmeticError, FloatingPointError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

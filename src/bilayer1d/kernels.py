@@ -11,13 +11,9 @@ Each kernel writes its three branches once and evaluates a branch only
 where it applies.  An array is split by the cutoffs: each branch runs on
 the elements that take it, and when every element takes the same branch
 (the common case on the bound half line) it runs once on the whole
-array.  NaN takes the series branch.  A finite scalar (Python float,
-numpy scalar or 0-d array) tests the cutoffs once and returns a Python
-float bit-identical to the array element.  Non-finite scalars take the
-array path, so they warn exactly as arrays do.
+array.  NaN takes the series branch.  A scalar goes the same way as a
+0-d array and comes back as a Python float.
 """
-
-import math
 
 import numpy as np
 
@@ -28,23 +24,13 @@ SERIES_CUTOFF = 1e-6
 _TANHC_CUTOFF = 1e-4
 
 
-def _finite_scalar(x):
-    """x as a Python float when it is a finite scalar, else None."""
-    # isinstance first: np.ndim of a Python float costs a 0-d array
-    if isinstance(x, float) or np.ndim(x) == 0:
-        x = float(x)
-        if math.isfinite(x):
-            return x
-    return None
-
-
 def _branches(x, *cases):
     """Elementwise branch choice over the float array x.
 
     cases are (mask, formula) pairs whose masks split x, each element in
     exactly one.  A formula sees only its own elements, so an untaken
     branch neither costs nor warns, and a branch that takes every element
-    runs once on x itself.
+    runs once on x itself.  A 0-d x gives a Python float.
     """
     # count_nonzero costs a fraction of mask.all() on short arrays
     counts = [np.count_nonzero(mask) for mask, _ in cases]
@@ -62,14 +48,6 @@ def _branches(x, *cases):
 
 
 def _dispatch(w, circular, hyperbolic, series):
-    x = _finite_scalar(w)
-    if x is not None:
-        # math.sqrt is correctly rounded, like np.sqrt
-        if x >= SERIES_CUTOFF:
-            return float(circular(math.sqrt(x)))
-        if x <= -SERIES_CUTOFF:
-            return float(hyperbolic(math.sqrt(-x)))
-        return float(series(x))
     w = np.asarray(w, dtype=float)
     up, down = w >= SERIES_CUTOFF, w <= -SERIES_CUTOFF
     return _branches(
@@ -125,11 +103,6 @@ def _tanhc_series(z):
 
 def tanhc(z):
     """tanh(z)/z for real z, finite and equal to 1 at z = 0."""
-    x = _finite_scalar(z)
-    if x is not None:
-        if abs(x) >= _TANHC_CUTOFF:
-            return float(_tanhc_direct(x))
-        return _tanhc_series(x)
     z = np.asarray(z, dtype=float)
     direct = np.abs(z) >= _TANHC_CUTOFF
     return _branches(z, (direct, _tanhc_direct), (~direct, _tanhc_series))

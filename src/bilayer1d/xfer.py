@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LayerSpec, as_wavenumber, validate_spec
-from .kernels import _finite_scalar, cos_sqrt, sinc_sqrt
+from .kernels import cos_sqrt, sinc_sqrt
 
 
 class ScatteringPoleError(ArithmeticError):
@@ -245,31 +245,19 @@ def reflection_transmission(spec, k):
     )
 
 
-def _level_condition(spec, kappa):
-    """l11 + l22 + kappa*l12 + l21/kappa of the total propagator at
-    k = i*kappa, and its scale: the sum of the terms' magnitudes, at
-    least 1.  Elementwise; a finite nonzero scalar kappa stays a plain
-    float, anything else becomes an array, so kappa = 0 gives inf or NaN.
-    """
-    x = _finite_scalar(kappa)
-    kappa = x if x else np.asarray(kappa, dtype=float)
-    l11, l12, l21, l22 = matrix_entries(spec, -kappa * kappa)
-    value = l11 + l22 + kappa * l12 + l21 / kappa
-    scale = abs(l11) + abs(l22) + abs(kappa * l12) + abs(l21 / kappa)
-    return value, np.maximum(scale, 1.0)
-
-
 def bound_state_residual(spec, kappa):
     """Real function of kappa > 0 whose zeros are the bound levels.
 
-    Equals l11 + l22 + kappa*l12 + l21/kappa of the total propagator
-    evaluated on the bound half line; identical in zero set to
-    a(i*kappa) = 0 and free of poles on kappa > 0.
+    Returns l11 + l22 + kappa*l12 + l21/kappa of the total propagator
+    at k = i*kappa as a float; identical in zero set to a(i*kappa) = 0
+    and free of poles on kappa > 0.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     validate_spec(spec)
-    return _level_condition(spec, as_wavenumber(1j * kappa).kappa)[0]
+    kappa = as_wavenumber(1j * kappa).kappa
+    l11, l12, l21, l22 = matrix_entries(spec, -kappa * kappa)
+    return float(l11 + l22 + kappa * l12 + l21 / kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +348,21 @@ class PiecewiseWave:
         return max(abs(psi - pr) / scale, abs(dpsi - dpr) / dscale)
 
 
-def scattering_wavefunction(spec, k, mode="scatter", eigen_tol=1e-6):
+# largest |a(i*kappa)|, relative to max(1, |b|), of a bound-mode wavefunction
+EIGEN_TOL = 1e-6
+
+
+def scattering_wavefunction(spec, k, mode="scatter"):
     """Build the piecewise wavefunction; bound mode checks the eigenvalue.
 
-    In bound mode |a(i*kappa)| must be below eigen_tol (relative to the
+    In bound mode |a(i*kappa)| must be below EIGEN_TOL (relative to the
     connection coefficient b), otherwise there is no decaying solution at
     this kappa and NotAnEigenvalueError is raised.
     """
     wave = PiecewiseWave(spec, k, mode=mode)
     if mode == "bound":
         a, b = wave.data.a, wave.data.b
-        if abs(a) > eigen_tol * max(1.0, abs(b)):
+        if abs(a) > EIGEN_TOL * max(1.0, abs(b)):
             raise NotAnEigenvalueError(
                 f"kappa={as_wavenumber(k).kappa!r} is not a bound level: "
                 f"|a| = {abs(a):.3e}"

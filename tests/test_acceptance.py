@@ -30,7 +30,7 @@ from bilayer1d import (
     verify_ladder,
 )
 from bilayer1d.core import EV_TO_INV_NM2 as EV
-from bilayer1d.oracle import integrate_bound, scatter_grid
+from bilayer1d.oracle import integrate_bound, level_count, scatter_grid
 from bilayer1d.squeeze import eps_log_grid, resonance_residual_of
 from bilayer1d.xfer import matrix_entries
 
@@ -186,7 +186,8 @@ def test_criterion_04_six_vs_five_deep_ladder():
     # The 12 nm well alone holds ceil(rho / pi) = ceil(4.376) = 5 levels;
     # the 2.118 nm well (sigma1 / pi = 0.598) adds one more.  By the
     # oscillation theorem the count equals the nodes of the zero-energy
-    # solution, and a 40-digit node count of that solution finds 6.
+    # solution, which the oracle counts in mpmath.
+    assert level_count(spec, 0.0) == 6
     assert ladder.chis.size == 6, (
         f"root solver finds {ladder.chis.size} crossings on (0, rho); "
         "the zero-energy solution has 6 nodes"

@@ -357,3 +357,12 @@ def test_non_finite_tol_flag_is_config_error(tmp_path):
     cfg = _write_config(tmp_path, {"units": "nm^-2", "family": FAMILY_SECTION})
     argv = ["resonance", "--config", cfg, "--out", tmp_path / "o", "--tol", "nan"]
     assert _run(argv) == 2
+
+
+def test_tol_flag_is_refused_where_nothing_reads_it(tmp_path, capsys):
+    # only boundstates and resonance have a tolerance to override
+    cfg = _write_config(tmp_path, {"units": "eV", "spec": SPEC_SECTION, "k_grid": [1.0]})
+    with pytest.raises(SystemExit) as exit_info:
+        _run(["scatter", "--config", cfg, "--out", tmp_path / "o", "--tol", "1e-3"])
+    assert exit_info.value.code == 2
+    assert "--tol" in capsys.readouterr().err

@@ -102,8 +102,8 @@ def _bits(x):
 
 @pytest.mark.parametrize("kernel", [cos_sqrt, sinc_sqrt, tanc_sqrt, tanhc])
 def test_scalar_call_equals_array_element(kernel):
-    # the cutoffs and their neighbours, the non-finite inputs that keep
-    # the array path, and cosh(1000) overflowing to inf
+    # the cutoffs and their neighbours, the non-finite inputs, and
+    # cosh(1000) overflowing to inf
     edges = [
         c * side
         for cut in (SERIES_CUTOFF, _TANHC_CUTOFF)

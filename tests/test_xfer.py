@@ -178,6 +178,7 @@ def test_bound_state_residual_crosses_zero_at_each_level():
     for kappa in ladder.kappas:
         lo = bound_state_residual(spec, kappa * (1 - 1e-4))
         hi = bound_state_residual(spec, kappa * (1 + 1e-4))
+        assert type(lo) is float and type(hi) is float
         assert lo * hi < 0.0
 
 
