@@ -21,8 +21,9 @@ collecting the other layer and the gap.  Its cleared form
 
     h(chi) = sin(chi) * (chi*C1 - C2/chi) - cos(chi) * C0
 
-is continuous except at poles of the cross-layer tangent factor, whose
-abscissae solve a quadratic.  BoundLadder gives each level as kappa and chi.
+vanishes at the levels.  Nothing in the library calls it; it stays as the
+tests' cross-check of the counted ladder, and because the benchmark's
+tracer wraps it.  BoundLadder gives each level as kappa and chi.
 """
 
 from dataclasses import dataclass
@@ -33,11 +34,6 @@ from scipy.optimize import brentq
 
 from .core import validate_spec
 from .kernels import tanc_sqrt, tanhc
-
-
-def _plain(out):
-    """A 0-d result as a Python float; arrays pass through."""
-    return out if getattr(out, "ndim", 0) else float(out)
 
 
 @dataclass(frozen=True)
@@ -57,19 +53,6 @@ class ChiProblem:
     vshift: float
     r_over_l: float
 
-    def s(self, chi):
-        """sqrt(rho^2 - chi^2) = kappa * l, evaluated stably near rho."""
-        return _plain(self._evaluate(lambda chi, s: s, chi))
-
-    def _evaluate(self, formula, chi):
-        """formula(chi, s) over chi as a float array, 0-d for a scalar;
-        s clamps to 0 where |chi| >= rho, and a zero divisor of the root
-        equation gives inf or NaN without a warning."""
-        chi = np.asarray(chi, dtype=float)
-        s = np.sqrt(np.maximum((self.rho - chi) * (self.rho + chi), 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return formula(chi, s)
-
     def _coefficients(self, chi, s):
         u = chi * chi - self.rho * self.rho - self.vshift
         ubar = u * self.ratio * self.ratio
@@ -82,46 +65,17 @@ class ChiProblem:
         c2 = s - t * (u - s * s * t0) / (1.0 + t0)
         return c0, c1, c2
 
-    def _denominator(self, chi, s):
-        _, c1, c2 = self._coefficients(chi, s)
-        return chi * c1 - c2 / chi
-
-    def _cleared(self, chi, s):
-        c0, c1, c2 = self._coefficients(chi, s)
-        return np.sin(chi) * (chi * c1 - c2 / chi) - np.cos(chi) * c0
-
-    def coefficients(self, chi):
-        """C0, C1, C2 of the root equation, vectorized over chi."""
-        return self._evaluate(self._coefficients, chi)
-
-    def denominator(self, chi):
-        return _plain(self._evaluate(self._denominator, chi))
-
     def cleared(self, chi):
-        """h(chi); zero at the bound levels, and at rare points where the
-        cleared factors vanish together."""
-        return _plain(self._evaluate(self._cleared, chi))
-
-    def tangent_pole_abscissae(self):
-        """chi values in (0, rho) where the cross-layer tangent blows up.
-
-        They satisfy ratio^2 * (chi^2 - rho^2 - vshift) = ((n+1/2)*pi)^2,
-        solvable in closed form; present only when the other layer is
-        also attractive (vshift < 0).
-        """
-        if self.ratio == 0.0 or self.vshift >= 0.0:
-            return np.array([])
-        out = []
-        n = 0
-        while True:
-            val = ((n + 0.5) * np.pi / self.ratio) ** 2
-            chi2 = self.rho * self.rho + self.vshift + val
-            if chi2 >= self.rho * self.rho:
-                break
-            if chi2 > 0.0:
-                out.append(np.sqrt(chi2))
-            n += 1
-        return np.array(out)
+        """h(chi) over chi, a Python float for a scalar; zero at the bound
+        levels, and at rare points where the cleared factors vanish
+        together.  s = sqrt(rho^2 - chi^2) clamps to 0 where |chi| >= rho,
+        and a zero divisor gives inf or NaN without a warning."""
+        chi = np.asarray(chi, dtype=float)
+        s = np.sqrt(np.maximum((self.rho - chi) * (self.rho + chi), 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c0, c1, c2 = self._coefficients(chi, s)
+            out = np.sin(chi) * (chi * c1 - c2 / chi) - np.cos(chi) * c0
+        return out if out.ndim else float(out)
 
 
 def build_chi_problem(spec, branch=None):
@@ -273,36 +227,6 @@ def find_roots(problem):
     kappas = _levels(problem.spec, 0.0, rho / l) if rho > 0.0 and l > 0.0 else np.array([])
     chis = np.sqrt(np.maximum((rho - kappas * l) * (rho + kappas * l), 0.0))
     return BoundLadder(chis, kappas, rho, l, problem.branch)
-
-
-# grid points per rho of the poles_of_y scan
-POLE_SAMPLES = 4096
-
-
-def poles_of_y(problem):
-    """Infinite-discontinuity points of y(chi): zeros of its denominator.
-
-    Scanned piecewise between the tangent-pole cuts where the
-    denominator is continuous, then refined.
-    """
-    rho = problem.rho
-    if rho <= 0.0:
-        return np.array([])
-    f = problem.denominator
-    xtol = 1e-11 * rho
-    lo, hi = rho * 1e-9, rho * (1.0 - 1e-9)
-    cuts = problem.tangent_pole_abscissae()
-    edges = np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], [hi]))
-    poles = []
-    for a, b in zip(edges[:-1] + xtol, edges[1:] - xtol):
-        if b <= a:
-            continue
-        grid = np.linspace(a, b, max(64, int(POLE_SAMPLES * (b - a) / rho)))
-        vals = f(grid)
-        good = np.isfinite(vals)
-        cells = np.flatnonzero(good[:-1] & good[1:] & (vals[:-1] * vals[1:] < 0.0))
-        poles += [brentq(f, grid[i], grid[i + 1], xtol=xtol) for i in cells]
-    return np.array(sorted(poles))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bound import build_chi_problem, find_roots
-from .core import DoubleLayerSpec, convert_energy
+from .core import DoubleLayerSpec
 from .kernels import cos_sqrt, sinc_sqrt, tanc_sqrt
 from .limits import (
     DivergentLimitError,
@@ -48,6 +48,8 @@ from .limits import (
 
 #: tolerance used when comparing exponents against the critical surfaces
 EQUALITY_TOL = 1e-12
+#: relative tolerance of the zero-mean balance h1*d1 + h2*d2 = 0
+BALANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,20 +81,6 @@ class SqueezeFamily:
             raise ValueError(
                 "need 1 - mu + nu > 0 so the second layer width shrinks"
             )
-
-    @classmethod
-    def from_ev(cls, mu, nu, tau, h1_ev, h2_ev, d1, d2, c, units=None):
-        """Build a family with the potential prefactors given in eV."""
-        return cls(
-            mu,
-            nu,
-            tau,
-            convert_energy(h1_ev, units),
-            convert_energy(h2_ev, units),
-            d1,
-            d2,
-            c,
-        )
 
     @property
     def region(self):
@@ -127,54 +115,55 @@ def realize(family, eps):
 _LETTERS = dict(zip(itertools.product((True, False), repeat=3), "PNLOKQSI"))
 
 
-def _edges(angle, mu, nu, tau, tol):
+def _edges(angle, mu, nu, tau):
     """Edge flags (mu at 2, nu on its edge, tau on its edge) in one angle.
 
     Angle 1 (first) or 2 (second) needs mu in (1, 2], nu >= 2(mu - 1)
-    and tau >= angle * (mu - 1), where mu within tol of 2 counts as 2;
-    returns None outside it.  A flag is set on the edge and clear above
-    it; the letter of _LETTERS plus the angle digit is the region label.
+    and tau >= angle * (mu - 1), where mu within EQUALITY_TOL of 2
+    counts as 2; returns None outside it.  A flag is set on the edge (to
+    EQUALITY_TOL) and clear above it; the letter of _LETTERS plus the
+    angle digit is the region label.
     """
-    at_two = abs(mu - 2.0) <= tol
+    at_two = abs(mu - 2.0) <= EQUALITY_TOL
     if not (at_two or 1.0 < mu < 2.0):
         return None
     excess = 1.0 if at_two else mu - 1.0
     flags = [at_two]
     for value, edge in ((nu, 2.0 * excess), (tau, angle * excess)):
-        on_edge = abs(value - edge) <= tol
+        on_edge = abs(value - edge) <= EQUALITY_TOL
         if not (on_edge or value > edge):
             return None
         flags.append(on_edge)
     return tuple(flags)
 
 
-def classify_first_angle(mu, nu, tau, tol=EQUALITY_TOL):
+def classify_first_angle(mu, nu, tau):
     """Label within the derivative-jump (first) angle, or None outside.
 
     The angle needs mu in (1, 2], nu >= 2(mu-1) and tau >= mu - 1; the
     eight labels distinguish boundary planes from the interior I1.
     """
-    flags = _edges(1, mu, nu, tau, tol)
+    flags = _edges(1, mu, nu, tau)
     return None if flags is None else _LETTERS[flags] + "1"
 
 
-def classify_second_angle(mu, nu, tau, tol=EQUALITY_TOL):
+def classify_second_angle(mu, nu, tau):
     """Label within the point-interaction (second) angle, or None outside.
 
     Same (mu, nu) footprint as the first angle but the tau threshold is
     doubled: tau >= 2(mu - 1)."""
-    flags = _edges(2, mu, nu, tau, tol)
+    flags = _edges(2, mu, nu, tau)
     return None if flags is None else _LETTERS[flags] + "2"
 
 
-def classify_region(mu, nu, tau, tol=EQUALITY_TOL):
+def classify_region(mu, nu, tau):
     """Mutually exclusive exponent label; second angle takes priority.
 
     Points of the first angle below the second-angle threshold keep
     their first-angle label; everything else is "outside"."""
     return (
-        classify_second_angle(mu, nu, tau, tol)
-        or classify_first_angle(mu, nu, tau, tol)
+        classify_second_angle(mu, nu, tau)
+        or classify_first_angle(mu, nu, tau)
         or "outside"
     )
 
@@ -184,30 +173,30 @@ def classify_region(mu, nu, tau, tol=EQUALITY_TOL):
 # ---------------------------------------------------------------------------
 
 
-def _blocking_characteristic(mu, nu, tau, tol):
+def _blocking_characteristic(mu, nu, tau):
     """Name the first characteristic that blows up for these exponents."""
-    if 1.0 - mu / 2.0 < -tol:
+    if 1.0 - mu / 2.0 < -EQUALITY_TOL:
         return "sigma1"
-    if 1.0 - mu + nu / 2.0 < -tol:
+    if 1.0 - mu + nu / 2.0 < -EQUALITY_TOL:
         return "sigma2"
-    sigma1_on = abs(1.0 - mu / 2.0) <= tol
-    if tau < mu - 1.0 - tol:
+    sigma1_on = abs(1.0 - mu / 2.0) <= EQUALITY_TOL
+    if tau < mu - 1.0 - EQUALITY_TOL:
         return "f1" if sigma1_on else "eta1"
     return "g1" if sigma1_on else "beta1"
 
 
-def _power_value(power, value, name, tol):
+def _power_value(power, value, name):
     """Value of a characteristic with the given eps power (0 if positive)."""
-    if power < -tol:
+    if power < -EQUALITY_TOL:
         raise DivergentLimitError(
             f"characteristic {name} diverges like eps**({power:g})", name
         )
-    if power <= tol:
+    if power <= EQUALITY_TOL:
         return value
     return value * 0.0
 
 
-def _thin_layer_alpha(family, tol):
+def _thin_layer_alpha(family):
     """Second-order terms of two thin layers in the zero-energy entry M21.
 
     With s_j = v_j l_j, a thin layer propagates (psi, psi') by
@@ -228,14 +217,14 @@ def _thin_layer_alpha(family, tol):
         ("layer1", 3.0 - 2.0 * family.mu, family.d1, p1, p2),
         ("layer2", 3.0 - 3.0 * family.mu + family.nu, family.d2, p2, p1),
     ):
-        if power < -tol:
+        if power < -EQUALITY_TOL:
             divergent = divergent or name
-        elif power <= tol:
+        elif power <= EQUALITY_TOL:
             alpha_thin += d * p * (p + 3.0 * partner) / 6.0
     return alpha_thin, divergent
 
 
-def _route(family, tol):
+def _route(family):
     """Route ("first" or "second") and edge flags of a finite limit.
 
     The second angle takes priority; the first route needs tau on the
@@ -244,10 +233,10 @@ def _route(family, tol):
     mu = 2, and layer 2 when nu = 2(mu - 1).
     """
     mu, nu, tau = family.mu, family.nu, family.tau
-    flags = _edges(2, mu, nu, tau, tol)
+    flags = _edges(2, mu, nu, tau)
     if flags is not None:
         return "second", flags
-    flags = _edges(1, mu, nu, tau, tol)
+    flags = _edges(1, mu, nu, tau)
     if flags is not None and flags[2]:
         return "first", flags
     return None, None
@@ -261,7 +250,7 @@ def _layers(family, flags):
     )
 
 
-def limit_chars_of(family, tol=EQUALITY_TOL):
+def limit_chars_of(family):
     """Surviving characteristics and the route they belong to.
 
     Returns (way, LimitChars) with way "second" inside the second angle
@@ -282,9 +271,9 @@ def limit_chars_of(family, tol=EQUALITY_TOL):
     separated.
     """
     mu, nu, tau = family.mu, family.nu, family.tau
-    way, flags = _route(family, tol)
+    way, flags = _route(family)
     if way is None:
-        name = _blocking_characteristic(mu, nu, tau, tol)
+        name = _blocking_characteristic(mu, nu, tau)
         raise DivergentLimitError(
             "no finite squeezing limit for exponents "
             f"(mu, nu, tau) = ({mu:g}, {nu:g}, {tau:g}): "
@@ -300,17 +289,17 @@ def limit_chars_of(family, tol=EQUALITY_TOL):
         if way == "first":
             kwargs[f"eta{j}"] = -h * d * c
             if thick:
-                kwargs[f"f{j}"] = _power_value(tau - p / 2.0, root * c, f"f{j}", tol)
+                kwargs[f"f{j}"] = _power_value(tau - p / 2.0, root * c, f"f{j}")
         elif thick:
             kwargs[f"g{j}"] = _power_value(
-                (tau - p) / 2.0, cmath.sqrt(complex(-h * c)), f"g{j}", tol
+                (tau - p) / 2.0, cmath.sqrt(complex(-h * c)), f"g{j}"
             )
         else:
             kwargs[f"beta{j}"] = _power_value(
-                1.0 - mu + tau / 2.0, -h * d * math.sqrt(c), f"beta{j}", tol
+                1.0 - mu + tau / 2.0, -h * d * math.sqrt(c), f"beta{j}"
             )
     if way == "second" and not (flags[0] or flags[1]):
-        kwargs["alpha_thin"], kwargs["divergent"] = _thin_layer_alpha(family, tol)
+        kwargs["alpha_thin"], kwargs["divergent"] = _thin_layer_alpha(family)
     return way, LimitChars(f"G{flags[0]:d}{flags[1]:d}", **kwargs)
 
 
@@ -319,7 +308,7 @@ def limit_chars_of(family, tol=EQUALITY_TOL):
 # ---------------------------------------------------------------------------
 
 
-def resonance_residual_of(family, tol=EQUALITY_TOL):
+def resonance_residual_of(family):
     """Residual of the exact resonance condition for the family.
 
     Inside the second angle the condition couples h_j d_j tan-type
@@ -328,7 +317,7 @@ def resonance_residual_of(family, tol=EQUALITY_TOL):
     (residual in nm).  Zero residual means the squeezed limit supports a
     nontrivial interaction.
     """
-    way, flags = _route(family, tol)
+    way, flags = _route(family)
     if way is None:
         raise ValueError(
             "no resonance condition away from the two critical surfaces "
@@ -364,10 +353,6 @@ class InteractionReport:
     alpha: float
     kappa_limit: float
     interaction: SqueezedInteraction
-
-    @property
-    def on_resonance(self):
-        return self.verdict != "separated"
 
 
 def interaction_limit(family, res_tol=1e-9, spread_tol=1e-9):
@@ -434,6 +419,8 @@ def eps_log_grid(start=1.0, stop=1e-3, per_decade=8, floor=1e-8):
             f"stop = {stop:g} lies below the floor {floor:g} guarding "
             "against overflow of the realized potentials"
         )
+    if per_decade < 1:
+        raise ValueError(f"per_decade must be at least 1, got {per_decade!r}")
     n = int(math.ceil(math.log10(start / stop) * per_decade)) + 1
     return np.geomspace(start, stop, max(n, 2))
 
@@ -584,14 +571,14 @@ def stable_level_index(result):
 # Distributional pairing and the derivative-jump strength
 # ---------------------------------------------------------------------------
 
-def _balanced(family, balance_tol):
-    """Whether the zero-mean balance h1*d1 + h2*d2 = 0 holds to balance_tol."""
+def _balanced(family):
+    """Whether the zero-mean balance h1*d1 + h2*d2 = 0 holds to BALANCE_TOL."""
     balance = family.h1 * family.d1 + family.h2 * family.d2
     scale = abs(family.h1 * family.d1) + abs(family.h2 * family.d2)
-    return abs(balance) <= balance_tol * scale
+    return abs(balance) <= BALANCE_TOL * scale
 
 
-def gamma_strength(family, balance_tol=1e-9):
+def gamma_strength(family):
     """Derivative-jump strength of the distributional limit.
 
     Defined on the first angle when the zero-mean balance
@@ -600,14 +587,14 @@ def gamma_strength(family, balance_tol=1e-9):
     its edge).  In the interior I1 no flag is set and the strength is
     absent (None) because the pairing itself vanishes.
     """
-    flags = _edges(1, family.mu, family.nu, family.tau, EQUALITY_TOL)
+    flags = _edges(1, family.mu, family.nu, family.tau)
     if flags is None:
         raise ValueError(
             "gamma is defined only on the first angle of exponents"
         )
     if not any(flags):
         return None
-    if not _balanced(family, balance_tol):
+    if not _balanced(family):
         balance = family.h1 * family.d1 + family.h2 * family.d2
         raise ValueError(
             "the derivative-jump strength needs the zero-mean balance "
@@ -630,7 +617,7 @@ class PairingResult:
     note: str = ""
 
 
-def delta_prime_pairing(family, eps, probe, balance_tol=1e-9):
+def delta_prime_pairing(family, eps, probe):
     """Pair the realized potential against a smooth probe function.
 
     value is the exact integral of v(x) * probe(x) at this eps.  When
@@ -657,7 +644,7 @@ def delta_prime_pairing(family, eps, probe, balance_tol=1e-9):
     )
 
     mu, nu, tau = family.mu, family.nu, family.tau
-    if not _balanced(family, balance_tol):
+    if not _balanced(family):
         power = 1.0 - mu
         return PairingResult(
             eps,
@@ -680,7 +667,7 @@ def delta_prime_pairing(family, eps, probe, balance_tol=1e-9):
             "interior exponents: the pairing vanishes in the limit",
         )
     if region is not None:
-        gamma = gamma_strength(family, balance_tol)
+        gamma = gamma_strength(family)
         return PairingResult(eps, value, -gamma * probe.df(0.0), gamma, None, "")
 
     # Balanced but off the first angle: the subleading terms decide.

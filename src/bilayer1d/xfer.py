@@ -219,14 +219,6 @@ class RTCoefficients:
     t: complex
     r_left: complex
 
-    @property
-    def transmission(self):
-        return abs(self.t) ** 2
-
-    @property
-    def reflection(self):
-        return abs(self.r_right) ** 2
-
 
 def reflection_transmission(spec, k):
     """R and T amplitudes at real k; transmission is |t|^2 = 1/|a|^2."""

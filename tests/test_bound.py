@@ -12,7 +12,6 @@ from bilayer1d import (
     bound,
     build_chi_problem,
     find_roots,
-    poles_of_y,
     realize,
     verify_ladder,
 )
@@ -241,14 +240,6 @@ def test_doublet_below_the_float_spacing_is_not_certified():
     assert report.missed.size == 0
 
 
-def test_single_well_interface_pole_sits_at_rho_over_sqrt2():
-    spec = DoubleLayerSpec.make(-3.0, 1.5, 0.0, 0.0, 0.0)
-    problem = build_chi_problem(spec)
-    poles = np.asarray(poles_of_y(problem))
-    target = problem.rho / np.sqrt(2.0)
-    assert np.min(np.abs(poles - target)) < 1e-9 * problem.rho
-
-
 def test_edge_hugging_survivor_is_not_lost():
     # strongly squeezed realization whose only root sits within ~3e-9 of the
     # chi-interval edge; a uniform scan would step right over it
@@ -261,35 +252,54 @@ def test_edge_hugging_survivor_is_not_lost():
     assert ladder.kappas[0] == pytest.approx(0.88417295, abs=5e-7)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        DoubleLayerSpec.make(-20.0, 1.3, 5.0, 0.4, 0.3),
-        DoubleLayerSpec.make(-20.0, 1.3, -8.0, 0.6, 0.3),
-        DoubleLayerSpec.make(-9.0, 1.0, 0.0, 0.0, 0.0),
-    ],
-    ids=["barrier", "second-well", "single-well"],
-)
+CHI_SPECS = [
+    DoubleLayerSpec.make(-20.0, 1.3, 5.0, 0.4, 0.3),
+    DoubleLayerSpec.make(-20.0, 1.3, -8.0, 0.6, 0.3),
+    DoubleLayerSpec.make(-9.0, 1.0, 0.0, 0.0, 0.0),
+]
+CHI_IDS = ["barrier", "second-well", "single-well"]
+
+
+@pytest.mark.parametrize("spec", CHI_SPECS, ids=CHI_IDS)
 def test_scalar_chi_calls_equal_array_elements(spec):
     # chi = 0 and chi = rho zero a divisor of the root equation, and the
     # second well puts tangent poles inside; outside (0, rho) s clamps to 0
     problem = build_chi_problem(spec)
     rho = problem.rho
+    # the cross-layer tangent poles: ratio^2 (chi^2 - rho^2 - vshift) = ((n + 1/2) pi)^2
+    poles = np.array([])
+    if problem.ratio > 0.0:
+        chi2 = rho * rho + problem.vshift + ((np.arange(8) + 0.5) * np.pi / problem.ratio) ** 2
+        poles = np.sqrt(chi2[(chi2 > 0.0) & (chi2 < rho * rho)])
     chis = np.concatenate((
         np.linspace(0.0, rho, 257),
         [np.nextafter(0.0, 1.0), np.nextafter(rho, 0.0), -0.5 * rho, 1.5 * rho],
-        problem.tangent_pole_abscissae(),
+        poles,
     ))
     # zero divisors stay silent; only the overflow of c2 / 5e-324 warns
     with warnings.catch_warnings(), np.errstate(over="ignore"):
         warnings.simplefilter("error")
-        for method in (problem.cleared, problem.denominator, problem.s):
-            want = method(chis)
-            for chi, ref in zip(chis, want):
-                got = method(float(chi))
-                assert type(got) is float
-                assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (
-                    method.__name__, chi, got, ref)
+        want = problem.cleared(chis)
+        for chi, ref in zip(chis, want):
+            got = problem.cleared(float(chi))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (chi, got, ref)
+
+
+# the deep two-well structure of acceptance criterion 04, at its refined d1
+CRITERION_04 = DoubleLayerSpec.make(-0.3 * EV, 2.1179478460413863, -0.5 * EV, 12.0, 20.0)
+
+
+@pytest.mark.parametrize("spec", CHI_SPECS + [CRITERION_04], ids=CHI_IDS + ["criterion-04"])
+def test_cleared_changes_sign_at_every_level(spec):
+    # the paper's route cross-checks the counted ladder: h(chi) of the
+    # compactified equation changes sign at each chi that find_roots gives
+    # (close doublets are left out, as 1e-7 relative does not split them)
+    problem = build_chi_problem(spec)
+    ladder = find_roots(problem)
+    assert ladder.n == level_count(spec, 0.0) >= 1
+    for chi in ladder.chis:
+        assert problem.cleared(chi * (1.0 - 1e-7)) * problem.cleared(chi * (1.0 + 1e-7)) < 0.0, chi
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,7 @@ WAVE_SCATTER = {"spec": SPEC_SECTION, "mode": "scatter"}
         ("scatter", {"spec": SPEC_SECTION, "k_grid": {"start": 0.5, "stop": True}}),
         ("scatter", {"spec": SPEC_SECTION, "k_grid": [1.0, "2.0"]}),
         ("boundstates", {"eps_grid": {"stop": 1e-2, "per_decade": 2.5}}),
+        ("boundstates", {"eps_grid": {"stop": 1e-2, "per_decade": 0}}),
         ("boundstates", {"eps_grid": [1.0, "0.1"]}),
         ("resonance", {"tol": float("nan")}),
         ("scatter", {"spec": SPEC_SECTION, "k_grid": [1.0, float("inf")]}),
@@ -336,6 +337,7 @@ WAVE_SCATTER = {"spec": SPEC_SECTION, "mode": "scatter"}
         "k_grid-stop-bool",
         "k_grid-list-string",
         "eps_grid-per_decade-fraction",
+        "eps_grid-per_decade-zero",
         "eps_grid-list-string",
         "resonance-tol-nan",
         "k_grid-list-inf",

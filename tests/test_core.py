@@ -1,7 +1,10 @@
-"""Units, structure descriptions and wavenumber handling."""
+"""Units, structure descriptions, wavenumber handling and the exports."""
+
+import types
 
 import pytest
 
+import bilayer1d
 from bilayer1d import (
     DoubleLayerSpec,
     UnitSystem,
@@ -81,3 +84,13 @@ def test_wavenumber_passthrough():
 def test_wavenumber_rejects_off_axis_values(bad):
     with pytest.raises(ValueError):
         as_wavenumber(bad)
+
+
+def test_exports_resolve_and_list_every_public_name():
+    exported = bilayer1d.__all__
+    assert len(set(exported)) == len(exported)
+    for name in exported:
+        assert hasattr(bilayer1d, name), name
+    public = {name for name, value in vars(bilayer1d).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public <= set(exported), sorted(public - set(exported))

@@ -156,6 +156,9 @@ def test_eps_log_grid_shape_and_floor():
     assert np.all(np.diff(grid) < 0.0)
     with pytest.raises(ValueError):
         eps_log_grid(1.0, 1e-12, 2, floor=1e-8)
+    for per_decade in (0, -8):
+        with pytest.raises(ValueError, match="per_decade"):
+            eps_log_grid(1.0, 1e-3, per_decade)
 
 
 # ---------------------------------------------------------------------------
