@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Five subcommands (scatter, boundstates, resonance, wavefunction,
-deltaprime) read a JSON config and write deterministic CSV/JSON files
-plus small gnuplot scripts.  Exit codes: 0 success, 2 config problems,
-3 domain problems (no such level, exponents without a limit, ...),
-4 numerical failures.
+deltaprime) read a JSON config and write deterministic files: each of the
+four table commands a CSV table with a small gnuplot script, or one JSON
+file under --format json; resonance a JSON report.  Exit codes: 0
+success, 2 config problems, 3 domain problems (no such level, exponents
+without a limit, ...), 4 numerical failures.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import probes
 from .bound import build_chi_problem, find_roots, verify_ladder
-from .core import DoubleLayerSpec, UnitSystem, Wavenumber, validate_spec
+from .core import EV_TO_INV_NM2, DoubleLayerSpec, Wavenumber, validate_spec
 from .squeeze import (
     SqueezeFamily,
     classify_first_angle,
@@ -60,61 +61,47 @@ def _load_config(path):
     return cfg
 
 
-def _units(cfg):
+def _scale(cfg):
+    """The factor that takes the config's energies to nm^-2."""
     units = cfg.get("units", "eV")
     if units not in ("eV", "nm^-2"):
         raise ConfigError(f'units must be "eV" or "nm^-2", got {units!r}')
-    return units, UnitSystem(_number(cfg, "ev_to_inv_nm2", UnitSystem().ev_to_inv_nm2))
+    factor = _number(cfg, "ev_to_inv_nm2", EV_TO_INV_NM2)
+    return factor if units == "eV" else 1.0
 
 
-def _energy(value, units, system):
-    v = _real(value)
-    return v * system.ev_to_inv_nm2 if units == "eV" else v
+# section: (constructor, its keys in argument order)
+_SECTIONS = {
+    "spec": (DoubleLayerSpec.make, ("v1", "l1", "v2", "l2", "r")),
+    "family": (SqueezeFamily, ("mu", "nu", "tau", "h1", "h2", "d1", "d2", "c")),
+}
+_ENERGIES = ("v1", "v2", "h1", "h2")
 
 
-def _family_of(cfg):
-    units, system = _units(cfg)
-    raw = cfg.get("family")
+def _section(cfg, name):
+    """The "spec" or "family" section of the config, energies in nm^-2."""
+    scale = _scale(cfg)
+    build, keys = _SECTIONS[name]
+    raw = cfg.get(name)
     if raw is None:
-        raise ConfigError('this command needs a "family" section')
+        raise ConfigError(f'this command needs a "{name}" section')
     try:
-        return SqueezeFamily(
-            _real(raw["mu"]),
-            _real(raw["nu"]),
-            _real(raw["tau"]),
-            _energy(raw["h1"], units, system),
-            _energy(raw["h2"], units, system),
-            _real(raw["d1"]),
-            _real(raw["d2"]),
-            _real(raw["c"]),
-        )
+        values = [_real(raw[key]) for key in keys]
+        return build(*(v * scale if k in _ENERGIES else v for k, v in zip(keys, values)))
     except KeyError as exc:
-        raise ConfigError(f"family section is missing {exc.args[0]!r}") from exc
+        raise ConfigError(f"{name} section is missing {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad family section: {exc}") from exc
+        raise ConfigError(f"bad {name} section: {exc}") from exc
 
 
 def _spec_of(cfg):
-    units, system = _units(cfg)
-    raw_spec = cfg.get("spec")
-    raw_family = cfg.get("family")
-    if (raw_spec is None) == (raw_family is None):
+    """The config's "spec", or its "family" realized at "eps"."""
+    if (cfg.get("spec") is None) == (cfg.get("family") is None):
         raise ConfigError('provide exactly one of "spec" or "family"')
-    if raw_spec is not None:
-        try:
-            spec = DoubleLayerSpec.make(
-                _energy(raw_spec["v1"], units, system),
-                _real(raw_spec["l1"]),
-                _energy(raw_spec["v2"], units, system),
-                _real(raw_spec["l2"]),
-                _real(raw_spec["r"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"spec section is missing {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad spec section: {exc}") from exc
+    if cfg.get("spec") is not None:
+        spec = _section(cfg, "spec")
     else:
-        family = _family_of(cfg)
+        family = _section(cfg, "family")
         if "eps" not in cfg:
             raise ConfigError('a "family" config needs "eps" to realize it')
         spec = realize(family, _number(cfg, "eps", None))
@@ -150,13 +137,10 @@ def _linear_grid(raw, name):
 
 
 def _k_grid(cfg):
-    units, system = _units(cfg)
     if "k_grid" in cfg:
         ks = _linear_grid(cfg["k_grid"], "k_grid")
     elif "k2_grid" in cfg:
-        k2 = np.array(
-            [_energy(v, units, system) for v in _linear_grid(cfg["k2_grid"], "k2_grid")]
-        )
+        k2 = _linear_grid(cfg["k2_grid"], "k2_grid") * _scale(cfg)
         if np.any(k2 <= 0.0):
             raise ConfigError("k2_grid values must be positive energies")
         ks = np.sqrt(k2)
@@ -236,8 +220,8 @@ def _integer(value):
     return value
 
 
-def _tol(args, cfg, default=1e-9):
-    return _number(cfg if args.tol is None else {"tol": args.tol}, "tol", default)
+def _tol(args, cfg):
+    return _number(cfg if args.tol is None else {"tol": args.tol}, "tol", 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -248,20 +232,9 @@ def _tol(args, cfg, default=1e-9):
 def _fmt(value):
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    return repr(v)
-
-
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return repr(float(value))
 
 
 def _json_safe(value):
@@ -272,62 +245,73 @@ def _json_safe(value):
         return v if math.isfinite(v) else None
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, np.ndarray)):
         return [_json_safe(v) for v in value]
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     return value
 
 
-def _write_json(path, payload):
-    payload = dict(payload)
-    payload["spec_version"] = SPEC_VERSION
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
+def _json_text(payload):
+    payload = {**payload, "spec_version": SPEC_VERSION}
+    return json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write(args, name, text):
+    """Write text to the file name in the --out folder, made when missing."""
+    path = os.path.join(args.out, name)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {name} into --out {args.out!r}: {exc}") from exc
 
 
-def _out_path(args, name):
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+def _write_table(args, stem, header, rows, summary=None, details=None):
+    """Write a table as <stem>.csv and <stem>.gp, plus <stem>.json holding
+    the summary when there is one; under --format json, write one
+    <stem>.json of the summary, the details, the columns and the rows."""
+    if args.format == "json":
+        payload = {**(summary or {}), **(details or {})}
+        payload.update(columns=list(header), rows=[list(r) for r in rows])
+        _write(args, f"{stem}.json", _json_text(payload))
+        print(f"wrote {stem}.json")
+        return
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    _write(args, f"{stem}.csv", "\n".join(lines) + "\n")
+    _write(args, f"{stem}.gp", _GNUPLOT_HEAD + _GNUPLOT[stem])
+    if summary is not None:
+        _write(args, f"{stem}.json", _json_text(summary))
+    print(f"wrote {stem}.csv ({len(rows)} rows)")
 
 
-_SCATTER_GP = """set datafile separator ','
+_GNUPLOT_HEAD = """set datafile separator ','
 set key autotitle columnhead
-set xlabel 'k [1/nm]'
+"""
+
+_GNUPLOT = {
+    "scatter": """set xlabel 'k [1/nm]'
 set ylabel 'probability'
 set yrange [0:1.05]
 plot 'scatter.csv' using 1:6 with lines, '' using 1:7 with lines
-"""
-
-_BOUND_GP = """set datafile separator ','
-set key autotitle columnhead
-set logscale x
+""",
+    "boundstates": """set logscale x
 set xlabel 'eps'
 set ylabel 'kappa [1/nm]'
 plot 'boundstates.csv' using 1:3 with points pt 7 ps 0.4
-"""
-
-_WAVE_GP = """set datafile separator ','
-set key autotitle columnhead
-set xlabel 'x [nm]'
+""",
+    "wavefunction": """set xlabel 'x [nm]'
 set ylabel '|psi|'
 plot 'wavefunction.csv' using 1:4 with lines
-"""
-
-_DELTA_GP = """set datafile separator ','
-set key autotitle columnhead
-set logscale xy
+""",
+    "deltaprime": """set logscale xy
 set xlabel 'eps'
 set ylabel '|pairing - companion|'
 plot 'deltaprime.csv' using 1:(abs($4)) with linespoints
-"""
+""",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -342,49 +326,26 @@ def _cmd_scatter(args, cfg):
     if np.any(a == 0.0):
         k = ks[np.argmax(a == 0.0)]
         raise ScatteringPoleError(f"vanishing transmission denominator at k={k!r}")
-    columns = (
-        ks,
-        a.real,
-        a.imag,
-        b.real,
-        b.imag,
-        1.0 / np.abs(a) ** 2,
-        np.abs(b / a) ** 2,
-        np.abs(np.abs(a) ** 2 - np.abs(b) ** 2 - 1.0),
-    )
-    rows = list(zip(*(c.tolist() for c in columns)))
-    header = (
-        "k",
-        "re_a",
-        "im_a",
-        "re_b",
-        "im_b",
-        "transmission",
-        "reflection",
-        "unitarity_defect",
-    )
-    if args.format == "json":
-        _write_json(
-            _out_path(args, "scatter.json"),
-            {"columns": list(header), "rows": [list(r) for r in rows]},
-        )
-        print("wrote scatter.json")
-    else:
-        _write_csv(_out_path(args, "scatter.csv"), header, rows)
-        _write_text(_out_path(args, "scatter.gp"), _SCATTER_GP)
-        print(f"wrote scatter.csv ({len(rows)} rows)")
-    return 0
+    columns = {
+        "k": ks,
+        "re_a": a.real,
+        "im_a": a.imag,
+        "re_b": b.real,
+        "im_b": b.imag,
+        "transmission": 1.0 / np.abs(a) ** 2,
+        "reflection": np.abs(b / a) ** 2,
+        "unitarity_defect": np.abs(np.abs(a) ** 2 - np.abs(b) ** 2 - 1.0),
+    }
+    rows = list(zip(*(c.tolist() for c in columns.values())))
+    _write_table(args, "scatter", tuple(columns), rows)
 
 
 def _cmd_boundstates(args, cfg):
     tol = _tol(args, cfg)
     if "family" in cfg and "spec" not in cfg:
-        family = _family_of(cfg)
+        family = _section(cfg, "family")
         result = sweep_ladder(family, _eps_grid_of(cfg), tol=tol)
-        rows = []
-        for eps, ladder in zip(result.eps, result.ladders):
-            for index, kappa in enumerate(ladder.kappas, start=1):
-                rows.append((float(eps), index, float(kappa)))
+        ladders = zip(result.eps, result.ladders)
         summary = {
             "scenario": result.scenario,
             "branch": result.branch,
@@ -399,10 +360,7 @@ def _cmd_boundstates(args, cfg):
         problem = build_chi_problem(spec)
         ladder = find_roots(problem)
         report = verify_ladder(spec, ladder)
-        rows = [
-            (1.0, index, float(kappa))
-            for index, kappa in enumerate(ladder.kappas, start=1)
-        ]
+        ladders = [(1.0, ladder)]
         summary = {
             "scenario": "single structure",
             "branch": ladder.branch,
@@ -411,24 +369,17 @@ def _cmd_boundstates(args, cfg):
             "verified": bool(report),
             "max_residual": max((abs(r) for r in report.residuals), default=0.0),
         }
-    if args.format == "json":
-        summary["levels"] = [list(r) for r in rows]
-        _write_json(_out_path(args, "boundstates.json"), summary)
-        print("wrote boundstates.json")
-    else:
-        _write_csv(
-            _out_path(args, "boundstates.csv"),
-            ("eps", "level_index", "kappa"),
-            rows,
-        )
-        _write_text(_out_path(args, "boundstates.gp"), _BOUND_GP)
-        _write_json(_out_path(args, "boundstates.json"), summary)
-        print(f"wrote boundstates.csv ({len(rows)} rows)")
-    return 0
+    rows = [
+        (float(eps), index, float(kappa))
+        for eps, ladder in ladders
+        for index, kappa in enumerate(ladder.kappas, start=1)
+    ]
+    header = ("eps", "level_index", "kappa")
+    _write_table(args, "boundstates", header, rows, summary)
 
 
 def _cmd_resonance(args, cfg):
-    family = _family_of(cfg)
+    family = _section(cfg, "family")
     tol = _tol(args, cfg)
     spread_tol = _number(cfg, "spread_tol", tol)
     k_probe = _number(cfg, "k", 1.0)
@@ -457,9 +408,8 @@ def _cmd_resonance(args, cfg):
         "kappa_limit": report.kappa_limit,
         "samples": samples,
     }
-    _write_json(_out_path(args, "resonance.json"), payload)
+    _write(args, "resonance.json", _json_text(payload))
     print(f"wrote resonance.json (verdict {report.verdict})")
-    return 0
 
 
 def _cmd_wavefunction(args, cfg):
@@ -494,33 +444,18 @@ def _cmd_wavefunction(args, cfg):
         (float(x), v.real, v.imag, abs(v)) for x, v in zip(xs, values)
     ]
     header = ("x", "re_psi", "im_psi", "abs_psi")
-    if args.format == "json":
-        _write_json(
-            _out_path(args, "wavefunction.json"),
-            {
-                "columns": list(header),
-                "rows": [list(r) for r in rows],
-                "mode": mode,
-                "continuity_defect": wave.continuity_defect(),
-            },
-        )
-        print("wrote wavefunction.json")
-    else:
-        _write_csv(_out_path(args, "wavefunction.csv"), header, rows)
-        _write_text(_out_path(args, "wavefunction.gp"), _WAVE_GP)
-        print(f"wrote wavefunction.csv ({len(rows)} rows)")
-    return 0
+    details = {"mode": mode, "continuity_defect": wave.continuity_defect()}
+    _write_table(args, "wavefunction", header, rows, details=details)
 
 
 def _cmd_deltaprime(args, cfg):
-    family = _family_of(cfg)
+    family = _section(cfg, "family")
     probe = _probe_of(cfg)
     eps_grid = _eps_grid_of(cfg)
     results = [
         delta_prime_pairing(family, float(eps), probe) for eps in eps_grid
     ]
     companion = results[0].companion
-    gamma = results[0].gamma
     rows = []
     prev = None
     for res in results:
@@ -535,31 +470,27 @@ def _cmd_deltaprime(args, cfg):
         prev = (res.eps, gap)
     summary = {
         "region": classify_first_angle(family.mu, family.nu, family.tau),
-        "gamma": gamma,
+        "gamma": results[0].gamma,
         "companion": companion,
         "divergence_power": results[0].divergence_power,
         "note": results[0].note,
     }
-    if args.format == "json":
-        summary["columns"] = ["eps", "pairing", "companion", "gap", "slope"]
-        summary["rows"] = [list(r) for r in rows]
-        _write_json(_out_path(args, "deltaprime.json"), summary)
-        print("wrote deltaprime.json")
-    else:
-        _write_csv(
-            _out_path(args, "deltaprime.csv"),
-            ("eps", "pairing", "companion", "gap", "slope"),
-            rows,
-        )
-        _write_text(_out_path(args, "deltaprime.gp"), _DELTA_GP)
-        _write_json(_out_path(args, "deltaprime.json"), summary)
-        print(f"wrote deltaprime.csv ({len(rows)} rows)")
-    return 0
+    header = ("eps", "pairing", "companion", "gap", "slope")
+    _write_table(args, "deltaprime", header, rows, summary)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+
+_COMMANDS = {
+    "scatter": ("amplitudes and probabilities on a k grid", _cmd_scatter),
+    "boundstates": ("bound ladder of a structure or a squeeze sweep", _cmd_boundstates),
+    "resonance": ("squeezing-limit classification of a family", _cmd_resonance),
+    "wavefunction": ("wavefunction samples on an x grid", _cmd_wavefunction),
+    "deltaprime": ("distributional pairing along a squeeze sweep", _cmd_deltaprime),
+}
 
 
 def _parser():
@@ -569,39 +500,25 @@ def _parser():
         "two-layer structure on the line.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "scatter": "amplitudes and probabilities on a k grid",
-        "boundstates": "bound ladder of a structure or a squeeze sweep",
-        "resonance": "squeezing-limit classification of a family",
-        "wavefunction": "wavefunction samples on an x grid",
-        "deltaprime": "distributional pairing along a squeeze sweep",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--format", choices=("csv", "json"), default="csv", help="output format"
-        )
+        # resonance writes one JSON report and no table
+        if name != "resonance":
+            p.add_argument(
+                "--format", choices=("csv", "json"), default="csv", help="output format"
+            )
         if name in ("boundstates", "resonance"):
             p.add_argument("--tol", type=float, default=None, help="tolerance override")
     return parser
-
-
-_DISPATCH = {
-    "scatter": _cmd_scatter,
-    "boundstates": _cmd_boundstates,
-    "resonance": _cmd_resonance,
-    "wavefunction": _cmd_wavefunction,
-    "deltaprime": _cmd_deltaprime,
-}
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        return _DISPATCH[args.command](args, cfg)
+        _COMMANDS[args.command][1](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -611,6 +528,7 @@ def main(argv=None):
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -12,17 +12,9 @@ import math
 EV_TO_INV_NM2 = 2.62464
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    """Conversion bundle; ev_to_inv_nm2 is overridable for other masses."""
-
-    ev_to_inv_nm2: float = EV_TO_INV_NM2
-
-
-def convert_energy(value_ev, units=None):
-    """eV -> nm^-2 using the unit system (default effective mass)."""
-    factor = (units or UnitSystem()).ev_to_inv_nm2
-    return value_ev * factor
+def convert_energy(value_ev):
+    """eV -> nm^-2 at the default effective mass."""
+    return value_ev * EV_TO_INV_NM2
 
 
 @dataclass(frozen=True)
@@ -50,10 +42,8 @@ class DoubleLayerSpec:
         return cls(LayerSpec(v1, l1), LayerSpec(v2, l2), r)
 
     @classmethod
-    def from_ev(cls, v1_ev, l1, v2_ev, l2, r, units=None):
-        return cls.make(
-            convert_energy(v1_ev, units), l1, convert_energy(v2_ev, units), l2, r
-        )
+    def from_ev(cls, v1_ev, l1, v2_ev, l2, r):
+        return cls.make(convert_energy(v1_ev), l1, convert_energy(v2_ev), l2, r)
 
     @property
     def v1(self):

@@ -368,3 +368,92 @@ def test_tol_flag_is_refused_where_nothing_reads_it(tmp_path, capsys):
         _run(["scatter", "--config", cfg, "--out", tmp_path / "o", "--tol", "1e-3"])
     assert exit_info.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+def test_format_flag_is_refused_by_resonance(tmp_path, capsys):
+    # resonance writes one JSON report whatever the flag says
+    cfg = _write_config(tmp_path, {"units": "nm^-2", "family": FAMILY_SECTION})
+    with pytest.raises(SystemExit) as exit_info:
+        _run(["resonance", "--config", cfg, "--out", tmp_path / "o", "--format", "csv"])
+    assert exit_info.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "folder-under-file"])
+def test_out_that_cannot_be_a_folder_is_config_error(tmp_path, capsys, below):
+    cfg = _write_config(tmp_path, {"units": "eV", "spec": SPEC_SECTION, "k_grid": [1.0]})
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a folder", encoding="utf-8")
+    out = blocker / "out" if below else blocker
+    assert _run(["scatter", "--config", cfg, "--out", out]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert blocker.read_text(encoding="utf-8") == "not a folder"
+
+
+def test_ev_to_inv_nm2_scales_spec_and_k2_grid(tmp_path):
+    factor = 2.0
+    k2_ev = [0.2, 0.45, 0.8]
+    in_ev = _write_config(
+        tmp_path,
+        {"units": "eV", "ev_to_inv_nm2": factor, "spec": SPEC_SECTION, "k2_grid": k2_ev},
+        name="ev.json",
+    )
+    scaled = {key: SPEC_SECTION[key] * (factor if key in ("v1", "v2") else 1.0)
+              for key in SPEC_SECTION}
+    in_nm = _write_config(
+        tmp_path,
+        {"units": "nm^-2", "spec": scaled, "k2_grid": [factor * e for e in k2_ev]},
+        name="nm.json",
+    )
+    assert _run(["scatter", "--config", in_ev, "--out", tmp_path / "ev"]) == 0
+    assert _run(["scatter", "--config", in_nm, "--out", tmp_path / "nm"]) == 0
+    text = (tmp_path / "ev" / "scatter.csv").read_text()
+    assert text == (tmp_path / "nm" / "scatter.csv").read_text()
+    ks = [float(line.split(",")[0]) for line in text.strip().split("\n")[1:]]
+    assert ks == pytest.approx([np.sqrt(factor * e) for e in k2_ev], rel=1e-15)
+
+
+DIPOLE_FAMILY = {
+    "mu": 1.5, "nu": 1.0, "tau": 1.0,
+    "h1": 1.31232, "h2": -1.31232, "d1": 12.0, "d2": 12.0, "c": 20.0,
+}
+DEEP_SPEC = {"v1": -0.9, "l1": 1.4, "v2": -0.4, "l2": 0.9, "r": 0.5}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, details",
+    [
+        ("scatter", {"spec": SPEC_SECTION, "k_grid": {"start": 0.2, "stop": 2.0, "count": 7}},
+         set()),
+        ("boundstates", {"spec": DEEP_SPEC}, set()),
+        ("boundstates", {"family": {**FAMILY_SECTION, "h1": 0.5, "h2": -0.5},
+                         "eps_grid": [1.0, 0.1], "tol": 0.02}, set()),
+        ("wavefunction", {"spec": DEEP_SPEC, "mode": "bound", "level": 1,
+                          "x_grid": {"start": -2.0, "stop": 5.0, "count": 15}},
+         {"mode", "continuity_defect"}),
+        ("deltaprime", {"family": DIPOLE_FAMILY, "eps_grid": [1e-3, 1e-4],
+                        "test_function": {"kind": "gaussian", "sigma": 3.0}}, set()),
+    ],
+    ids=["scatter", "boundstates-structure", "boundstates-sweep", "wavefunction",
+         "deltaprime"],
+)
+def test_json_format_holds_the_csv_table_and_summary(tmp_path, command, cfg, details):
+    path = _write_config(tmp_path, {"units": "eV", **cfg})
+    out_csv, out_json = tmp_path / "csv", tmp_path / "json"
+    assert _run([command, "--config", path, "--out", out_csv]) == 0
+    assert _run([command, "--config", path, "--out", out_json, "--format", "json"]) == 0
+    assert [p.name for p in out_json.iterdir()] == [f"{command}.json"]
+    payload = json.loads((out_json / f"{command}.json").read_text())
+
+    lines = (out_csv / f"{command}.csv").read_text().strip().split("\n")
+    assert payload.pop("columns") == lines[0].split(",")
+    parsed = [[float(c) if c else None for c in line.split(",")] for line in lines[1:]]
+    assert payload.pop("rows") == parsed
+    assert len(parsed) > 1
+
+    # the CSV-mode summary, where the command writes one, carries spec_version
+    summary_path = out_csv / f"{command}.json"
+    summary = json.loads(summary_path.read_text()) if summary_path.exists() else {}
+    assert payload.pop("spec_version") == summary.pop("spec_version", 1) == 1
+    assert set(payload) - set(summary) == details
+    assert {key: payload[key] for key in summary} == summary

@@ -7,7 +7,6 @@ import pytest
 import bilayer1d
 from bilayer1d import (
     DoubleLayerSpec,
-    UnitSystem,
     Wavenumber,
     as_wavenumber,
     convert_energy,
@@ -20,11 +19,6 @@ def test_energy_conversion_constant():
     assert EV_TO_INV_NM2 == 2.62464
     assert convert_energy(1.0) == 2.62464
     assert convert_energy(-0.5) == -1.31232
-
-
-def test_energy_conversion_with_custom_system():
-    system = UnitSystem(ev_to_inv_nm2=2.0)
-    assert convert_energy(3.0, system) == 6.0
 
 
 def test_from_ev_equals_make_with_converted_depths():
