@@ -185,8 +185,13 @@ def _phase(spec, kappa):
 
 
 def _count(spec, kappa):
-    """N(kappa): the number of levels with decay rate at least kappa."""
-    return math.floor(_phase(spec, kappa) / math.pi) + 1
+    """N(kappa): the number of levels with decay rate at least kappa.
+
+    At kappa = 0 a zero-energy state, G = j * pi, is a threshold
+    resonance and not a level, so N(0) counts the levels with kappa > 0.
+    """
+    g = _phase(spec, kappa) / math.pi
+    return math.ceil(g) if kappa == 0.0 else math.floor(g) + 1
 
 
 def _levels(spec, lo, hi):

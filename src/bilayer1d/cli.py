@@ -67,6 +67,8 @@ def _scale(cfg):
     if units not in ("eV", "nm^-2"):
         raise ConfigError(f'units must be "eV" or "nm^-2", got {units!r}')
     factor = _number(cfg, "ev_to_inv_nm2", EV_TO_INV_NM2)
+    if factor <= 0.0:
+        raise ConfigError(f"ev_to_inv_nm2 must be positive, got {factor!r}")
     return factor if units == "eV" else 1.0
 
 
@@ -342,7 +344,7 @@ def _cmd_scatter(args, cfg):
 
 def _cmd_boundstates(args, cfg):
     tol = _tol(args, cfg)
-    if "family" in cfg and "spec" not in cfg:
+    if cfg.get("family") is not None and cfg.get("spec") is None:
         family = _section(cfg, "family")
         result = sweep_ladder(family, _eps_grid_of(cfg), tol=tol)
         ladders = zip(result.eps, result.ladders)

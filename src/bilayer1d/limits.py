@@ -1,29 +1,27 @@
-"""Zero-width limit of the two-layer structure: resonance data and the
-resulting point interaction.
+"""Zero-width limit of the two-layer structure: one eps-expansion of the
+zero-energy propagator, and the point interaction it leaves.
 
-When the structure is squeezed, finitely many characteristics survive:
-the layer phases sigma_j (real for wells, imaginary for barriers) and
-one scaling coefficient per layer.  Two distinct cancellation routes
-lead to a nontrivial limit:
+At zero energy a slab of potential v and width l carries (psi, psi') by
 
-* the "first" route balances the gap against the layers; the limit is a
-  k-independent connection (psi and psi' each rescale),
-* the "second" route balances the two layers against each other; the
-  connection picks up an extra psi term with coefficient alpha, and can
-  carry a single bound level.  alpha is the limit of the zero-energy
-  entry M21.  When both layers are thin (label G00), alpha holds the gap
-  term beta1*beta2 plus alpha_thin, the second-order term from inside
-  each layer whose eps power is zero.  A negative power leaves no
-  finite alpha on resonance, and theta_alpha refuses it there.
+    [[C, l S], [v l S, C]],   C = cos_sqrt(-v l^2),  S = sinc_sqrt(-v l^2),
 
-Each layer enters through one pair (c_j, s_j): (cos sigma_j,
-coef_j * sin sigma_j) for a thick layer and (1, eta_j or beta_j) for a
-thin one; each route forms its expressions from the two pairs.  Off
-resonance the limit is a pair of separated half lines (Dirichlet).
+and a gap of width r by [[1, r], [0, 1]].  Along a squeezing family v, l
+and r are constants times powers of eps, so every entry of the product
+M = M2 G M1 is a finite sum of terms c * eps**p up to any order.  A thick
+slab, whose v l^2 does not depend on eps, keeps C and S exactly; a thin
+one, whose v l^2 = w tends to 0, enters through the series
+C = sum w**n / (2n)! and S = sum w**n / (2n + 1)!.  Collected by power,
+the entries decide the limit, at powers that the caller works out from
+the family's exponents:
 
-All cosine and sine factors are evaluated through the squared-argument
-kernels so that the barrier case (imaginary sigma) stays in real
-arithmetic: coef * sin(sigma) = (coef * sigma) * sinc_sqrt(sigma^2).
+* the coefficient of the most negative power of M21 is the resonance
+  residual; off resonance M21 diverges and the limit is two separated
+  (Dirichlet) half lines;
+* on resonance, theta = M11 and alpha = M21 at eps**0 connect psi and
+  psi' across the point by [[theta, 0], [alpha, 1/theta]], which carries
+  the bound level kappa = -alpha / (theta + 1/theta) when it is positive;
+* any other negative power that survives on resonance leaves no finite
+  limit.
 """
 
 from dataclasses import dataclass
@@ -33,158 +31,115 @@ import numpy as np
 from .core import as_wavenumber
 from .kernels import cos_sqrt, sinc_sqrt
 
-LABELS = ("G11", "G01", "G10", "G00")
-
-
-class OffResonanceError(ValueError):
-    """Raised when allegedly equivalent limit expressions disagree."""
-
-    def __init__(self, message, spread):
-        super().__init__(message)
-        self.spread = spread
+#: tolerance used when comparing exponents against the critical surfaces,
+#: and eps powers against each other
+EQUALITY_TOL = 1e-12
+#: most terms of a thin-slab series, which needs about 2(mu - 1)/q terms
+#: for a slab whose v l^2 goes like eps**q
+MAX_TERMS = 400
+#: entry indices of a collected M, row-major
+M11, M12, M21, M22 = range(4)
 
 
 class DivergentLimitError(ValueError):
-    """The requested squeezing limit has no finite characteristics."""
+    """The requested squeezing limit is not finite.
+
+    characteristic names what diverges: a characteristic of the paper for
+    exponents off both routes, or the eps power that M keeps on resonance.
+    """
 
     def __init__(self, message, characteristic=None):
         super().__init__(message)
         self.characteristic = characteristic
 
 
-@dataclass(frozen=True)
-class LimitChars:
-    """Surviving characteristics of a squeezed family.
+def slab_series(h, d, p_v, p_l, thick, cut):
+    """Zero-energy propagator of a slab with v = h eps**-p_v, l = d eps**p_l.
 
-    label records which layer phases are nonzero ("G11": both, "G01":
-    only sigma2, "G10": only sigma1, "G00": neither).  First-route
-    coefficients are f (with sigma != 0) or eta (with sigma = 0); the
-    second route uses g respectively beta.  Only the fields of the
-    route in use need to be populated.  alpha_thin is the part of alpha
-    that comes from inside two thin layers; the second route needs it
-    for G00, where alpha = beta1*beta2 + alpha_thin.  divergent names a
-    thin-layer term with a negative eps power ("layer1" or "layer2"), if
-    any.  Off resonance it does not matter, as the limit is separated;
-    on resonance theta_alpha raises DivergentLimitError for it.
+    Returns (powers, coefficients) of eps, two arrays of shape (2, 2, n)
+    that hold n terms of each entry.  v l^2 = h d^2 eps**q with
+    q = 2 p_l - p_v: a thick slab (q = 0) keeps C and S exactly, a thin
+    one (q > 0) gets the terms of their series up to power cut in the
+    entry v l S, whose leading power p_l - p_v is the lowest.
     """
-
-    label: str
-    sigma1: complex = 0.0
-    sigma2: complex = 0.0
-    f1: complex = None
-    f2: complex = None
-    eta1: float = None
-    eta2: float = None
-    g1: complex = None
-    g2: complex = None
-    beta1: float = None
-    beta2: float = None
-    alpha_thin: float = None
-    divergent: str = None
-
-    def __post_init__(self):
-        if self.label not in LABELS:
-            raise ValueError(f"unknown label {self.label!r}")
-        for j, sigma in ((1, self.sigma1), (2, self.sigma2)):
-            s = complex(sigma)
-            if abs(s.real) > 0 and abs(s.imag) > 0:
-                raise ValueError(
-                    f"sigma{j} must be real or purely imaginary, got {s!r}"
-                )
-            expect_zero = self.label[j] == "0"
-            if expect_zero != (s == 0):
-                raise ValueError(
-                    f"label {self.label} inconsistent with sigma{j} = {s!r}"
-                )
-
-
-def _need(value, name):
-    if value is None:
-        raise ValueError(f"characteristic {name} is required but absent")
-    return value
-
-
-@dataclass(frozen=True)
-class ThetaAlpha:
-    """Connection strength theta (and alpha on the second route), with
-    the relative spread of the equivalent defining expressions."""
-
-    theta: float
-    alpha: float
-    way: str
-    spread: float
-
-
-def _layer_pairs(chars, way):
-    """One (c_j, s_j) pair per layer: (cos sigma, coef * sin sigma) for a
-    thick layer, with coef f_j (first route) or g_j (second), and
-    (1, eta_j or beta_j) for a thin one."""
-    coef, thin = ("f", "eta") if way == "first" else ("g", "beta")
-    pairs = []
-    for j, sigma in ((1, chars.sigma1), (2, chars.sigma2)):
-        if chars.label[j] == "1":
-            w = (complex(sigma) ** 2).real
-            # coef * sigma must be real: both factors real or both imaginary
-            p = complex(getattr(chars, f"{coef}{j}")) * complex(sigma)
-            if abs(p.imag) > 1e-12 * max(1.0, abs(p.real)):
-                raise ValueError(f"{coef}{j}*sigma{j} came out non-real: {p!r}")
-            pairs.append((cos_sqrt(w), p.real * sinc_sqrt(w)))
-        else:
-            pairs.append((1.0, _need(getattr(chars, f"{thin}{j}"), f"{thin}{j}")))
-    return pairs
-
-
-def theta_alpha(chars, way, spread_tol=1e-9):
-    """Evaluate the connection strength from the surviving characteristics.
-
-    With the layer pairs (c_j, s_j) of _layer_pairs, theta is
-    (c1 - s1)/c2 = c1/(c2 - s2) = -s1/s2 on the first route and
-    c1/c2 = -s1/s2 on the second, where alpha = s1*s2 (plus alpha_thin
-    for two thin layers, label G00); alpha is 0 on the first route.
-    Every expression with a nonzero denominator is evaluated; their mean
-    is returned and the relative spread must stay below spread_tol
-    (raise OffResonanceError otherwise).  Once the expressions agree, a
-    divergent characteristic of chars raises DivergentLimitError.
-    """
-    if way not in ("first", "second"):
-        raise ValueError(f"way must be 'first' or 'second', got {way!r}")
-    (c1, s1), (c2, s2) = _layer_pairs(chars, way)
-    if way == "first":
-        pairs = [(c1 - s1, c2), (c1, c2 - s2), (-s1, s2)]
-        alpha = 0.0
+    w = h * d * d
+    if thick:
+        q, even, odd = 0.0, np.array([cos_sqrt(-w)]), np.array([sinc_sqrt(-w)])
     else:
-        pairs = [(c1, c2), (-s1, s2)]
-        alpha = s1 * s2
-        if chars.label == "G00":
-            alpha += _need(chars.alpha_thin, "alpha_thin")
-    values = [num / den for num, den in pairs if den != 0.0]
-    if not values:
-        raise ValueError("all defining expressions are degenerate (0/0)")
-    mean = float(np.mean(values))
-    spread = max(abs(v - mean) for v in values) / max(abs(mean), 1e-300)
-    if spread > spread_tol:
-        raise OffResonanceError(
-            f"limit expressions disagree (relative spread {spread:.3e}); "
-            "the family is off resonance at this tolerance",
-            spread,
-        )
-    if mean == 0.0:
-        raise ValueError("connection strength came out zero")
-    if chars.divergent is not None:
-        raise DivergentLimitError(
-            f"on resonance the {chars.divergent} term of alpha diverges, "
-            "so the squeezing limit has no finite alpha",
-            chars.divergent,
-        )
-    return ThetaAlpha(mean, alpha, way, spread)
+        q = 2.0 * p_l - p_v
+        count = int((cut - p_l + p_v) / q) + 1
+        if count > MAX_TERMS:
+            raise ValueError(
+                f"a thin slab with v l^2 ~ eps**{q:g} needs {count} series "
+                f"terms, more than {MAX_TERMS}"
+            )
+        n = np.arange(1, count)
+        even = np.cumprod(np.concatenate(([1.0], w / ((2 * n - 1) * (2 * n)))))
+        odd = np.cumprod(np.concatenate(([1.0], w / ((2 * n) * (2 * n + 1)))))
+    series = q * np.arange(even.size)
+    powers = np.array([[series, series + p_l], [series + p_l - p_v, series]])
+    return powers, np.array([[even, d * odd], [h * d * odd, even]])
+
+
+def propagator_series(slab1, slab2, c, tau):
+    """M = M2 G M1 collected by eps power, G the gap c * eps**tau.
+
+    M_ij = M2_i1 M1_1j + M2_i2 M1_2j + c eps**tau M2_i1 M1_2j.  Returns
+    three arrays (entry, power, coefficient), one row per power <= 0 of an
+    entry (M11, M12, M21 or M22), ascending; powers equal to EQUALITY_TOL
+    are merged, and higher powers, which vanish in the limit, dropped.
+    """
+    (p1, k1), (p2, k2) = slab1, slab2
+    powers, coefs = [], []
+    # (column of M2, row of M1, eps power, factor) of the three products
+    for a, b, shift, scale in ((0, 0, 0.0, 1.0), (1, 1, 0.0, 1.0), (0, 1, tau, c)):
+        # axes (i, j, term of M2_ia, term of M1_bj), then (entry, term)
+        power = p2[:, a, None, :, None] + p1[None, b, :, None, :] + shift
+        coef = k2[:, a, None, :, None] * k1[None, b, :, None, :] * scale
+        powers.append(power.reshape(4, -1))
+        coefs.append(coef.reshape(4, -1))
+    powers = np.concatenate(powers, axis=1)
+    entry = np.repeat(np.arange(4), powers.shape[1])
+    powers, coefs = powers.ravel(), np.concatenate(coefs, axis=1).ravel()
+    keep = powers <= EQUALITY_TOL
+    order = np.lexsort((powers[keep], entry[keep]))
+    entry, powers, coefs = entry[keep][order], powers[keep][order], coefs[keep][order]
+    starts = np.flatnonzero(
+        (np.diff(entry, prepend=-1) != 0)
+        | (np.diff(powers, prepend=-np.inf) > EQUALITY_TOL)
+    )
+    return entry[starts], powers[starts], np.add.reduceat(coefs, starts)
+
+
+def coefficient(m, entry, power):
+    """Coefficient of eps**power in an entry of a collected M (0 if absent)."""
+    entries, powers, coefs = m
+    at = (entries == entry) & (np.abs(powers - power) <= EQUALITY_TOL)
+    return float(coefs[at].sum())
+
+
+def divergent_term(m, residual_power, tol):
+    """(entry name, power, coefficient) of the most negative power of M,
+    other than the residual's in M21, whose coefficient exceeds tol; or
+    None."""
+    entries, powers, coefs = m
+    residual = (entries == M21) & (np.abs(powers - residual_power) <= EQUALITY_TOL)
+    hits = np.flatnonzero(
+        (powers < -EQUALITY_TOL) & (np.abs(coefs) > tol) & ~residual
+    )
+    if not hits.size:
+        return None
+    k = hits[np.argmin(powers[hits])]
+    return ("M11", "M12", "M21", "M22")[entries[k]], float(powers[k]), float(coefs[k])
 
 
 @dataclass(frozen=True)
 class SqueezedInteraction:
     """Point interaction obtained in the squeezing limit.
 
-    kind is "X" (first route, k-independent amplitudes), "Y" (second
-    route) or "separated" (off resonance, two Dirichlet half lines).
+    kind is "X" (first route), "Y" (second route) or "separated" (off
+    resonance, two Dirichlet half lines).  Both routes connect
+    (psi, psi') by [[theta, 0], [alpha, 1/theta]].
     """
 
     kind: str
@@ -200,13 +155,8 @@ class SqueezedInteraction:
         if self.kind == "separated":
             raise ValueError("separated limit has no finite amplitudes")
         th = self.theta
-        even = 0.5 * (th + 1.0 / th)
-        odd = 0.5 * (th - 1.0 / th)
-        if self.kind == "X":
-            return complex(even), complex(odd)
-        kc = as_wavenumber(k).k
-        shift = 0.5j * self.alpha / kc
-        return even + shift, odd - shift
+        shift = 0.5j * self.alpha / as_wavenumber(k).k
+        return 0.5 * (th + 1.0 / th) + shift, 0.5 * (th - 1.0 / th) - shift
 
     def transmission(self, k):
         if self.kind == "separated":
@@ -221,24 +171,12 @@ class SqueezedInteraction:
                 "separated limit: psi(+0) = psi(-0) = 0, no finite "
                 "connection matrix exists"
             )
-        alpha = self.alpha if self.kind == "Y" else 0.0
-        return np.array(
-            [[self.theta, 0.0], [alpha, 1.0 / self.theta]]
-        )
+        return np.array([[self.theta, 0.0], [self.alpha, 1.0 / self.theta]])
 
-
-def squeezed_bound_level(ta):
-    """Bound level of the second-route interaction.
-
-    kappa = -alpha / (theta + 1/theta), with alpha including any thin-
-    layer term of the characteristics; returns None when that is not
-    positive (no bound state).  First-route input is rejected: that
-    interaction carries no bound level.
-    """
-    if ta.way != "second":
-        raise ValueError("bound level exists only on the second route")
-    denom = ta.theta + 1.0 / ta.theta
-    if abs(denom) < 1e-300:
-        raise ValueError("degenerate connection: theta + 1/theta = 0")
-    kappa = -ta.alpha / denom
-    return kappa if kappa > 0.0 else None
+    def bound_level(self):
+        """kappa = -alpha / (theta + 1/theta), or None when that is not
+        positive (no bound state) or the limit is separated."""
+        if self.kind == "separated":
+            return None
+        kappa = -self.alpha / (self.theta + 1.0 / self.theta)
+        return kappa if kappa > 0.0 else None

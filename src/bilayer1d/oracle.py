@@ -238,3 +238,36 @@ def level_count(spec, kappa):
             return zeros + int(psi * dpsi < 0)
         grow, decay = psi * kappa + dpsi, psi * kappa - dpsi
         return zeros + int(grow * decay < 0 and abs(decay) > abs(grow))
+
+
+def squeezed_matrix(family, j):
+    """Zero-energy transfer matrix of a squeeze family at eps = 10**-j.
+
+    The product M2 G M1 of the exact slab matrices
+    [[cosh(k l), sinh(k l)/k], [k sinh(k l), cosh(k l)]], k = sqrt(v),
+    and the gap [[1, r], [0, 1]], with v, l and r realized from the
+    family's exponents in mpmath.  M21 is a difference of terms that grow
+    like eps**(1 - mu), so the working precision grows with j: 40 + 4j
+    digits.  As j grows, the result tends to the limiting connection
+    matrix [[theta, 0], [alpha, 1/theta]], or grows where there is none.
+    Returns a real 2x2 float array.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40 + 4 * j):
+        eps = mp.mpf(10) ** -j
+
+        def slab(h, d, p_v, p_l):
+            v = mp.mpf(h) * eps ** -mp.mpf(p_v)
+            length = mp.mpf(d) * eps ** mp.mpf(p_l)
+            kl = mp.sqrt(mp.mpc(v)) * length
+            shc = mp.sinh(kl) / kl if kl != 0 else mp.mpf(1)
+            return mp.matrix(
+                [[mp.cosh(kl), length * shc], [v * length * shc, mp.cosh(kl)]]
+            )
+
+        mu, nu = family.mu, family.nu
+        gap = mp.matrix([[1, mp.mpf(family.c) * eps ** mp.mpf(family.tau)], [0, 1]])
+        m = (slab(family.h2, family.d2, nu, 1.0 - mu + nu) * gap
+             * slab(family.h1, family.d1, mu, 1.0))
+        return np.array([[float(mp.re(m[i, k])) for k in (0, 1)] for i in (0, 1)])

@@ -11,22 +11,20 @@ finite.  With squeeze parameter eps in (0, 1]:
 (h in nm^-2, d and c in nm).  Depending on where (mu, nu, tau) sits
 relative to two critical surfaces, the limit is a point interaction, a
 pure jump, or no interaction at all.  This module classifies the
-exponents, extracts the finite characteristics, evaluates the resonance
-conditions, follows bound ladders along eps sweeps, and computes the
-distributional pairing with its derivative-jump strength.
+exponents, computes the limit from the eps-expansion of the zero-energy
+propagator (see limits), follows bound ladders along eps sweeps, and
+computes the distributional pairing with its derivative-jump strength.
 
 Both angles need mu in (1, 2] and nu >= 2(mu - 1); the first needs
 tau >= mu - 1, the second tau >= 2(mu - 1).  Inside an angle three edge
 flags fix the region label: mu = 2, nu on its edge 2(mu - 1), and tau on
 its edge.  One letter table of the flags (P for all three, then N L O K
 Q S, and I for none) gives the letter, and the angle digit follows.  A
-layer is thick, keeping its phase sigma_j, when its flag is set (mu for
-layer 1, nu for layer 2); LimitChars records this as G<mu flag><nu flag>,
-and every per-layer quantity has one rule for a thick and one for a thin
-layer.
+finite limit needs a route: the second angle, or tau on the first
+angle's edge.  There a layer is thick, v l^2 not depending on eps, when
+its flag is set (mu for layer 1, nu for layer 2), and thin otherwise.
 """
 
-import cmath
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -36,18 +34,19 @@ import numpy as np
 
 from .bound import build_chi_problem, find_roots
 from .core import DoubleLayerSpec
-from .kernels import cos_sqrt, sinc_sqrt, tanc_sqrt
 from .limits import (
+    EQUALITY_TOL,
+    M11,
+    M21,
+    M22,
     DivergentLimitError,
-    LimitChars,
-    OffResonanceError,
     SqueezedInteraction,
-    squeezed_bound_level,
-    theta_alpha,
+    coefficient,
+    divergent_term,
+    propagator_series,
+    slab_series,
 )
 
-#: tolerance used when comparing exponents against the critical surfaces
-EQUALITY_TOL = 1e-12
 #: relative tolerance of the zero-mean balance h1*d1 + h2*d2 = 0
 BALANCE_TOL = 1e-9
 
@@ -169,12 +168,17 @@ def classify_region(mu, nu, tau):
 
 
 # ---------------------------------------------------------------------------
-# Surviving characteristics
+# The limit from the eps-expansion
 # ---------------------------------------------------------------------------
 
 
 def _blocking_characteristic(mu, nu, tau):
-    """Name the first characteristic that blows up for these exponents."""
+    """Name the first characteristic that blows up for these exponents.
+
+    The names are the paper's: the layer phases sigma_j, and the
+    coefficients f_1 or eta_1 of the first route and g_1 or beta_1 of the
+    second, for a thick or a thin layer 1.
+    """
     if 1.0 - mu / 2.0 < -EQUALITY_TOL:
         return "sigma1"
     if 1.0 - mu + nu / 2.0 < -EQUALITY_TOL:
@@ -183,45 +187,6 @@ def _blocking_characteristic(mu, nu, tau):
     if tau < mu - 1.0 - EQUALITY_TOL:
         return "f1" if sigma1_on else "eta1"
     return "g1" if sigma1_on else "beta1"
-
-
-def _power_value(power, value, name):
-    """Value of a characteristic with the given eps power (0 if positive)."""
-    if power < -EQUALITY_TOL:
-        raise DivergentLimitError(
-            f"characteristic {name} diverges like eps**({power:g})", name
-        )
-    if power <= EQUALITY_TOL:
-        return value
-    return value * 0.0
-
-
-def _thin_layer_alpha(family):
-    """Second-order terms of two thin layers in the zero-energy entry M21.
-
-    With s_j = v_j l_j, a thin layer propagates (psi, psi') by
-    [[1 + s l/2, l], [s + s**2 l/6, 1 + s l/2]] + o(1), so besides the
-    gap term s1 s2 r the product carries, for layer j with partner i,
-    s_j l_j (s_j/6 + s_i/2).  In the family's variables these are
-    d1 h1 d1 (h1 d1 + 3 h2 d2)/6 * eps**(3 - 2 mu) and
-    d2 h2 d2 (h2 d2 + 3 h1 d1)/6 * eps**(3 - 3 mu + nu).  Returns
-    (alpha_thin, divergent): the sum of the terms with power zero, and
-    "layer1" or "layer2" for the first term with a negative power (None
-    if there is none).
-    """
-    p1 = family.h1 * family.d1
-    p2 = family.h2 * family.d2
-    alpha_thin = 0.0
-    divergent = None
-    for name, power, d, p, partner in (
-        ("layer1", 3.0 - 2.0 * family.mu, family.d1, p1, p2),
-        ("layer2", 3.0 - 3.0 * family.mu + family.nu, family.d2, p2, p1),
-    ):
-        if power < -EQUALITY_TOL:
-            divergent = divergent or name
-        elif power <= EQUALITY_TOL:
-            alpha_thin += d * p * (p + 3.0 * partner) / 6.0
-    return alpha_thin, divergent
 
 
 def _route(family):
@@ -242,33 +207,14 @@ def _route(family):
     return None, None
 
 
-def _layers(family, flags):
-    """(j, h_j, d_j, exponent mu or nu, thick) of both layers."""
-    return (
-        (1, family.h1, family.d1, family.mu, flags[0]),
-        (2, family.h2, family.d2, family.nu, flags[1]),
-    )
-
-
-def limit_chars_of(family):
-    """Surviving characteristics and the route they belong to.
-
-    Returns (way, LimitChars) with way "second" inside the second angle
-    and "first" on the tau = mu - 1 surface of the first angle; raises
-    DivergentLimitError elsewhere, naming the offending characteristic.
-    Each layer gets sigma_j (zero unless thick), then eta_j and, if
-    thick, f_j on the first route, or g_j if thick and beta_j if thin
-    on the second.
-
-    With both layers thin on the second route (labels S2 and I2, LimitChars
-    label G00), alpha gets, besides the gap term beta1*beta2, the second-
-    order term of each thin layer (see _thin_layer_alpha), kept in
-    alpha_thin.  The layer-1 term survives at mu = 3/2, the layer-2 term
-    at nu = 3(mu - 1).  For mu > 3/2 or nu < 3(mu - 1) the term diverges:
-    LimitChars.divergent then names "layer1" or "layer2", and theta_alpha
-    refuses the family on resonance.  Off resonance the net strength
-    (h1 d1 + h2 d2) eps**(1 - mu) outgrows that term, so the limit stays
-    separated.
+def _expansion(family):
+    """Route and the entries of the zero-energy M = M2 G M1 at eps powers
+    <= 0 (see limits).  Layer 1 has v = h1 eps**-mu and l = d1 eps, layer
+    2 v = h2 eps**-nu and l = d2 eps**(1 - mu + nu).  Both series are cut
+    at power mu - 1: the rest of any product term is at least
+    eps**(1 - mu), so no higher term reaches eps**0.  Raises
+    DivergentLimitError off the two routes, naming the first
+    characteristic that blows up.
     """
     mu, nu, tau = family.mu, family.nu, family.tau
     way, flags = _route(family)
@@ -280,63 +226,20 @@ def limit_chars_of(family):
             f"characteristic {name} has no finite limit",
             name,
         )
-
-    c = family.c
-    kwargs = {}
-    for j, h, d, p, thick in _layers(family, flags):
-        root = cmath.sqrt(complex(-h))
-        kwargs[f"sigma{j}"] = root * d if thick else 0.0
-        if way == "first":
-            kwargs[f"eta{j}"] = -h * d * c
-            if thick:
-                kwargs[f"f{j}"] = _power_value(tau - p / 2.0, root * c, f"f{j}")
-        elif thick:
-            kwargs[f"g{j}"] = _power_value(
-                (tau - p) / 2.0, cmath.sqrt(complex(-h * c)), f"g{j}"
-            )
-        else:
-            kwargs[f"beta{j}"] = _power_value(
-                1.0 - mu + tau / 2.0, -h * d * math.sqrt(c), f"beta{j}"
-            )
-    if way == "second" and not (flags[0] or flags[1]):
-        kwargs["alpha_thin"], kwargs["divergent"] = _thin_layer_alpha(family)
-    return way, LimitChars(f"G{flags[0]:d}{flags[1]:d}", **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# Resonance conditions on the critical surfaces
-# ---------------------------------------------------------------------------
+    cut = mu - 1.0
+    slab1 = slab_series(family.h1, family.d1, mu, 1.0, flags[0], cut)
+    slab2 = slab_series(family.h2, family.d2, nu, 1.0 - mu + nu, flags[1], cut)
+    return way, propagator_series(slab1, slab2, family.c, tau)
 
 
 def resonance_residual_of(family):
-    """Residual of the exact resonance condition for the family.
-
-    Inside the second angle the condition couples h_j d_j tan-type
-    factors (residual in nm^-1); on the tau = mu - 1 surface of the
-    first angle it couples the inverse products and the gap prefactor
-    (residual in nm).  Zero residual means the squeezed limit supports a
+    """Resonance residual of the family: the coefficient of eps**(1 - mu),
+    the most negative power, in the zero-energy entry M21 (nm^-1 on both
+    routes).  Zero residual means the squeezed limit supports a
     nontrivial interaction.
     """
-    way, flags = _route(family)
-    if way is None:
-        raise ValueError(
-            "no resonance condition away from the two critical surfaces "
-            f"(exponents ({family.mu:g}, {family.nu:g}, {family.tau:g}))"
-        )
-    terms = []
-    for _, h, d, _, thick in _layers(family, flags):
-        w = -h * d**2
-        if way == "first":
-            terms.append(
-                cos_sqrt(w) / (h * d * sinc_sqrt(w)) if thick else 1.0 / (h * d)
-            )
-        elif thick:
-            terms.append(-h * d * tanc_sqrt(w))
-        else:
-            # +h d is the sign fault K2 (test_k2_family_is_on_resonance)
-            terms.append(h * d)
-    t1, t2 = terms
-    return t1 + t2 if way == "second" else -t1 - t2 - family.c
+    _, m = _expansion(family)
+    return coefficient(m, M21, 1.0 - family.mu)
 
 
 @dataclass(frozen=True)
@@ -358,39 +261,43 @@ class InteractionReport:
 def interaction_limit(family, res_tol=1e-9, spread_tol=1e-9):
     """Classify the squeezed limit of a family as X, Y or separated.
 
-    res_tol is an absolute bound on the resonance residual; spread_tol
-    bounds the relative disagreement of the equivalent connection-
-    strength expressions.  Off resonance the verdict is "separated"
-    (perfectly reflecting limit).  When both layers are thin on the
-    second route (S2, I2), alpha and kappa_limit include each thin
-    layer's second-order term.  Where such a term diverges (mu > 3/2 or
-    nu < 3(mu - 1)) a family on resonance raises DivergentLimitError
-    naming "layer1" or "layer2"; off resonance it is "separated".
+    The verdict names the route on resonance, X for the first and Y for
+    the second; off resonance it is "separated" (perfectly reflecting
+    limit).  res_tol is an absolute bound on the resonance residual
+    (resonance_residual_of).  On resonance theta and alpha are the eps**0
+    coefficients of M11 and M21, and spread = |theta * M22 - 1| at
+    eps**0, the defect of det M = 1, must stay within spread_tol.  A
+    family on resonance whose M keeps another negative power with a
+    coefficient above res_tol raises DivergentLimitError naming that
+    power.
     """
     region = classify_region(family.mu, family.nu, family.tau)
-    way, chars = limit_chars_of(family)
-    residual = resonance_residual_of(family)
+    way, m = _expansion(family)
+    residual_power = 1.0 - family.mu
+    residual = coefficient(m, M21, residual_power)
 
     verdict = "separated"
     spread = math.inf
     theta = math.nan
     alpha = math.nan
-    kappa_limit = None
     interaction = SqueezedInteraction.separated()
 
     if abs(residual) <= res_tol:
-        try:
-            ta = theta_alpha(chars, way, spread_tol=spread_tol)
-        except OffResonanceError as err:
-            spread = err.spread
-        else:
-            spread = ta.spread
-            theta = ta.theta
-            alpha = ta.alpha
+        term = divergent_term(m, residual_power, res_tol)
+        if term is not None:
+            name, power, coef = term
+            raise DivergentLimitError(
+                f"on resonance {name} keeps the term {coef:.6g} * "
+                f"eps**({power:g}), so the squeezing limit is not finite",
+                f"eps**({power:g})",
+            )
+        m11 = coefficient(m, M11, 0.0)
+        spread = abs(m11 * coefficient(m, M22, 0.0) - 1.0)
+        if spread <= spread_tol:
+            theta = m11
+            alpha = coefficient(m, M21, 0.0)
             verdict = "X" if way == "first" else "Y"
-            interaction = SqueezedInteraction(verdict, ta.theta, ta.alpha)
-            if way == "second":
-                kappa_limit = squeezed_bound_level(ta)
+            interaction = SqueezedInteraction(verdict, theta, alpha)
     return InteractionReport(
         family,
         region,
@@ -400,7 +307,7 @@ def interaction_limit(family, res_tol=1e-9, spread_tol=1e-9):
         spread,
         theta,
         alpha,
-        kappa_limit,
+        interaction.bound_level(),
         interaction,
     )
 
@@ -486,10 +393,13 @@ def sweep_ladder(
     scenario records what the ladder does as eps -> 0:
 
     - "shallowest_survives": the lowest level converges to the limiting
-      interaction level, the rest escape (reference-depth exponent 0);
-    - "deepest_survives": the top level converges, driven by the
-      deepening reference well;
-    - "levels_dissolve": first-route limit, no bound level survives;
+      interaction level, the rest escape (reference-depth exponent 0, or
+      the first route, whose gap shrinks like the inverse strength of a
+      thin layer, so that the pair's other levels escape);
+    - "deepest_survives": on the second route, the top level converges,
+      driven by the deepening reference well;
+    - "levels_dissolve": a finite limit without a bound level, so no
+      level survives;
     - "separated": off resonance, every level escapes to infinity.
     """
     if eps_grid is None:
@@ -501,19 +411,16 @@ def sweep_ladder(
     branch = forced_branch(family)
     report = interaction_limit(family, res_tol=tol, spread_tol=tol)
 
-    if report.verdict == "Y":
-        if branch == 1:
-            depth_exp = 1.0 - family.mu / 2.0
-        else:
-            depth_exp = 1.0 - family.mu + family.nu / 2.0
-        if depth_exp > EQUALITY_TOL:
-            scenario = "deepest_survives"
-        else:
-            scenario = "shallowest_survives"
-    elif report.verdict == "X":
-        scenario = "levels_dissolve"
+    if branch == 1:
+        depth_exp = 1.0 - family.mu / 2.0
     else:
-        scenario = "separated"
+        depth_exp = 1.0 - family.mu + family.nu / 2.0
+    if report.kappa_limit is None:
+        scenario = "separated" if report.verdict == "separated" else "levels_dissolve"
+    elif report.verdict == "Y" and depth_exp > EQUALITY_TOL:
+        scenario = "deepest_survives"
+    else:
+        scenario = "shallowest_survives"
 
     def ladder_at(e):
         spec = realize(family, e)

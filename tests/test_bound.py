@@ -63,6 +63,24 @@ def test_single_layer_reduces_to_textbook_well():
         assert np.max(np.abs(got - reference)) < 1e-9
 
 
+def test_threshold_state_is_not_a_level():
+    # a well of depth pi^2 and width 1 has a zero-energy state, psi = cos(pi x)
+    # inside; its one level is the textbook kappa
+    spec = DoubleLayerSpec.make(-np.pi**2, 1.0, 0.0, 0.0, 0.0)
+    ladder = find_roots(build_chi_problem(spec))
+    assert level_count(spec, 0.0) == 1
+    assert ladder.kappas == pytest.approx(single_well_kappas(np.pi**2, 1.0), rel=1e-12)
+    assert verify_ladder(spec, ladder).ok
+    # the P1 family on resonance has theta = -1, alpha = 0: its limit sits at
+    # threshold, and its realizations have a zero-energy state in floats
+    family = SqueezeFamily(2.0, 2.0, 1.0, -1.31232, -1.31232, 1.0, 1.0, 0.7906339860469415)
+    for eps in (1e-2, 1e-6, 1e-8):
+        spec = realize(family, eps)
+        ladder = find_roots(build_chi_problem(spec))
+        assert np.all(ladder.kappas > 0.0)
+        assert verify_ladder(spec, ladder).ok
+
+
 def test_ladders_match_direct_integration():
     rng = np.random.default_rng(21)
     compared = 0

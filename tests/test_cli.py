@@ -250,6 +250,29 @@ def test_bad_units_is_config_error(tmp_path):
     assert _run(["scatter", "--config", cfg, "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("factor", [0.0, -2.0])
+def test_non_positive_ev_to_inv_nm2_is_config_error(tmp_path, capsys, factor):
+    # a negative factor would turn the barrier into a well and back
+    cfg = _write_config(
+        tmp_path,
+        {"units": "eV", "ev_to_inv_nm2": factor, "spec": SPEC_SECTION, "k_grid": [1.0]},
+    )
+    assert _run(["scatter", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_boundstates_null_spec_runs_the_family_sweep(tmp_path):
+    cfg = _write_config(
+        tmp_path,
+        {"units": "eV", "spec": None, "family": FAMILY_SECTION, "eps_grid": [1.0]},
+    )
+    out = tmp_path / "o"
+    assert _run(["boundstates", "--config", cfg, "--out", out]) == 0
+    summary = json.loads((out / "boundstates.json").read_text())
+    assert summary["region"] == "P2"
+    assert summary["eps"] == [1.0]
+
+
 def test_divergent_family_is_domain_error(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

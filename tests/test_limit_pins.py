@@ -1,28 +1,25 @@
-"""Squeezing-limit results pinned bit for bit over the sixteen region labels.
+"""Squeezing-limit results pinned bit for bit over the sixteen region labels,
+and held to the mpmath oracle as eps -> 0.
 
 Each label of REGION_EXAMPLES is taken with one family off resonance
-and, where a route exists, one on resonance.  For these, the limit
-characteristics (or the characteristic named by DivergentLimitError),
-the resonance residual and theta_alpha (theta, alpha, spread, or the
-spread of OffResonanceError) must equal recorded values with ==, and
-gamma_strength must equal them on a balanced family.  The records hold
-the known faults K1 and K2 as they stand (see test_limits.py), so
-mending those changes the records of the K1 and K2 families here.
+and, where a route exists, one on resonance.  For these, the outcome of
+interaction_limit (route, residual, verdict, and on resonance spread,
+theta, alpha and kappa_limit; or the characteristic named by
+DivergentLimitError) must equal recorded values with ==, and
+gamma_strength must equal them on a balanced family.  The same families,
+with the four that were once pinned as on resonance on a faulty residual,
+are checked against oracle.squeezed_matrix.
 """
-
-import dataclasses
 
 import pytest
 
 from bilayer1d import (
     DivergentLimitError,
-    OffResonanceError,
     SqueezeFamily,
     gamma_strength,
-    limit_chars_of,
-    theta_alpha,
+    interaction_limit,
 )
-from bilayer1d.squeeze import resonance_residual_of
+from bilayer1d.oracle import squeezed_matrix
 
 from helpers import REGION_EXAMPLES
 
@@ -38,242 +35,88 @@ ON = {
     "P2": -1.3061990664174714,
     "N2": -1.3061990664174714,
     "K1": 1.1573262590561457,
-    "K2": 2.90018160615098,
-    "Q2": 2.90018160615098,
+    "K2": -1.7168550821354995,
+    "Q2": -1.7168550821354995,
     "L1": 1.1573262590561457,
-    "L2": 1.5585028061830706,
-    "O2": 1.5585028061830706,
+    "L2": -1.5585028061830708,
+    "O2": -1.5585028061830708,
     "S1": 1.52401853206535,
     "S2": -2.1872,
     "I2": -2.1872,
 }
+# h2 of the second-route labels that were pinned as on resonance while the
+# residual gave a thin layer +h d; the oracle's M21 diverges for all four
+WAS_ON = {
+    "K2": 2.90018160615098,
+    "Q2": 2.90018160615098,
+    "L2": 1.5585028061830706,
+    "O2": 1.5585028061830706,
+}
 
 PINNED = {
-    ("P1", "off"): (
-        "first",
-        {
-            "label": "G11", "sigma1": 1.145565362604858j,
-            "sigma2": (0.5750692480040991+0j), "f1": 2.291130725209716j,
-            "f2": (1.9168974933469969+0j), "eta1": -2.62464, "eta2": 1.1023488,
-        },
-        -1.4596476635393163,
-        ("off", 50.39991947865303),
-    ),
+    ("P1", "off"): ("first", -1.231740328086305, "separated"),
     ("P1", "on"): (
-        "first",
-        {
-            "label": "G11", "sigma1": (1.145565362604858+0j),
-            "sigma2": (1.145565362604858+0j), "f1": (0.9057229089135888+0j),
-            "f2": (0.9057229089135888+0j), "eta1": 1.0375647925691223,
-            "eta2": 1.0375647925691223,
-        },
-        0.0,
-        (-1.0, 0.0, 2.220446049250313e-16),
+        "first", 1.1102230246251565e-16, "X", 2.220446049250313e-16,
+        -1.0, 0.0, None,
     ),
-    ("P2", "off"): (
-        "second",
-        {
-            "label": "G11", "sigma1": 1.145565362604858j,
-            "sigma2": (0.5750692480040991+0j), "g1": 1.6200740723806426j,
-            "g2": (1.3554512163851562+0j),
-        },
-        -0.31388904351402525,
-        ("off", 0.20168743466056574),
-    ),
+    ("P2", "off"): ("second", 0.4559824818137399, "separated"),
     ("P2", "on"): (
-        "second",
-        {
-            "label": "G11", "sigma1": 1.145565362604858j,
-            "sigma2": (0.685734397496793+0j), "g1": 1.6200740723806426j,
-            "g2": (1.6162914752095128+0j),
-        },
-        1.1102230246251565e-16,
-        (2.236736045333069, -2.3431114067027528, 1.9854341363910644e-16),
+        "second", 0.0, "Y", 5.551115123125783e-16,
+        2.236736045333069, -2.3431114067027528, 0.8730521570988139,
     ),
     ("N1", "off"): ("divergent", "g1"),
-    ("N2", "off"): (
-        "second",
-        {
-            "label": "G11", "sigma1": 1.145565362604858j,
-            "sigma2": (0.5750692480040991+0j), "g1": 0j, "g2": 0j,
-        },
-        -0.31388904351402525,
-        (2.0629466643123817, 0.0, 0.0),
-    ),
+    ("N2", "off"): ("second", 0.4559824818137399, "separated"),
     ("N2", "on"): (
-        "second",
-        {
-            "label": "G11", "sigma1": 1.145565362604858j,
-            "sigma2": (0.685734397496793+0j), "g1": 0j, "g2": 0j,
-        },
-        1.1102230246251565e-16,
-        (2.2367360453330694, 0.0, 0.0),
+        "second", 0.0, "Y", 5.551115123125783e-16,
+        2.236736045333069, 0.0, None,
     ),
-    ("K1", "off"): (
-        "first",
-        {
-            "label": "G01", "sigma1": 0.0, "sigma2": (0.5750692480040991+0j),
-            "f2": (1.9168974933469969+0j), "eta1": -2.62464, "eta2": 1.1023488,
-        },
-        -1.1522545133206532,
-        ("off", 8.675951789199532),
-    ),
+    ("K1", "off"): ("first", -0.7882617448095609, "separated"),
     ("K1", "on"): (
-        "first",
-        {
-            "label": "G01", "sigma1": 0.0, "sigma2": (1.145565362604858+0j),
-            "f2": (1.3257928756077775+0j), "eta1": 1.518782396284561,
-            "eta2": 1.518782396284561,
-        },
-        0.0,
-        (-1.2575592131962419, 0.0, 1.7656791234559649e-16),
+        "first", 0.0, "X", 4.440892098500626e-16,
+        -1.2575592131962423, 0.4564884538048529, 0.22237893821568325,
     ),
-    ("K2", "off"): (
-        "second",
-        {
-            "label": "G01", "sigma1": 0.0, "sigma2": (0.5750692480040991+0j),
-            "g2": (1.3554512163851562+0j), "beta1": -1.8559007421734601,
-        },
-        1.9335326401958173,
-        ("off", 0.3574324764097033),
-    ),
+    ("K2", "off"): ("second", 0.579945948363867, "separated"),
     ("K2", "on"): (
-        "second",
-        {
-            "label": "G01", "sigma1": 0.0, "sigma2": 1.0217951742958824j,
-            "g2": 2.4083943224276956j, "beta1": -1.8559007421734601,
-        },
-        0.0,
-        ("off", 1.1480991965625664e+16),
+        "second", -2.220446049250313e-16, "Y", 1.1102230246251565e-16,
+        1.4153104806309238, -2.8392560364625052, 1.3380919046804014,
     ),
     ("Q1", "off"): ("divergent", "beta1"),
-    ("Q2", "off"): (
-        "second",
-        {
-            "label": "G01", "sigma1": 0.0, "sigma2": (0.5750692480040991+0j), "g2": 0j,
-            "beta1": -0.0,
-        },
-        1.9335326401958173,
-        (1.1916754686431075, -0.0, 0.0),
-    ),
+    ("Q2", "off"): ("second", 0.579945948363867, "separated"),
     ("Q2", "on"): (
-        "second",
-        {
-            "label": "G01", "sigma1": 0.0, "sigma2": 1.0217951742958824j, "g2": 0j,
-            "beta1": -0.0,
-        },
-        0.0,
-        (0.6373230812887023, -0.0, 0.0),
+        "second", -2.220446049250313e-16, "Y", 1.1102230246251565e-16,
+        1.4153104806309238, -0.40560800520892937, 0.1911559863829145,
     ),
-    ("L1", "off"): (
-        "first",
-        {
-            "label": "G10", "sigma1": 1.145565362604858j, "sigma2": 0.0,
-            "f1": 2.291130725209716j, "eta1": -2.62464, "eta2": 1.1023488,
-        },
-        -1.2550946399830643,
-        ("off", 4.632776556479416),
-    ),
+    ("L1", "off"): ("first", -1.1198358131927746, "separated"),
     ("L1", "on"): (
-        "first",
-        {
-            "label": "G10", "sigma1": (1.145565362604858+0j), "sigma2": 0.0,
-            "f1": (1.3257928756077775+0j), "eta1": 1.518782396284561,
-            "eta2": 1.518782396284561,
-        },
-        0.0,
-        (-0.7951911842452146, 0.0, 1.396171193319964e-16),
+        "first", -1.1102230246251565e-16, "X", 4.440892098500626e-16,
+        -0.7951911842452148, 0.4564884538048529, 0.2223789382156833,
     ),
-    ("L2", "off"): (
-        "second",
-        {
-            "label": "G10", "sigma1": 1.145565362604858j, "sigma2": 0.0,
-            "g1": 1.6200740723806426j, "beta2": 0.7794783117128532,
-        },
-        -1.4862760837098423,
-        ("off", 0.25831491734128886),
-    ),
+    ("L2", "off"): ("second", 0.6646285252221921, "separated"),
     ("L2", "on"): (
-        "second",
-        {
-            "label": "G10", "sigma1": 1.145565362604858j, "sigma2": 0.0,
-            "g1": 1.6200740723806426j, "beta2": -1.3224334833003752,
-        },
-        -2.220446049250313e-16,
-        ("off", 1.5592644261211856e+16),
+        "second", 0.0, "Y", 2.220446049250313e-16,
+        1.7311312673586716, -3.330200328805558, 1.4424018237762688,
     ),
     ("O1", "off"): ("divergent", "g1"),
-    ("O2", "off"): (
-        "second",
-        {
-            "label": "G10", "sigma1": 1.145565362604858j, "sigma2": 0.0, "g1": 0j,
-            "beta2": 0.0,
-        },
-        -1.4862760837098423,
-        (1.7311312673586716, 0.0, 0.0),
-    ),
+    ("O2", "off"): ("second", 0.6646285252221921, "separated"),
     ("O2", "on"): (
-        "second",
-        {
-            "label": "G10", "sigma1": 1.145565362604858j, "sigma2": 0.0, "g1": 0j,
-            "beta2": -0.0,
-        },
-        -2.220446049250313e-16,
-        (1.7311312673586716, -0.0, 0.0),
+        "second", 0.0, "Y", 2.220446049250313e-16,
+        1.7311312673586716, -0.3027454844368689, 0.13112743852511533,
     ),
-    ("S1", "off"): (
-        "first",
-        {
-            "label": "G00", "sigma1": 0.0, "sigma2": 0.0, "eta1": -2.62464,
-            "eta2": 1.1023488,
-        },
-        -0.9477014897644014,
-        ("off", 6.785436959047669),
-    ),
+    ("S1", "off"): ("first", -0.6854887772159998, "separated"),
     ("S1", "on"): (
-        "first",
-        {
-            "label": "G00", "sigma1": 0.0, "sigma2": 0.0, "eta1": 2.0, "eta2": 2.0,
-        },
-        0.0,
-        (-1.0, 0.0, 0.0),
+        "first", 4.440892098500626e-16, "X", 0.0,
+        -1.0, 1.1481225216, 0.5740612608,
     ),
-    ("S2", "off"): (
-        "second",
-        {
-            "label": "G00", "sigma1": 0.0, "sigma2": 0.0, "beta1": -1.8559007421734601,
-            "beta2": 0.7794783117128532, "alpha_thin": -0.261243798564864,
-        },
-        0.7611456,
-        ("off", 0.4084507042253521),
-    ),
+    ("S2", "off"): ("second", 0.7611456, "separated"),
     ("S2", "on"): (
-        "second",
-        {
-            "label": "G00", "sigma1": 0.0, "sigma2": 0.0, "beta1": -1.8559007421734601,
-            "beta2": 1.8559007421734601, "alpha_thin": -0.9184980172800001,
-        },
-        0.0,
-        (1.0, -4.36286558208, 0.0),
+        "second", 0.0, "Y", 0.0,
+        1.0, -4.3628655820799995, 2.1814327910399998,
     ),
     ("I1", "off"): ("divergent", "beta1"),
-    ("I2", "off"): (
-        "second",
-        {
-            "label": "G00", "sigma1": 0.0, "sigma2": 0.0, "beta1": -0.0, "beta2": 0.0,
-            "alpha_thin": -0.261243798564864,
-        },
-        0.7611456,
-        (1.0, -0.261243798564864, 0.0),
-    ),
+    ("I2", "off"): ("second", 0.7611456, "separated"),
     ("I2", "on"): (
-        "second",
-        {
-            "label": "G00", "sigma1": 0.0, "sigma2": 0.0, "beta1": -0.0, "beta2": 0.0,
-            "alpha_thin": -0.9184980172800001,
-        },
-        0.0,
-        (1.0, -0.9184980172800001, 0.0),
+        "second", 0.0, "Y", 0.0,
+        1.0, -0.9184980172799999, 0.45924900863999996,
     ),
 }
 
@@ -301,6 +144,8 @@ def _family(label, key):
     exponents = EXPONENTS[label]
     if key == "off":
         return SqueezeFamily(*exponents, H, -0.7 * H, 1.0, 0.6, 2.0)
+    if key == "was-on":
+        return SqueezeFamily(*exponents, H, WAS_ON[label], 1.0, 0.6, 2.0)
     if label.endswith("1"):
         return SqueezeFamily(*exponents, -H, -H, 1.0, 1.0, ON[label])
     return SqueezeFamily(*exponents, H, ON[label], 1.0, 0.6, 2.0)
@@ -308,18 +153,12 @@ def _family(label, key):
 
 def _observe(family):
     try:
-        way, chars = limit_chars_of(family)
+        r = interaction_limit(family)
     except DivergentLimitError as err:
         return ("divergent", err.characteristic)
-    fields = {k: v for k, v in dataclasses.asdict(chars).items() if v is not None}
-    try:
-        ta = theta_alpha(chars, way)
-        outcome = (ta.theta, ta.alpha, ta.spread)
-    except OffResonanceError as err:
-        outcome = ("off", err.spread)
-    except DivergentLimitError as err:
-        outcome = ("divergent", err.characteristic)
-    return (way, fields, resonance_residual_of(family), outcome)
+    if r.verdict == "separated":
+        return (r.way, r.residual, r.verdict)
+    return (r.way, r.residual, r.verdict, r.spread, r.theta, r.alpha, r.kappa_limit)
 
 
 @pytest.mark.parametrize(
@@ -333,3 +172,34 @@ def test_limit_results_are_pinned(label, key):
 def test_gamma_strength_is_pinned(label):
     family = SqueezeFamily(*EXPONENTS[label], H, -H * 1.2 / 0.8, 1.2, 0.8, 2.0)
     assert gamma_strength(family) == GAMMA[label]
+
+
+ORACLE_CASES = list(PINNED) + [(label, "was-on") for label in WAS_ON]
+
+
+@pytest.mark.parametrize(
+    "label, key", ORACLE_CASES, ids=[f"{label}-{key}" for label, key in ORACLE_CASES]
+)
+def test_limit_matches_the_oracle(label, key):
+    """On resonance the oracle's M11 and M21 at eps = 1e-10 are theta and
+    alpha to 1e-4, relative to max(|value|, 1).  A separated or divergent
+    verdict needs an oracle M21 that grows by 10^2 or more from eps = 1e-6
+    to 1e-12: six decades, because M21 ~ eps**(-1/2) grows by just 10^2
+    over four, and its next terms can take that below 10^2.  A separated
+    M21 must also grow like the residual, M21 * eps**(mu - 1) -> residual.
+    """
+    family = _family(label, key)
+    try:
+        report = interaction_limit(family)
+    except DivergentLimitError:
+        report = None
+    m = squeezed_matrix(family, 10)
+    if report is not None and report.verdict != "separated":
+        for got, want in ((m[0, 0], report.theta), (m[1, 0], report.alpha)):
+            assert abs(got - want) <= 1e-4 * max(abs(want), 1.0)
+        return
+    growth = squeezed_matrix(family, 12)[1, 0] / squeezed_matrix(family, 6)[1, 0]
+    assert abs(growth) >= 1e2
+    if report is not None:
+        scaled = m[1, 0] * 1e-10 ** (family.mu - 1.0)
+        assert scaled == pytest.approx(report.residual, rel=1e-4)

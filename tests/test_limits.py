@@ -8,20 +8,15 @@ from scipy.optimize import brentq
 
 from bilayer1d import (
     DivergentLimitError,
-    LimitChars,
-    OffResonanceError,
     SqueezeFamily,
     SqueezedInteraction,
-    ThetaAlpha,
     build_chi_problem,
     cli,
     find_roots,
     interaction_limit,
-    limit_chars_of,
     realize,
     scattering_data,
-    squeezed_bound_level,
-    theta_alpha,
+    sweep_ladder,
     verify_ladder,
 )
 from bilayer1d.core import EV_TO_INV_NM2 as EV
@@ -36,23 +31,26 @@ TRANSPARENT = SqueezeFamily(1.5, 1.5, 1.5, H, -H, 1.0, 1.0, 2.0)
 
 
 def test_second_route_chars_for_the_survivor_family():
-    way, chars = limit_chars_of(SURVIVOR_FAMILY)
-    assert way == "second"
-    assert chars.label == "G11"
-    # one barrier (imaginary strength), one well (real strength)
-    assert chars.sigma1.real == pytest.approx(0.0, abs=1e-12)
-    assert abs(chars.sigma1.imag) == pytest.approx(np.sqrt(H) * 1.0, rel=1e-12)
-    assert chars.sigma2.imag == pytest.approx(0.0, abs=1e-12)
-    assert chars.sigma2.real == pytest.approx(np.sqrt(H) * 0.6, rel=1e-12)
+    # both layers thick: a barrier (C = cosh, S = sinh x / x) and a well
+    # (C = cos, S = sin x / x), with x = sqrt|h| d
+    x1, x2 = np.sqrt(H) * 1.0, np.sqrt(H) * 0.6
+    c1, s1 = np.cosh(x1), np.sinh(x1) / x1
+    c2, s2 = np.cos(x2), np.sin(x2) / x2
+    report = interaction_limit(SURVIVOR_FAMILY, res_tol=0.02, spread_tol=0.05)
+    assert (report.region, report.way, report.verdict) == ("P2", "second", "Y")
+    # M21 at eps**-1, and M11 and M21 at eps**0 (the gap term)
+    assert report.residual == pytest.approx(H * s1 * c2 - H * 0.6 * s2 * c1, rel=1e-12)
+    assert report.theta == pytest.approx(c1 * c2 + H * 0.6 * s1 * s2, rel=1e-12)
+    assert report.alpha == pytest.approx(-2.0 * (H * s1) * (H * 0.6 * s2), rel=1e-12)
 
 
 def test_connection_elements_for_the_survivor_family():
-    way, chars = limit_chars_of(SURVIVOR_FAMILY)
-    ta = theta_alpha(chars, way, spread_tol=0.05)
-    assert ta.theta == pytest.approx(2.233413931411616, rel=1e-12)
-    assert ta.alpha == pytest.approx(-2.35319854789509, rel=1e-12)
-    kappa = squeezed_bound_level(ta)
-    assert kappa == pytest.approx(-ta.alpha / (ta.theta + 1.0 / ta.theta), rel=1e-12)
+    report = interaction_limit(SURVIVOR_FAMILY, res_tol=0.02, spread_tol=0.05)
+    assert report.theta == pytest.approx(2.2346349053353474, rel=1e-12)
+    assert report.alpha == pytest.approx(-2.35319854789509, rel=1e-12)
+    assert report.spread == pytest.approx(0.01346275176161782, rel=1e-9)
+    kappa = -report.alpha / (report.theta + 1.0 / report.theta)
+    assert report.kappa_limit == pytest.approx(kappa, rel=1e-12)
 
 
 def test_balanced_thin_pair_keeps_unit_jump():
@@ -68,11 +66,8 @@ def test_balanced_thin_pair_keeps_unit_jump():
 def test_unbalanced_thin_pair_separates():
     report = interaction_limit(UNBALANCED_THIN, res_tol=1e-9, spread_tol=1e-9)
     assert report.verdict == "separated"
-    with pytest.raises(OffResonanceError) as err:
-        way, chars = limit_chars_of(UNBALANCED_THIN)
-        theta_alpha(chars, way)
-    # relative imbalance between the two layer strengths: |8-12| / (8+12)
-    assert err.value.spread == pytest.approx(0.2, rel=1e-9)
+    # two thin layers: the residual is the net strength h1 d1 + h2 d2
+    assert report.residual == pytest.approx(H * (8.0 - 12.0), rel=1e-12)
 
 
 def test_transparent_family_has_trivial_interaction():
@@ -116,35 +111,34 @@ def test_thin_layer_terms_match_finite_amplitudes(family, eps, rel):
         assert abs(data.a - a_limit) < rel * abs(a_limit)
 
 
+# Two S2 families whose thin-layer series keep a negative power in M21
+# on resonance: eps**(-1/2) from the second-order terms of both layers at
+# mu = 7/4, and eps**(-3/10) from layer 2, whose v l^2 goes like eps**(1/5)
+DIVERGENT_THIN = [((1.75, 1.75, 1.5), "eps**(-0.5)"), ((1.5, 1.2, 1.0), "eps**(-0.3)")]
+
+
 @pytest.mark.parametrize(
-    "exponents, layer", [((1.75, 1.75, 1.5), "layer1"), ((1.5, 1.2, 1.0), "layer2")]
+    "exponents, power", DIVERGENT_THIN, ids=["exponents0-layer1", "exponents1-layer2"]
 )
-def test_divergent_thin_layer_term_is_refused(exponents, layer):
+def test_divergent_thin_layer_term_is_refused(exponents, power):
     family = SqueezeFamily(*exponents, H, -H, 12.0, 12.0, 20.0)
     assert family.region == "S2"
     with pytest.raises(DivergentLimitError) as err:
         interaction_limit(family)
-    assert err.value.characteristic == layer
+    assert err.value.characteristic == power
 
 
 @pytest.mark.parametrize(
-    "exponents, layer", [((1.75, 1.75, 1.5), "layer1"), ((1.5, 1.2, 1.0), "layer2")]
+    "exponents, power", DIVERGENT_THIN, ids=["exponents0-layer1", "exponents1-layer2"]
 )
-def test_divergent_thin_layer_term_off_resonance_is_separated(exponents, layer):
+def test_divergent_thin_layer_term_off_resonance_is_separated(exponents, power):
     # h1 d1 + h2 d2 != 0: the net strength eps**(1 - mu) outgrows the
     # divergent thin-layer term, so the limit is the Dirichlet one
     family = SqueezeFamily(*exponents, H, -H, 8.0, 12.0, 20.0)
-    _, chars = limit_chars_of(family)
-    assert chars.divergent == layer
     report = interaction_limit(family)
+    assert report.residual == pytest.approx(H * (8.0 - 12.0), rel=1e-12)
     assert report.verdict == "separated"
     assert report.kappa_limit is None
-
-
-def test_g00_chars_without_thin_layer_term_are_refused():
-    chars = LimitChars("G00", beta1=-2.0, beta2=2.0)
-    with pytest.raises(ValueError, match="alpha_thin"):
-        theta_alpha(chars, "second")
 
 
 def _family_config(tmp_path, values, **extra):
@@ -159,7 +153,7 @@ def test_divergent_thin_layer_term_is_a_cli_domain_error(tmp_path, capsys):
     cfg = _family_config(tmp_path, (1.75, 1.75, 1.5, H, -H, 12.0, 12.0, 20.0))
     code = cli.main(["resonance", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 3
-    assert "layer1" in capsys.readouterr().err
+    assert "eps**(-0.5)" in capsys.readouterr().err
 
 
 def test_divergent_thin_layer_term_off_resonance_sweeps(tmp_path):
@@ -173,10 +167,11 @@ def test_divergent_thin_layer_term_off_resonance_sweeps(tmp_path):
 
 
 def test_first_route_resonance_gives_pure_jump():
+    # two thick wells (P1): M21 has no eps**0 term, so alpha = 0
     def family(c):
-        return SqueezeFamily(1.5, 1.0, 0.5, -H, -H, 1.0, 1.0, c)
+        return SqueezeFamily(2.0, 2.0, 1.0, -H, -H, 1.0, 0.6, c)
 
-    c_star = brentq(lambda c: resonance_residual_of(family(c)), 1.1, 1.3, xtol=1e-13)
+    c_star = brentq(lambda c: resonance_residual_of(family(c)), 1.4, 1.5, xtol=1e-13)
     report = interaction_limit(family(c_star), res_tol=1e-9, spread_tol=1e-9)
     assert report.way == "first"
     assert report.verdict == "X"
@@ -185,10 +180,10 @@ def test_first_route_resonance_gives_pure_jump():
     assert report.kappa_limit is None
 
 
-# Two known faults of the squeezing limit, kept as strict expected
-# failures until one eps-expansion computes every label.  The ladders of
-# both families converge (test_known_fault_ladders_converge), to levels
-# that the limit must reproduce.
+# Two families whose limits the per-label rules once got wrong: K1 (first
+# route at mu = 3/2, where layer 1's thin series adds to alpha) and K2 (a
+# thin layer beside a thick one on the second route).  Their ladders
+# converge (test_known_fault_ladders_converge) to the levels of the limit.
 K1_FAMILY = SqueezeFamily(1.5, 1.0, 0.5, -H, -H, 1.0, 1.0, 1.1573262590561457)
 K2_FAMILY = SqueezeFamily(
     1.5, 1.0, 1.0, H * np.tan(np.sqrt(H)) / np.sqrt(H), -H, 1.0, 1.0, 2.0
@@ -205,29 +200,40 @@ def test_known_fault_ladders_converge(family, kappa):
     assert ladder.kappas[0] == pytest.approx(kappa, rel=1e-4)
 
 
-@pytest.mark.xfail(strict=True, reason="K1: first route at mu = 3/2 gives alpha = 0")
 def test_k1_family_keeps_its_bound_level():
     report = interaction_limit(K1_FAMILY)
     assert report.kappa_limit == pytest.approx(0.22238, rel=1e-3)
 
 
-@pytest.mark.xfail(
-    strict=True, reason="K2: second-route residual has +h d for a thin layer"
-)
 def test_k2_family_is_on_resonance():
     report = interaction_limit(K2_FAMILY)
     assert report.verdict == "Y"
     assert report.kappa_limit == pytest.approx(2.1714, rel=1e-3)
 
 
+def test_first_route_sweep_follows_the_survivor():
+    result = sweep_ladder(K1_FAMILY, np.array([1e-2, 1e-4, 1e-6]))
+    assert result.scenario == "shallowest_survives"
+    gaps = np.abs(result.survivor / result.kappa_limit - 1.0)
+    assert np.all(np.diff(gaps) < 0.0)
+    assert gaps[-1] < 1e-3
+
+
+def test_thin_layer_series_too_long_is_refused():
+    # mu a hair below 2 leaves layer 1 thin with v l^2 ~ eps**(1e-6): its
+    # series would need about 2e6 terms before one reaches eps**0
+    family = SqueezeFamily(2.0 - 1e-6, 2.5, 2.0, H, -H, 1.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match="series terms"):
+        interaction_limit(family)
+
+
 def test_off_plane_exponents_have_no_finite_limit():
     family = SqueezeFamily(1.5, 1.0, 0.75, H, -H, 1.0, 1.0, 2.0)
     with pytest.raises(DivergentLimitError):
-        limit_chars_of(family)
+        interaction_limit(family)
 
 
 def test_connection_matrix_and_amplitudes():
-    ta = ThetaAlpha(theta=2.0, alpha=-3.0, way="second", spread=0.0)
     interaction = SqueezedInteraction("Y", 2.0, -3.0)
     mat = np.asarray(interaction.connection_matrix())
     assert mat == pytest.approx(np.array([[2.0, 0.0], [-3.0, 0.5]]))
@@ -238,10 +244,8 @@ def test_connection_matrix_and_amplitudes():
         assert interaction.transmission(k) == pytest.approx(
             1.0 / abs(a) ** 2, rel=1e-12
         )
-    kappa = squeezed_bound_level(ta)
-    assert kappa == pytest.approx(3.0 / 2.5, rel=1e-12)
+    assert interaction.bound_level() == pytest.approx(3.0 / 2.5, rel=1e-12)
 
 
 def test_bound_level_absent_when_alpha_is_repulsive():
-    ta = ThetaAlpha(theta=2.0, alpha=1.5, way="second", spread=0.0)
-    assert squeezed_bound_level(ta) is None
+    assert SqueezedInteraction("Y", 2.0, 1.5).bound_level() is None
