@@ -9,6 +9,7 @@ without a limit, ...), 4 numerical failures.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -231,14 +232,6 @@ def _tol(args, cfg):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _json_safe(value):
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
@@ -273,7 +266,9 @@ def _write(args, name, text):
 def _write_table(args, stem, header, rows, summary=None, details=None):
     """Write a table as <stem>.csv and <stem>.gp, plus <stem>.json holding
     the summary when there is one; under --format json, write one
-    <stem>.json of the summary, the details, the columns and the rows."""
+    <stem>.json of the summary, the details, the columns and the rows.
+    Cells are plain Python floats and ints, written as their repr, or
+    None for an empty cell."""
     if args.format == "json":
         payload = {**(summary or {}), **(details or {})}
         payload.update(columns=list(header), rows=[list(r) for r in rows])
@@ -281,7 +276,7 @@ def _write_table(args, stem, header, rows, summary=None, details=None):
         print(f"wrote {stem}.json")
         return
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(["" if c is None else repr(c) for c in row]) for row in rows)
     _write(args, f"{stem}.csv", "\n".join(lines) + "\n")
     _write(args, f"{stem}.gp", _GNUPLOT_HEAD + _GNUPLOT[stem])
     if summary is not None:
@@ -326,7 +321,7 @@ def _cmd_scatter(args, cfg):
     ks = _k_grid(cfg)
     a, b = amplitude_grid(spec, ks)
     if np.any(a == 0.0):
-        k = ks[np.argmax(a == 0.0)]
+        k = float(ks[np.argmax(a == 0.0)])
         raise ScatteringPoleError(f"vanishing transmission denominator at k={k!r}")
     columns = {
         "k": ks,
@@ -338,7 +333,13 @@ def _cmd_scatter(args, cfg):
         "reflection": np.abs(b / a) ** 2,
         "unitarity_defect": np.abs(np.abs(a) ** 2 - np.abs(b) ** 2 - 1.0),
     }
-    rows = list(zip(*(c.tolist() for c in columns.values())))
+    table = np.array(list(columns.values()))
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        # an opaque structure overflows the amplitudes or |a|^2
+        k = float(ks[np.argmin(finite)])
+        raise OverflowError(f"amplitudes of this structure overflow at k={k!r}")
+    rows = table.T.tolist()
     _write_table(args, "scatter", tuple(columns), rows)
 
 
@@ -441,10 +442,7 @@ def _cmd_wavefunction(args, cfg):
     else:
         pad = 0.25 * spec.extent if spec.extent > 0 else 1.0
         xs = np.linspace(-pad, spec.extent + pad, 400)
-    values = wave(xs)
-    rows = [
-        (float(x), v.real, v.imag, abs(v)) for x, v in zip(xs, values)
-    ]
+    rows = [(x, v.real, v.imag, abs(v)) for x, v in zip(xs.tolist(), wave(xs).tolist())]
     header = ("x", "re_psi", "im_psi", "abs_psi")
     details = {"mode": mode, "continuity_defect": wave.continuity_defect()}
     _write_table(args, "wavefunction", header, rows, details=details)
@@ -495,6 +493,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _parser():
     parser = argparse.ArgumentParser(
         prog="bilayer1d",

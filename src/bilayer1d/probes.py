@@ -2,7 +2,10 @@
 
 A Probe bundles a scalar function, its derivative and a compact support
 interval.  Pairings only ever evaluate f inside the support and df at
-isolated points, so plain Python scalars are enough.
+isolated points, so plain Python scalars are enough.  A probe whose
+antiderivative is known in closed form (the tabulated spline) also
+carries integral(a, b), the exact integral of f over [a, b] inside the
+support; pairings use it in place of adaptive quadrature of f.
 """
 
 import math
@@ -15,6 +18,7 @@ class Probe:
     df: object
     support: tuple
     note: str = ""
+    integral: object = None
 
 
 def bump(width=1.0, center=0.0):
@@ -92,4 +96,8 @@ def tabulated(xs, ys):
             return 0.0
         return float(deriv(x))
 
-    return Probe(f, df, (lo, hi), note="cubic spline through tabulated points")
+    def integral(a, b):
+        return float(spline.integrate(a, b))
+
+    return Probe(f, df, (lo, hi), note="cubic spline through tabulated points",
+                 integral=integral)

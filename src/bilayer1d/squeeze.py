@@ -527,12 +527,13 @@ class PairingResult:
 def delta_prime_pairing(family, eps, probe):
     """Pair the realized potential against a smooth probe function.
 
-    value is the exact integral of v(x) * probe(x) at this eps.  When
-    the zero-mean balance holds and the exponents lie in the first
-    angle, companion is the limiting value -gamma * probe'(0) (0 in the
-    interior I1).  Otherwise companion is None and divergence_power
-    gives the eps power with which the pairing blows up (negative), or
-    None when the limit is finite but uncharted.
+    value is the integral of v(x) * probe(x) at this eps: exact through
+    probe.integral when the probe has one, by adaptive quadrature of
+    probe.f otherwise.  When the zero-mean balance holds and the
+    exponents lie in the first angle, companion is the limiting value
+    -gamma * probe'(0) (0 in the interior I1).  Otherwise companion is
+    None and divergence_power gives the eps power with which the pairing
+    blows up (negative), or None when the limit is finite but uncharted.
     """
     from scipy.integrate import quad
 
@@ -543,6 +544,8 @@ def delta_prime_pairing(family, eps, probe):
         a2, b2 = max(a, lo), min(b, hi)
         if b2 <= a2:
             return 0.0
+        if probe.integral is not None:
+            return probe.integral(a2, b2)
         val, _ = quad(probe.f, a2, b2, epsabs=1e-14, epsrel=1e-12, limit=200)
         return val
 

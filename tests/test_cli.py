@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import argparse
 import json
 
 import numpy as np
@@ -299,6 +300,77 @@ def test_numerical_failure_maps_to_exit_4(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "amplitude_grid", explode)
     assert _run(["scatter", "--config", cfg, "--out", tmp_path / "o"]) == 4
+
+
+@pytest.mark.parametrize("v1, l1", [(5000.0, 20.0), (300.0, 22.0)])
+def test_opaque_barrier_scatter_is_numerical_failure(tmp_path, capsys, v1, l1):
+    # (5000, 20) overflows the amplitudes to NaN; (300, 22) keeps them
+    # finite near 1e167 but overflows |a|^2, so the defect column is NaN
+    cfg = _write_config(
+        tmp_path,
+        {
+            "units": "nm^-2",
+            "spec": {"v1": v1, "l1": l1, "v2": 0.0, "l2": 0.0, "r": 0.0},
+            "k_grid": [0.05, 1.0, 4.0],
+        },
+    )
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert _run(["scatter", "--config", cfg, "--out", out]) == 4
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _outputs(folder):
+    return {path.name: path.read_bytes() for path in sorted(folder.iterdir())}
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path):
+    # 1e-7 nm off resonance: a surviving level under --tol 1e-6, separated
+    # under the default tol 1e-9, so a leaked --tol changes the bytes
+    sweep = _write_config(
+        tmp_path,
+        {
+            "units": "nm^-2",
+            "family": {
+                "mu": 2.0, "nu": 2.0, "tau": 2.0, "h1": 1.31232, "h2": -1.31232,
+                "d1": 1.0121527769027671, "d2": 0.6, "c": 2.0,
+            },
+            "eps_grid": [1.0, 0.1],
+        },
+        "sweep.json",
+    )
+    scatter = _write_config(
+        tmp_path, {"units": "eV", "spec": SPEC_SECTION, "k_grid": [0.5, 1.0, 2.0]}, "scatter.json"
+    )
+    calls = [
+        ["boundstates", "--config", sweep, "--tol", "1e-6"],
+        ["boundstates", "--config", sweep],
+        ["scatter", "--config", scatter, "--format", "json"],
+        ["scatter", "--config", scatter],
+    ]
+    for i, call in enumerate(calls):
+        assert _run(call + ["--out", tmp_path / f"seq{i}"]) == 0
+    for i, call in enumerate(calls):
+        cli._parser.cache_clear()
+        assert _run(call + ["--out", tmp_path / f"alone{i}"]) == 0
+        assert _outputs(tmp_path / f"seq{i}") == _outputs(tmp_path / f"alone{i}")
+    assert _outputs(tmp_path / "seq0") != _outputs(tmp_path / "seq1")
+
+
+def test_table_writer_bytes(tmp_path):
+    args = argparse.Namespace(format="csv", out=str(tmp_path))
+    header = ("eps", "pairing", "companion", "gap", "slope")
+    rows = [
+        (-0.0, 1, 1e-300, None, 0.1 + 0.2),
+        (1.2345678901234567, -7, 12345678901234567.0, 2.5e-08, None),
+    ]
+    cli._write_table(args, "deltaprime", header, rows)
+    assert (tmp_path / "deltaprime.csv").read_bytes() == (
+        b"eps,pairing,companion,gap,slope\n"
+        b"-0.0,1,1e-300,,0.30000000000000004\n"
+        b"1.2345678901234567,-7,1.2345678901234568e+16,2.5e-08,\n"
+    )
 
 
 FAMILY_SECTION = {

@@ -1,7 +1,10 @@
 """Squeeze families: realization, region taxonomy, sweeps and pairings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from bilayer1d import (
     SqueezeFamily,
@@ -22,6 +25,7 @@ from bilayer1d.core import EV_TO_INV_NM2 as EV
 from bilayer1d.squeeze import resonance_residual_of
 
 from helpers import REGION_EXAMPLES
+from test_acceptance import _tabulated_dipole_probe
 
 H = 1.31232  # 0.5 eV in 1/nm^2
 
@@ -273,3 +277,27 @@ def test_pairing_vanishes_in_the_transparent_region():
     # slowest surviving term scales like eps^(tau - (mu - 1)) = eps^0.25
     slope = np.polyfit(np.log(eps_grid), np.log(values), 1)[0]
     assert slope == pytest.approx(0.25, abs=0.05)
+
+
+@pytest.mark.parametrize("eps", [0.1, 10**-1.5, 1e-2, 1e-3, 1e-5])
+def test_tabulated_pairing_is_the_exact_spline_integral(eps):
+    # at eps = 0.1 the second slab runs from 3.2 to 7.0 nm, past the
+    # table's end at 6 nm, so the clip to the support takes part
+    probe = _tabulated_dipole_probe()
+    # the table that probe interpolates
+    xs = np.linspace(-6.0, 6.0, 61)
+    ys = (xs + 2.0) * np.exp(-(((xs - 0.8423292192132454) / 3.0) ** 2))
+    spline = CubicSpline(xs, ys)
+    s = realize(DIPOLE, eps)
+    terms = [
+        v * float(spline.integrate(max(a, -6.0), min(b, 6.0)))
+        for v, a, b in ((s.v1, 0.0, s.l1), (s.v2, s.l1 + s.r, s.extent))
+        if min(b, 6.0) > max(a, -6.0)
+    ]
+    scale = sum(abs(t) for t in terms)
+    value = delta_prime_pairing(DIPOLE, eps, probe).value
+    assert abs(value - sum(terms)) <= 1e-13 * scale
+    by_quadrature = delta_prime_pairing(
+        DIPOLE, eps, dataclasses.replace(probe, integral=None)
+    ).value
+    assert abs(value - by_quadrature) <= 1e-9 * scale
