@@ -16,7 +16,7 @@ from .core import (
     convert_energy,
     validate_spec,
 )
-from .kernels import SERIES_CUTOFF, cos_sqrt, sinc_sqrt, tanc_sqrt, tanhc
+from .kernels import SERIES_CUTOFF, cos_sqrt, sinc_sqrt, tanc_sqrt
 from .xfer import (
     NotAnEigenvalueError,
     PiecewiseWave,
@@ -60,7 +60,6 @@ from .squeeze import (
     interaction_limit,
     realize,
     resonance_residual_of,
-    stable_level_index,
     sweep_ladder,
 )
 from .oracle import (
@@ -127,10 +126,8 @@ __all__ = [
     "scattering_data",
     "scattering_wavefunction",
     "sinc_sqrt",
-    "stable_level_index",
     "sweep_ladder",
     "tanc_sqrt",
-    "tanhc",
     "total_matrix",
     "validate_spec",
     "verify_ladder",

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import validate_spec
-from .kernels import tanc_sqrt, tanhc
+from .kernels import tanc_sqrt
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class ChiProblem:
         t0 = np.tanh(z)
         c0 = 2.0 + (s - u / s) * t
         # t0/s^2 written through tanh(z)/z to stay finite as s -> 0
-        c1 = 1.0 / s + (t - u * t * self.r_over_l * tanhc(z) / s) / (1.0 + t0)
+        c1 = 1.0 / s + (t - u * t * self.r_over_l * tanc_sqrt(-z * z) / s) / (1.0 + t0)
         c2 = s - t * (u - s * s * t0) / (1.0 + t0)
         return c0, c1, c2
 

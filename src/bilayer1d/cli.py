@@ -323,15 +323,17 @@ def _cmd_scatter(args, cfg):
     if np.any(a == 0.0):
         k = float(ks[np.argmax(a == 0.0)])
         raise ScatteringPoleError(f"vanishing transmission denominator at k={k!r}")
+    a2 = np.abs(a) ** 2
     columns = {
         "k": ks,
         "re_a": a.real,
         "im_a": a.imag,
         "re_b": b.real,
         "im_b": b.imag,
-        "transmission": 1.0 / np.abs(a) ** 2,
+        "transmission": 1.0 / a2,
         "reflection": np.abs(b / a) ** 2,
-        "unitarity_defect": np.abs(np.abs(a) ** 2 - np.abs(b) ** 2 - 1.0),
+        # relative to |a|^2, so an opaque row shows its rounding as such
+        "unitarity_defect": np.abs(a2 - np.abs(b) ** 2 - 1.0) / a2,
     }
     table = np.array(list(columns.values()))
     finite = np.isfinite(table).all(axis=0)

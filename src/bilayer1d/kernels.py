@@ -20,8 +20,6 @@ import numpy as np
 # below this the direct formulas lose digits to cancellation; the 4-term
 # series is exact to ~1e-26 there
 SERIES_CUTOFF = 1e-6
-# tanhc switches to its series below this |z|
-_TANHC_CUTOFF = 1e-4
 
 
 def _branches(x, *cases):
@@ -90,19 +88,3 @@ def tanc_sqrt(w):
         lambda s: np.tanh(s) / s,
         lambda w: 1.0 + w / 3.0 + 2.0 * w * w / 15.0 + 17.0 * w * w * w / 315.0,
     )
-
-
-def _tanhc_direct(z):
-    return np.tanh(z) / z
-
-
-def _tanhc_series(z):
-    z2 = z * z
-    return 1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0
-
-
-def tanhc(z):
-    """tanh(z)/z for real z, finite and equal to 1 at z = 0."""
-    z = np.asarray(z, dtype=float)
-    direct = np.abs(z) >= _TANHC_CUTOFF
-    return _branches(z, (direct, _tanhc_direct), (~direct, _tanhc_series))

@@ -53,20 +53,20 @@ class DivergentLimitError(ValueError):
         self.characteristic = characteristic
 
 
-def slab_series(h, d, p_v, p_l, thick, cut):
+def slab_series(h, d, p_v, p_l, q, cut):
     """Zero-energy propagator of a slab with v = h eps**-p_v, l = d eps**p_l.
 
     Returns (powers, coefficients) of eps, two arrays of shape (2, 2, n)
-    that hold n terms of each entry.  v l^2 = h d^2 eps**q with
-    q = 2 p_l - p_v: a thick slab (q = 0) keeps C and S exactly, a thin
-    one (q > 0) gets the terms of their series up to power cut in the
-    entry v l S, whose leading power p_l - p_v is the lowest.
+    that hold n terms of each entry.  q is the slab's edge power, the
+    power of v l^2 = h d^2 eps**q: a thick slab (q within EQUALITY_TOL of
+    0) keeps C and S exactly, a thin one (q > 0) gets the terms of their
+    series up to power cut in the entry v l S, whose leading power
+    p_l - p_v is the lowest.
     """
     w = h * d * d
-    if thick:
+    if abs(q) <= EQUALITY_TOL:
         q, even, odd = 0.0, np.array([cos_sqrt(-w)]), np.array([sinc_sqrt(-w)])
     else:
-        q = 2.0 * p_l - p_v
         count = int((cut - p_l + p_v) / q) + 1
         if count > MAX_TERMS:
             raise ValueError(

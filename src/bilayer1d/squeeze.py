@@ -16,13 +16,14 @@ propagator (see limits), follows bound ladders along eps sweeps, and
 computes the distributional pairing with its derivative-jump strength.
 
 Both angles need mu in (1, 2] and nu >= 2(mu - 1); the first needs
-tau >= mu - 1, the second tau >= 2(mu - 1).  Inside an angle three edge
-flags fix the region label: mu = 2, nu on its edge 2(mu - 1), and tau on
-its edge.  One letter table of the flags (P for all three, then N L O K
-Q S, and I for none) gives the letter, and the angle digit follows.  A
-finite limit needs a route: the second angle, or tau on the first
-angle's edge.  There a layer is thick, v l^2 not depending on eps, when
-its flag is set (mu for layer 1, nu for layer 2), and thin otherwise.
+tau >= mu - 1, the second tau >= 2(mu - 1).  All of this reads three edge
+powers: q1 = 2 - mu and q2 = nu - 2(mu - 1), the eps powers of v l^2 of
+the two layers, and t = tau - angle * (mu - 1).  An angle holds where mu > 1
+and no power is negative; a power at 0 sets an edge flag, and one letter table
+of the flags (P for all three, then N L O K Q S, and I for none) gives
+the letter, and the angle digit follows.  A finite limit needs a route:
+the second angle, or t = 0 on the first.  There a layer is thick, v l^2
+not depending on eps, when its power is 0, and thin otherwise.
 """
 
 import itertools
@@ -109,31 +110,53 @@ def realize(family, eps):
 # ---------------------------------------------------------------------------
 
 
-#: region letter by the edge flags (mu at 2, nu on its edge, tau on its edge):
-#: P for all three set, then N L O K Q S, and I for none
+#: region letter by the edge flags (q1, q2 and t at 0): P for all three set,
+#: then N L O K Q S, and I for none
 _LETTERS = dict(zip(itertools.product((True, False), repeat=3), "PNLOKQSI"))
 
 
-def _edges(angle, mu, nu, tau):
-    """Edge flags (mu at 2, nu on its edge, tau on its edge) in one angle.
+def _edge_powers(angle, mu, nu, tau):
+    """Edge powers (q1, q2, t) of the exponents against angle 1 or 2, and
+    whether the exponents lie in that angle.
 
-    Angle 1 (first) or 2 (second) needs mu in (1, 2], nu >= 2(mu - 1)
-    and tau >= angle * (mu - 1), where mu within EQUALITY_TOL of 2
-    counts as 2; returns None outside it.  A flag is set on the edge (to
-    EQUALITY_TOL) and clear above it; the letter of _LETTERS plus the
-    angle digit is the region label.
+    q1 = 2 - mu is the eps power of v1 l1^2, q2 = nu - 2(mu - 1) that of
+    v2 l2^2, and t = tau - angle * (mu - 1) the gap's excess over the
+    angle's edge; mu within EQUALITY_TOL of 2 counts as 2.  The angle
+    needs mu > 1 and no power below -EQUALITY_TOL.  A power within
+    EQUALITY_TOL of 0 sets its edge flag: a thick layer, or tau on the
+    edge.  Every decision on where the exponents sit reads these powers.
     """
-    at_two = abs(mu - 2.0) <= EQUALITY_TOL
-    if not (at_two or 1.0 < mu < 2.0):
-        return None
-    excess = 1.0 if at_two else mu - 1.0
-    flags = [at_two]
-    for value, edge in ((nu, 2.0 * excess), (tau, angle * excess)):
-        on_edge = abs(value - edge) <= EQUALITY_TOL
-        if not (on_edge or value > edge):
-            return None
-        flags.append(on_edge)
-    return tuple(flags)
+    if abs(mu - 2.0) <= EQUALITY_TOL:
+        mu = 2.0
+    excess = mu - 1.0
+    powers = (2.0 - mu, nu - 2.0 * excess, tau - angle * excess)
+    return powers, excess > 0.0 and all(p >= -EQUALITY_TOL for p in powers)
+
+
+def _flags(powers):
+    """Edge flags: which powers are 0 to EQUALITY_TOL."""
+    return tuple(abs(p) <= EQUALITY_TOL for p in powers)
+
+
+def _label(angle, mu, nu, tau):
+    """Region label in angle 1 or 2 (None outside it) and the edge powers."""
+    powers, inside = _edge_powers(angle, mu, nu, tau)
+    return (_LETTERS[_flags(powers)] + str(angle) if inside else None), powers
+
+
+def _place(mu, nu, tau):
+    """Region label, route and edge powers of the exponents.
+
+    The second angle takes priority and is the "second" route.  The
+    "first" route needs the first angle with t = 0; elsewhere the route is
+    None and the powers are the first angle's.
+    """
+    label, powers = _label(2, mu, nu, tau)
+    if label is not None:
+        return label, "second", powers
+    label, powers = _label(1, mu, nu, tau)
+    route = "first" if label is not None and _flags(powers)[2] else None
+    return label or "outside", route, powers
 
 
 def classify_first_angle(mu, nu, tau):
@@ -142,8 +165,7 @@ def classify_first_angle(mu, nu, tau):
     The angle needs mu in (1, 2], nu >= 2(mu-1) and tau >= mu - 1; the
     eight labels distinguish boundary planes from the interior I1.
     """
-    flags = _edges(1, mu, nu, tau)
-    return None if flags is None else _LETTERS[flags] + "1"
+    return _label(1, mu, nu, tau)[0]
 
 
 def classify_second_angle(mu, nu, tau):
@@ -151,8 +173,7 @@ def classify_second_angle(mu, nu, tau):
 
     Same (mu, nu) footprint as the first angle but the tau threshold is
     doubled: tau >= 2(mu - 1)."""
-    flags = _edges(2, mu, nu, tau)
-    return None if flags is None else _LETTERS[flags] + "2"
+    return _label(2, mu, nu, tau)[0]
 
 
 def classify_region(mu, nu, tau):
@@ -160,11 +181,7 @@ def classify_region(mu, nu, tau):
 
     Points of the first angle below the second-angle threshold keep
     their first-angle label; everything else is "outside"."""
-    return (
-        classify_second_angle(mu, nu, tau)
-        or classify_first_angle(mu, nu, tau)
-        or "outside"
-    )
+    return _place(mu, nu, tau)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -172,64 +189,49 @@ def classify_region(mu, nu, tau):
 # ---------------------------------------------------------------------------
 
 
-def _blocking_characteristic(mu, nu, tau):
-    """Name the first characteristic that blows up for these exponents.
+def _blocking_characteristic(powers):
+    """Name the first characteristic that blows up, from the first-angle
+    edge powers (q1, q2, t) of exponents off both routes.
 
     The names are the paper's: the layer phases sigma_j, and the
     coefficients f_1 or eta_1 of the first route and g_1 or beta_1 of the
     second, for a thick or a thin layer 1.
     """
-    if 1.0 - mu / 2.0 < -EQUALITY_TOL:
+    q1, q2, t = powers
+    if q1 < -EQUALITY_TOL:
         return "sigma1"
-    if 1.0 - mu + nu / 2.0 < -EQUALITY_TOL:
+    if q2 < -EQUALITY_TOL:
         return "sigma2"
-    sigma1_on = abs(1.0 - mu / 2.0) <= EQUALITY_TOL
-    if tau < mu - 1.0 - EQUALITY_TOL:
-        return "f1" if sigma1_on else "eta1"
-    return "g1" if sigma1_on else "beta1"
-
-
-def _route(family):
-    """Route ("first" or "second") and edge flags of a finite limit.
-
-    The second angle takes priority; the first route needs tau on the
-    first-angle edge tau = mu - 1.  Returns (None, None) elsewhere.
-    Layer 1 is thick, keeping its phase sigma_1 = sqrt(-h_1) d_1, when
-    mu = 2, and layer 2 when nu = 2(mu - 1).
-    """
-    mu, nu, tau = family.mu, family.nu, family.tau
-    flags = _edges(2, mu, nu, tau)
-    if flags is not None:
-        return "second", flags
-    flags = _edges(1, mu, nu, tau)
-    if flags is not None and flags[2]:
-        return "first", flags
-    return None, None
+    thick = _flags(powers)[0]
+    if t < -EQUALITY_TOL:
+        return "f1" if thick else "eta1"
+    return "g1" if thick else "beta1"
 
 
 def _expansion(family):
-    """Route and the entries of the zero-energy M = M2 G M1 at eps powers
-    <= 0 (see limits).  Layer 1 has v = h1 eps**-mu and l = d1 eps, layer
-    2 v = h2 eps**-nu and l = d2 eps**(1 - mu + nu).  Both series are cut
-    at power mu - 1: the rest of any product term is at least
-    eps**(1 - mu), so no higher term reaches eps**0.  Raises
+    """Region label, route and the entries of the zero-energy M = M2 G M1
+    at eps powers <= 0 (see limits).  Layer 1 has v = h1 eps**-mu and
+    l = d1 eps, layer 2 v = h2 eps**-nu and l = d2 eps**(1 - mu + nu).
+    Both series are cut at power mu - 1: the rest of any product term is
+    at least eps**(1 - mu), so no higher term reaches eps**0.  Raises
     DivergentLimitError off the two routes, naming the first
     characteristic that blows up.
     """
     mu, nu, tau = family.mu, family.nu, family.tau
-    way, flags = _route(family)
+    region, way, powers = _place(mu, nu, tau)
     if way is None:
-        name = _blocking_characteristic(mu, nu, tau)
+        name = _blocking_characteristic(powers)
         raise DivergentLimitError(
             "no finite squeezing limit for exponents "
             f"(mu, nu, tau) = ({mu:g}, {nu:g}, {tau:g}): "
             f"characteristic {name} has no finite limit",
             name,
         )
+    q1, q2, _ = powers
     cut = mu - 1.0
-    slab1 = slab_series(family.h1, family.d1, mu, 1.0, flags[0], cut)
-    slab2 = slab_series(family.h2, family.d2, nu, 1.0 - mu + nu, flags[1], cut)
-    return way, propagator_series(slab1, slab2, family.c, tau)
+    slab1 = slab_series(family.h1, family.d1, mu, 1.0, q1, cut)
+    slab2 = slab_series(family.h2, family.d2, nu, 1.0 - mu + nu, q2, cut)
+    return region, way, propagator_series(slab1, slab2, family.c, tau)
 
 
 def resonance_residual_of(family):
@@ -238,7 +240,7 @@ def resonance_residual_of(family):
     routes).  Zero residual means the squeezed limit supports a
     nontrivial interaction.
     """
-    _, m = _expansion(family)
+    _, _, m = _expansion(family)
     return coefficient(m, M21, 1.0 - family.mu)
 
 
@@ -271,8 +273,7 @@ def interaction_limit(family, res_tol=1e-9, spread_tol=1e-9):
     coefficient above res_tol raises DivergentLimitError naming that
     power.
     """
-    region = classify_region(family.mu, family.nu, family.tau)
-    way, m = _expansion(family)
+    region, way, m = _expansion(family)
     residual_power = 1.0 - family.mu
     residual = coefficient(m, M21, residual_power)
 
@@ -411,13 +412,11 @@ def sweep_ladder(
     branch = forced_branch(family)
     report = interaction_limit(family, res_tol=tol, spread_tol=tol)
 
-    if branch == 1:
-        depth_exp = 1.0 - family.mu / 2.0
-    else:
-        depth_exp = 1.0 - family.mu + family.nu / 2.0
+    # the reference well deepens when its layer is thin: v l^2 ~ eps**q, q > 0
+    q = _edge_powers(2, family.mu, family.nu, family.tau)[0][branch - 1]
     if report.kappa_limit is None:
         scenario = "separated" if report.verdict == "separated" else "levels_dissolve"
-    elif report.verdict == "Y" and depth_exp > EQUALITY_TOL:
+    elif report.verdict == "Y" and q > EQUALITY_TOL:
         scenario = "deepest_survives"
     else:
         scenario = "shallowest_survives"
@@ -448,32 +447,6 @@ def sweep_ladder(
     )
 
 
-def stable_level_index(result):
-    """Index (in the smallest-eps ladder) of the level that stabilizes.
-
-    With an analytic limiting level available the nearest ladder level
-    is chosen; otherwise the level with the smallest relative drift
-    between the two smallest eps values.  None if the ladder is empty.
-    """
-    order = np.argsort(result.eps)
-    last = result.ladders[order[0]]
-    if last.n == 0:
-        return None
-    kappas = np.asarray(last.kappas)
-    if result.kappa_limit is not None:
-        return int(np.argmin(np.abs(kappas - result.kappa_limit)))
-    if len(order) < 2:
-        return None
-    prev = result.ladders[order[1]]
-    if prev.n == 0:
-        return None
-    prev_k = np.asarray(prev.kappas)
-    drift = np.array(
-        [np.min(np.abs(k - prev_k)) / max(abs(k), 1e-300) for k in kappas]
-    )
-    return int(np.argmin(drift))
-
-
 # ---------------------------------------------------------------------------
 # Distributional pairing and the derivative-jump strength
 # ---------------------------------------------------------------------------
@@ -485,31 +458,36 @@ def _balanced(family):
     return abs(balance) <= BALANCE_TOL * scale
 
 
+def _gamma(family, powers):
+    """h1*d1/2 times the sum of d1, d2 and 2c over the first-angle edge
+    powers (q1, q2, t) that are 0, or None when none is."""
+    parts = (family.d1, family.d2, 2.0 * family.c)
+    on = [part for part, flag in zip(parts, _flags(powers)) if flag]
+    return 0.5 * family.h1 * family.d1 * sum(on) if on else None
+
+
 def gamma_strength(family):
     """Derivative-jump strength of the distributional limit.
 
     Defined on the first angle when the zero-mean balance
     h1*d1 + h2*d2 = 0 holds: h1*d1/2 times the sum of d1, d2 and 2c
-    over the edge flags that are set (mu at 2, nu on its edge, tau on
-    its edge).  In the interior I1 no flag is set and the strength is
-    absent (None) because the pairing itself vanishes.
+    over the edge powers q1, q2 and t that are 0.  In the interior I1
+    none is 0 and the strength is absent (None) because the pairing
+    itself vanishes.
     """
-    flags = _edges(1, family.mu, family.nu, family.tau)
-    if flags is None:
+    label, powers = _label(1, family.mu, family.nu, family.tau)
+    if label is None:
         raise ValueError(
             "gamma is defined only on the first angle of exponents"
         )
-    if not any(flags):
-        return None
-    if not _balanced(family):
+    gamma = _gamma(family, powers)
+    if gamma is not None and not _balanced(family):
         balance = family.h1 * family.d1 + family.h2 * family.d2
         raise ValueError(
             "the derivative-jump strength needs the zero-mean balance "
             f"h1*d1 + h2*d2 = 0 (got {balance:g})"
         )
-    parts = (family.d1, family.d2, 2.0 * family.c)
-    total = sum(part for part, flag in zip(parts, flags) if flag)
-    return 0.5 * family.h1 * family.d1 * total
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -529,11 +507,12 @@ def delta_prime_pairing(family, eps, probe):
 
     value is the integral of v(x) * probe(x) at this eps: exact through
     probe.integral when the probe has one, by adaptive quadrature of
-    probe.f otherwise.  When the zero-mean balance holds and the
-    exponents lie in the first angle, companion is the limiting value
-    -gamma * probe'(0) (0 in the interior I1).  Otherwise companion is
-    None and divergence_power gives the eps power with which the pairing
-    blows up (negative), or None when the limit is finite but uncharted.
+    probe.f otherwise.  When the zero-mean balance holds and no
+    first-angle edge power (q1, q2, t) is negative, companion is the
+    limiting value -gamma * probe'(0), and 0.0 when no power is 0 (gamma
+    None).  Otherwise companion is None and divergence_power gives the
+    eps power with which the pairing blows up: the most negative edge
+    power when balanced, 1 - mu when not (None for mu <= 1).
     """
     from scipy.integrate import quad
 
@@ -553,9 +532,8 @@ def delta_prime_pairing(family, eps, probe):
         spec.l1 + spec.r, spec.extent
     )
 
-    mu, nu, tau = family.mu, family.nu, family.tau
     if not _balanced(family):
-        power = 1.0 - mu
+        power = 1.0 - family.mu
         return PairingResult(
             eps,
             value,
@@ -566,37 +544,23 @@ def delta_prime_pairing(family, eps, probe):
             f"eps**({power:g}) times probe(0)",
         )
 
-    region = classify_first_angle(mu, nu, tau)
-    if region == "I1":
+    # balanced: the terms left go like eps**q1, eps**q2 and eps**t
+    powers, _ = _edge_powers(1, family.mu, family.nu, family.tau)
+    lowest = min(powers)
+    if lowest < -EQUALITY_TOL:
         return PairingResult(
             eps,
             value,
-            0.0,
             None,
             None,
+            lowest,
+            "balanced pairing still diverges like "
+            f"eps**({lowest:g}) for these exponents",
+        )
+    gamma = _gamma(family, powers)
+    if gamma is None:
+        return PairingResult(
+            eps, value, 0.0, None, None,
             "interior exponents: the pairing vanishes in the limit",
         )
-    if region is not None:
-        gamma = gamma_strength(family)
-        return PairingResult(eps, value, -gamma * probe.df(0.0), gamma, None, "")
-
-    # Balanced but off the first angle: the subleading terms decide.
-    power = min(2.0 - mu, 1.0 + tau - mu, 2.0 - 2.0 * mu + nu)
-    if power < -EQUALITY_TOL:
-        return PairingResult(
-            eps,
-            value,
-            None,
-            None,
-            power,
-            "balanced pairing still diverges like "
-            f"eps**({power:g}) for these exponents",
-        )
-    return PairingResult(
-        eps,
-        value,
-        None,
-        None,
-        None,
-        "exponents outside the mapped first angle; no limit value tabulated",
-    )
+    return PairingResult(eps, value, -gamma * probe.df(0.0), gamma, None, "")

@@ -321,6 +321,25 @@ def test_opaque_barrier_scatter_is_numerical_failure(tmp_path, capsys, v1, l1):
     assert not out.exists()
 
 
+def test_scatter_unitarity_defect_is_relative(tmp_path):
+    # |a|^2 runs from 3e304 to 1e287 on this grid; an absolute defect
+    # |(|a|^2 - |b|^2 - 1)| would read the rounding of |a|^2 as 4.9e288
+    # at k = 2.025
+    cfg = _write_config(
+        tmp_path,
+        {
+            "units": "nm^-2",
+            "spec": {"v1": 200.0, "l1": 25.0, "v2": 0.0, "l2": 0.0, "r": 0.0},
+            "k_grid": [2.0, 2.025, 2.5, 5.0],
+        },
+    )
+    out = tmp_path / "out"
+    assert _run(["scatter", "--config", cfg, "--out", out]) == 0
+    rows = (out / "scatter.csv").read_text().strip().split("\n")[1:]
+    defects = [float(row.split(",")[-1]) for row in rows]
+    assert max(defects) < 1e-15
+
+
 def _outputs(folder):
     return {path.name: path.read_bytes() for path in sorted(folder.iterdir())}
 

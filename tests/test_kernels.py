@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from bilayer1d.kernels import (
-    _TANHC_CUTOFF,
     SERIES_CUTOFF,
     cos_sqrt,
     sinc_sqrt,
     tanc_sqrt,
-    tanhc,
 )
 
 WIDE = np.concatenate(
@@ -21,6 +19,17 @@ WIDE = np.concatenate(
         np.array([0.0]),
     )
 )
+
+# the series cutoff and its nextafter neighbours, on both signs
+CUTOFF_EDGES = [
+    c * side
+    for side in (1.0, -1.0)
+    for c in (
+        SERIES_CUTOFF,
+        np.nextafter(SERIES_CUTOFF, 0.0),
+        np.nextafter(SERIES_CUTOFF, np.inf),
+    )
+]
 
 
 def _z(w):
@@ -47,7 +56,6 @@ def test_values_at_zero():
     assert cos_sqrt(0.0) == 1.0
     assert sinc_sqrt(0.0) == 1.0
     assert tanc_sqrt(0.0) == 1.0
-    assert tanhc(0.0) == 1.0
 
 
 def test_series_joins_direct_branch_smoothly():
@@ -73,13 +81,6 @@ def test_tanc_is_sinc_over_cos():
     assert np.max(np.abs(tanc_sqrt(w) - sinc_sqrt(w) / cos_sqrt(w))) < 1e-9
 
 
-def test_tanhc_matches_reference_and_is_even():
-    z = np.linspace(-30.0, 30.0, 1201)
-    z = z[np.abs(z) > 1e-9]
-    assert np.max(np.abs(tanhc(z) - np.tanh(z) / z)) < 1e-13
-    assert np.max(np.abs(tanhc(z) - tanhc(-z))) == 0.0
-
-
 def test_derivative_of_cos_sqrt():
     # d/dw cos(sqrt(w)) = -sinc(sqrt(w)) / 2
     rng = np.random.default_rng(7)
@@ -100,17 +101,12 @@ def _bits(x):
     return np.float64(x).tobytes()
 
 
-@pytest.mark.parametrize("kernel", [cos_sqrt, sinc_sqrt, tanc_sqrt, tanhc])
+@pytest.mark.parametrize("kernel", [cos_sqrt, sinc_sqrt, tanc_sqrt])
 def test_scalar_call_equals_array_element(kernel):
     # the cutoffs and their neighbours, the non-finite inputs, and
     # cosh(1000) overflowing to inf
-    edges = [
-        c * side
-        for cut in (SERIES_CUTOFF, _TANHC_CUTOFF)
-        for side in (1.0, -1.0)
-        for c in (cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf))
-    ]
-    points = np.concatenate((WIDE, edges, [0.0, np.inf, -np.inf, np.nan, -1e6]))
+    extra = [0.0, np.inf, -np.inf, np.nan, -1e6]
+    points = np.concatenate((WIDE, CUTOFF_EDGES, extra))
     with np.errstate(over="ignore"):
         want = kernel(points)
         for w, ref in zip(points, want):
@@ -150,29 +146,18 @@ WHERE_REFERENCE = {
         lambda s: np.tanh(s) / s,
         lambda w: 1.0 + w / 3.0 + 2.0 * w * w / 15.0 + 17.0 * w * w * w / 315.0,
     ),
-    tanhc: lambda z: np.where(
-        np.abs(z) >= _TANHC_CUTOFF,
-        np.tanh(z) / z,
-        1.0 - z * z / 3.0 + 2.0 * (z * z) * (z * z) / 15.0,
-    ),
 }
 
 
 def _mixed_points():
-    """All three branches shuffled together, with both cutoffs and their
+    """All three branches shuffled together, with the cutoffs and their
     nextafter neighbours, 0, NaN and +-inf."""
-    edges = [
-        c * side
-        for cut in (SERIES_CUTOFF, _TANHC_CUTOFF)
-        for side in (1.0, -1.0)
-        for c in (cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf))
-    ]
     rng = np.random.default_rng(41)
     points = np.concatenate(
         (
             WIDE,
             rng.uniform(-3.0 * SERIES_CUTOFF, 3.0 * SERIES_CUTOFF, 40),
-            edges,
+            CUTOFF_EDGES,
             [0.0, -0.0, np.nan, np.inf, -np.inf, np.nan],
         )
     )
@@ -194,7 +179,7 @@ ARRAYS = {
 
 
 @pytest.mark.parametrize("case", list(ARRAYS))
-@pytest.mark.parametrize("kernel", [cos_sqrt, sinc_sqrt, tanc_sqrt, tanhc])
+@pytest.mark.parametrize("kernel", [cos_sqrt, sinc_sqrt, tanc_sqrt])
 def test_array_call_equals_where_reference_and_scalar_calls(kernel, case):
     # each branch runs only on its own elements; every element must still
     # match the all-branch np.where reference and the scalar call bit for

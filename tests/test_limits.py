@@ -1,5 +1,7 @@
 """Zero-range limit connection elements and the squeezed point interaction."""
 
+import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -225,6 +227,40 @@ def test_thin_layer_series_too_long_is_refused():
     family = SqueezeFamily(2.0 - 1e-6, 2.5, 2.0, H, -H, 1.0, 1.0, 2.0)
     with pytest.raises(ValueError, match="series terms"):
         interaction_limit(family)
+
+
+# mu within EQUALITY_TOL of 2 counts as 2, so layer 1 is thick and layer 2
+# thin with v l^2 ~ eps**1.5e-12, whose series is too long; the label, the
+# route and the series read the same edge powers, though 2 - 2mu + nu
+# rounds to 0 here
+EDGE_L2 = SqueezeFamily(2.00000000000075, 2.0000000000015, 2.0, H, -H, 1.0, 1.0, 2.0)
+
+
+def test_family_a_hair_off_two_edges_is_refused(tmp_path):
+    assert EDGE_L2.region == "L2"
+    with pytest.raises(ValueError, match="series terms"):
+        interaction_limit(EDGE_L2)
+    cfg = _family_config(tmp_path, dataclasses.astuple(EDGE_L2))
+    assert cli.main(["resonance", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_exponents_near_the_edges_give_a_limit_or_a_value_error():
+    # mu, nu and tau at and within 3e-12 of mu = 2 or 3/2, of the nu edge
+    # and of both tau edges: any other exception escapes and fails
+    offsets = (0.0, 5e-13, 7.5e-13, 1e-12, 1.5e-12, 3e-12)
+    offsets += tuple(-x for x in offsets[1:])
+    for mu, angle in itertools.product((1.5, 2.0), (1, 2)):
+        for dmu, dnu, dtau in itertools.product(offsets, repeat=3):
+            family = SqueezeFamily(
+                mu + dmu,
+                2.0 * (mu - 1.0) + dnu,
+                angle * (mu - 1.0) + dtau,
+                H, -H, 1.0, 1.0, 2.0,
+            )
+            try:
+                interaction_limit(family)
+            except ValueError:
+                pass
 
 
 def test_off_plane_exponents_have_no_finite_limit():

@@ -18,7 +18,6 @@ from bilayer1d import (
     interaction_limit,
     probes,
     realize,
-    stable_level_index,
     sweep_ladder,
 )
 from bilayer1d.core import EV_TO_INV_NM2 as EV
@@ -174,7 +173,6 @@ def test_survivor_family_sweep_keeps_the_shallow_level():
     result = sweep_ladder(SURVIVOR_FAMILY, grid, tol=0.02)
     assert result.scenario == "shallowest_survives"
     assert result.branch == forced_branch(SURVIVOR_FAMILY) == 2
-    assert stable_level_index(result) == 0
     assert result.report.region == "P2"
     survivor = np.asarray(result.survivor, dtype=float)
     assert survivor.size == grid.size
@@ -277,6 +275,23 @@ def test_pairing_vanishes_in_the_transparent_region():
     # slowest surviving term scales like eps^(tau - (mu - 1)) = eps^0.25
     slope = np.polyfit(np.log(eps_grid), np.log(values), 1)[0]
     assert slope == pytest.approx(0.25, abs=0.05)
+
+
+def test_balanced_pairing_with_positive_edge_powers_vanishes():
+    # mu < 1 lies below both angles, yet every edge power is positive, the
+    # smallest t = tau - (mu - 1) = 0.75 (q1 = 1.25, q2 = 1); the probe is
+    # asymmetric, so the probe'(0) term that carries eps**t is not 0
+    probe = probes.gaussian(3.0, center=-3.0)
+    family = SqueezeFamily(0.75, 0.5, 0.5, H, -H, 1.0, 1.0, 2.0)
+    eps_grid = np.logspace(-2, -5, 7)
+    values = []
+    for eps in eps_grid:
+        res = delta_prime_pairing(family, eps, probe)
+        assert res.companion == 0.0
+        assert res.gamma is None and res.divergence_power is None
+        values.append(abs(res.value))
+    slope = np.polyfit(np.log(eps_grid), np.log(values), 1)[0]
+    assert slope == pytest.approx(0.75, abs=0.05)
 
 
 @pytest.mark.parametrize("eps", [0.1, 10**-1.5, 1e-2, 1e-3, 1e-5])
