@@ -3,15 +3,18 @@
 Levels are counted by Sturm's oscillation theorem on the three constant
 pieces, the setting of Pruess & Fulton (ACM TOMS 19, 360, 1993) and
 Pryce (Numerical Solution of Sturm-Liouville Problems, OUP 1993).  At
-energy -kappa^2, _phase carries the solution that decays on the left to
-the right end of the last piece where it oscillates, and the one that
-decays on the right back to the same point.  The Pruefer phase G(kappa)
+energy -kappa^2, _phase carries, in plain floats from the spec's five
+numbers, the solution that decays on the left to the right end of the
+last piece where it oscillates, and the one that decays on the right
+back to the same point.  The Pruefer phase G(kappa)
 of the first against the second is continuous and decreasing; the count
 of levels with decay rate at least kappa is N = floor(G / pi) + 1, and
 the levels are where G = j * pi.  Matching inside an oscillating piece,
 not beyond a barrier, keeps G nearly linear, so Brent's method needs few
 steps.  find_roots bisects N until each interval holds one level and
-refines it on G - j * pi; verify_ladder certifies a ladder by counts.
+refines it on G - j * pi, with a Brent that starts from the G values the
+bisection has at the interval's ends; verify_ladder certifies a ladder
+by counts.
 
 The paper's compactified problem stays as ChiProblem.  With the deeper
 attractive layer of width l as reference well, chi = l sqrt(-V - kappa^2)
@@ -30,7 +33,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import validate_spec
 from .kernels import tanc_sqrt
@@ -145,78 +147,141 @@ def _carry(q, l, psi, dpsi):
     return grow + psi * rest, (grow + p * rest) * w
 
 
-def _phase(spec, kappa):
-    """G(kappa) of the module docstring for kappa >= 0, in plain floats;
-    -pi/2 where no piece oscillates, as no level lies deeper there."""
+def _params(spec):
+    """The five floats (v1, l1, v2, l2, r) that _phase reads."""
+    return float(spec.v1), float(spec.l1), float(spec.v2), float(spec.l2), float(spec.r)
+
+
+def _phase(p, kappa):
+    """G(kappa) of the module docstring for kappa >= 0 and p = _params(spec),
+    in plain floats; -pi/2 where no piece oscillates, as no level lies
+    deeper there."""
+    v1, l1, v2, l2, r = p
     k2 = kappa * kappa
-    # (q, l) with psi'' = q psi; the gap never oscillates
-    pieces = ((spec.v1 + k2, spec.l1), (k2, spec.r), (spec.v2 + k2, spec.l2))
-    if pieces[2][0] < 0.0 < pieces[2][1]:
-        last = 2
-    elif pieces[0][0] < 0.0 < pieces[0][1]:
-        last = 0
-    else:
-        return -0.5 * math.pi
-    # the solution decaying on the right, mirrored: carried forward from
-    # the right end through the pieces after the last oscillating one,
-    # where it has no zero since q >= 0
-    back, dback = 1.0, kappa
-    for q, l in pieces[:last:-1]:
-        if l > 0.0:
-            back, dback = _carry(q, l, back, dback)
+    # psi'' = q psi in each piece; the gap, q = k2, never oscillates
+    q1, q2 = v1 + k2, v2 + k2
     psi, dpsi, zeros = 1.0, kappa, 0
-    for q, l in pieces[:last]:
-        if q < 0.0 < l:
-            w = math.sqrt(-q)
+    back, dback = 1.0, kappa
+    if q2 < 0.0 < l2:
+        # layer 2 oscillates last: the solution decaying on the left is
+        # carried through layer 1 and the gap, counting its zeros
+        q, l = q2, l2
+        if q1 < 0.0 < l1:
+            w = math.sqrt(-q1)
             angle = math.atan2(psi, dpsi / w)
-            zeros += math.floor((angle + w * l) / math.pi) - math.floor(angle / math.pi)
-            c, s = math.cos(w * l), math.sin(w * l)
+            zeros += math.floor((angle + w * l1) / math.pi) - math.floor(angle / math.pi)
+            c, s = math.cos(w * l1), math.sin(w * l1)
             psi, dpsi = psi * c + dpsi / w * s, dpsi * c - psi * w * s
-        elif l > 0.0:
-            new, dpsi = _carry(q, l, psi, dpsi)
+        elif l1 > 0.0:
+            new, dpsi = _carry(q1, l1, psi, dpsi)
             zeros += new * psi < 0.0
             psi = new
-    w = math.sqrt(-pieces[last][0])
+        if r > 0.0:
+            new, dpsi = _carry(k2, r, psi, dpsi)
+            zeros += new * psi < 0.0
+            psi = new
+    elif q1 < 0.0 < l1:
+        # layer 1 oscillates last: the solution decaying on the right,
+        # mirrored, is carried from the right end through layer 2 and the
+        # gap, where it has no zero since q >= 0
+        q, l = q1, l1
+        if l2 > 0.0:
+            back, dback = _carry(q2, l2, back, dback)
+        if r > 0.0:
+            back, dback = _carry(k2, r, back, dback)
+    else:
+        return -0.5 * math.pi
+    w = math.sqrt(-q)
     # psi has the sign (-1)^zeros, so this angle lies in [0, pi]
     angle = math.atan2(psi, dpsi / w)
     if angle < 0.0:
         angle += math.pi
-    return zeros * math.pi + angle + w * pieces[last][1] - math.atan2(back, -dback / w)
+    return zeros * math.pi + angle + w * l - math.atan2(back, -dback / w)
 
 
-def _count(spec, kappa):
-    """N(kappa): the number of levels with decay rate at least kappa.
-
-    At kappa = 0 a zero-energy state, G = j * pi, is a threshold
-    resonance and not a level, so N(0) counts the levels with kappa > 0.
+def _count(kappa, g):
+    """N(kappa), the number of levels with decay rate at least kappa, from
+    g = G(kappa).  At kappa = 0 a zero-energy state, G = j * pi, is a
+    threshold resonance and not a level, so N(0) counts the levels with
+    kappa > 0.
     """
-    g = _phase(spec, kappa) / math.pi
+    g /= math.pi
     return math.ceil(g) if kappa == 0.0 else math.floor(g) + 1
 
 
-def _levels(spec, lo, hi):
+def brentq(f, a, fa, b, fb):
+    """The root of f in [a, b] by Brent's method, from fa = f(a), fb = f(b).
+
+    A line-for-line port of scipy's brentq.c (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973) at xtol = 1e-300, rtol = 1e-15
+    and 100 iterations, root for root, with its checks: a zero end is
+    returned, ends of one sign raise ValueError.  It lives here to start
+    from the end values the count bisection already has, which scipy would
+    compute again; the benchmark's tracer counts refinements by its name.
+    """
+    xpre, fpre, xcur, fcur = a, fa, b, fb
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-300 + 1e-15 * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur!r}")
+
+
+def _levels(p, lo, hi):
     """The levels with decay rate in [lo, hi), ascending.
 
     N is bisected until each interval holds one level, which Brent's
     method refines on G - j * pi to a relative 1e-15, so that a level
-    near threshold keeps its digits.  Levels closer than the float
+    near threshold keeps its digits; it starts from the G values the
+    bisection has at the interval's ends.  Levels closer than the float
     spacing of their decay rate are returned as equal values.
     """
     levels = []
-    stack = [(lo, _count(spec, lo), hi, _count(spec, hi))]
+    glo, ghi = _phase(p, lo), _phase(p, hi)
+    stack = [(lo, glo, _count(lo, glo), hi, ghi, _count(hi, ghi))]
     while stack:
-        a, na, b, nb = stack.pop()
+        a, ga, na, b, gb, nb = stack.pop()
         if na - nb == 1:
             j = nb * math.pi
-            levels.append(brentq(lambda k: _phase(spec, k) - j, a, b,
-                                 xtol=1e-300, rtol=1e-15))
+            levels.append(brentq(lambda k: _phase(p, k) - j, a, ga - j, b, gb - j))
         elif na > nb:
             mid = 0.5 * (a + b)
             if not a < mid < b:
                 levels += [mid] * (na - nb)
                 continue
-            nmid = _count(spec, mid)
-            stack += [(mid, nmid, b, nb), (a, na, mid, nmid)]
+            gmid = _phase(p, mid)
+            nmid = _count(mid, gmid)
+            stack += [(mid, gmid, nmid, b, gb, nb), (a, ga, na, mid, gmid, nmid)]
     return np.array(levels)
 
 
@@ -229,7 +294,8 @@ def find_roots(problem):
     layer, below -V_well, are not part of the ladder.
     """
     rho, l = problem.rho, problem.l
-    kappas = _levels(problem.spec, 0.0, rho / l) if rho > 0.0 and l > 0.0 else np.array([])
+    p = _params(problem.spec)
+    kappas = _levels(p, 0.0, rho / l) if rho > 0.0 and l > 0.0 else np.array([])
     chis = np.sqrt(np.maximum((rho - kappas * l) * (rho + kappas * l), 0.0))
     return BoundLadder(chis, kappas, rho, l, problem.branch)
 
@@ -294,11 +360,16 @@ def verify_ladder(spec, ladder):
     levels = np.sort(kappas)
     gaps = np.diff(levels, prepend=-np.inf, append=np.inf)
     half = np.minimum(5e-9 * levels, np.minimum(gaps[:-1], gaps[1:]) / 3.0)
-    complete = _count(spec, 0.0) == levels.size and all(
-        _count(spec, k - h) - _count(spec, k + h) == 1 for k, h in zip(levels, half))
+    p = _params(spec)
+
+    def count(k):
+        return _count(k, _phase(p, k))
+
+    complete = count(0.0) == levels.size and all(
+        count(k - h) - count(k + h) == 1 for k, h in zip(levels.tolist(), half.tolist()))
     missed = np.array([])
     if not complete:
-        found = _levels(spec, 0.0, math.sqrt(max(-spec.v1, -spec.v2, 0.0)))
+        found = _levels(p, 0.0, math.sqrt(max(-spec.v1, -spec.v2, 0.0)))
         missed = np.array([k for k in found
                            if not np.any(np.abs(kappas - k) <= 1e-8 * max(1.0, k))])
     ok = complete and bool(not residuals.size or residuals.max() < LEVEL_TOL)

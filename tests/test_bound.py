@@ -1,9 +1,11 @@
 """Bound-state ladders via the compact transcendental root problem."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
 from bilayer1d import (
     BoundLadder,
@@ -186,6 +188,106 @@ def test_verify_ladder_refines_only_when_uncertified(monkeypatch):
     verify_ladder(DEEP, _with_kappas(ladder, ladder.kappas[1:]))
     # every level is located to name the missed one
     assert len(brent) == 3
+
+
+def test_find_roots_evaluates_no_kappa_twice(monkeypatch):
+    # Brent starts from the phase values of its bracket's ends, so every
+    # evaluation is at a new kappa: 33 evaluations (27 distinct) when
+    # Brent computed the ends again, 27 since
+    phases = _counting(monkeypatch, "_phase")
+    assert find_roots(build_chi_problem(DEEP)).n == 3
+    assert len(set(phases)) == len(phases) <= 27
+
+
+# the DOUBLETS and NEAR_THRESHOLD ladders of the benchmark's workloads
+BENCHMARK_WELLS = [(-30.0, 1.5, -30.0, 1.5, 3.0), (-20.0, 2.0, -20.0, 2.0, 4.0),
+                   (-45.0, 1.2, -45.0, 1.2, 3.5), GAPPED_DOUBLET, NEAR_THRESHOLD]
+
+
+def _assert_brent_as_scipy(brent, f, a, b):
+    evals = []
+
+    def counted(x):
+        evals.append(x)
+        return f(x)
+
+    root = brent(counted, a, f(a), b, f(b))
+    reference, info = scipy_brentq(f, a, b, xtol=1e-300, rtol=1e-15, full_output=True)
+    assert root == reference
+    assert len(evals) + 2 == info.function_calls
+
+
+def _brent_brackets(monkeypatch, spec):
+    """(a, b) of every Brent refinement find_roots makes on spec, each
+    checked against scipy's brentq as it is made."""
+    brackets = []
+    original = bound.brentq
+
+    def checked(f, a, fa, b, fb):
+        assert (fa, fb) == (f(a), f(b))
+        _assert_brent_as_scipy(original, f, a, b)
+        brackets.append((a, b))
+        return original(f, a, fa, b, fb)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bound, "brentq", checked)
+        find_roots(build_chi_problem(spec))
+    return brackets
+
+
+def test_brent_port_matches_scipy_on_count_brackets(monkeypatch):
+    rng = np.random.default_rng(14)
+    specs = [_well_spec(rng) for _ in range(12)] + [DEEP]
+    specs += [DoubleLayerSpec.make(*s) for s in BENCHMARK_WELLS]
+    assert sum(len(_brent_brackets(monkeypatch, spec)) for spec in specs) > 80
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: math.atan(x - 0.3), -1.0, 2.0),
+    (lambda x: math.atan(1e3 * (x - 1e-7)), 0.0, 1.0),
+    (lambda x: -math.atan(x + 40.0), -100.0, 100.0),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.sinh(x) - 1e-20, -1.0, 2.0),
+    (lambda x: (x - 1.0) ** 3 + 1e-12, 0.0, 5.0),
+], ids=["atan", "atan-steep", "atan-falling", "cubic", "sinh-near-zero", "cubic-flat"])
+def test_brent_port_matches_scipy_on_plain_functions(f, a, b):
+    _assert_brent_as_scipy(bound.brentq, f, a, b)
+
+
+def test_brent_port_raises_as_scipy_where_it_cannot_converge():
+    # a root at 0 with a vanishing slope takes more than 100 steps at xtol = 1e-300
+    def cube(x):
+        return x ** 3
+
+    with pytest.raises(RuntimeError):
+        bound.brentq(cube, -1.0, -1.0, 2.0, 8.0)
+    with pytest.raises(RuntimeError):
+        scipy_brentq(cube, -1.0, 2.0, xtol=1e-300, rtol=1e-15)
+
+
+def test_brent_port_returns_a_root_on_an_end_and_refuses_one_sign(monkeypatch):
+    # the well of test_level_on_a_bisection_point_passes: G is shifted to
+    # vanish at its first bisection point, an end of two Brent brackets
+    q = 7.0 * np.pi / 3.0
+    spec = DoubleLayerSpec.make(-4.0 * q * q / 3.0, 1.0, 0.0, 0.0, 0.0)
+    problem = build_chi_problem(spec)
+    target = 0.5 * problem.rho / problem.l
+    p = bound._params(spec)
+    g = bound._phase(p, target)
+
+    def shifted(k):
+        return bound._phase(p, k) - g
+
+    ends = [(a, b) for a, b in _brent_brackets(monkeypatch, spec) if target in (a, b)]
+    assert ends
+    for a, b in ends:
+        assert bound.brentq(shifted, a, shifted(a), b, shifted(b)) == target
+        assert scipy_brentq(shifted, a, b, xtol=1e-300, rtol=1e-15) == target
+    a, b = 0.0, 0.5 * target
+    with pytest.raises(ValueError):
+        bound.brentq(shifted, a, shifted(a), b, shifted(b))
+    with pytest.raises(ValueError):
+        scipy_brentq(shifted, a, b, xtol=1e-300, rtol=1e-15)
 
 
 @pytest.mark.parametrize("dropped", [0, 1, 2])
