@@ -10,11 +10,9 @@ structure converges to a point interaction.
 from .core import (
     EV_TO_INV_NM2,
     DoubleLayerSpec,
-    LayerSpec,
     Wavenumber,
     as_wavenumber,
     convert_energy,
-    validate_spec,
 )
 from .kernels import SERIES_CUTOFF, cos_sqrt, sinc_sqrt, tanc_sqrt
 from .xfer import (
@@ -83,7 +81,6 @@ __all__ = [
     "IntegrationConfig",
     "InteractionReport",
     "LadderReport",
-    "LayerSpec",
     "NotAnEigenvalueError",
     "PairingResult",
     "PiecewiseWave",
@@ -129,6 +126,5 @@ __all__ = [
     "sweep_ladder",
     "tanc_sqrt",
     "total_matrix",
-    "validate_spec",
     "verify_ladder",
 ]

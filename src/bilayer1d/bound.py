@@ -34,7 +34,6 @@ import math
 
 import numpy as np
 
-from .core import validate_spec
 from .kernels import tanc_sqrt
 
 
@@ -87,7 +86,6 @@ def build_chi_problem(spec, branch=None):
     width (layer 1 on a tie); only when every attractive layer has zero
     width is one of those taken.  Raises if no layer is attractive.
     """
-    validate_spec(spec)
     if branch is None:
         wells = [(l == 0.0, v, b) for b, v, l in ((1, spec.v1, spec.l1), (2, spec.v2, spec.l2))
                  if v < 0]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import probes
 from .bound import build_chi_problem, find_roots, verify_ladder
-from .core import EV_TO_INV_NM2, DoubleLayerSpec, Wavenumber, validate_spec
+from .core import EV_TO_INV_NM2, DoubleLayerSpec, Wavenumber
 from .squeeze import (
     SqueezeFamily,
     classify_first_angle,
@@ -75,7 +75,7 @@ def _scale(cfg):
 
 # section: (constructor, its keys in argument order)
 _SECTIONS = {
-    "spec": (DoubleLayerSpec.make, ("v1", "l1", "v2", "l2", "r")),
+    "spec": (DoubleLayerSpec, ("v1", "l1", "v2", "l2", "r")),
     "family": (SqueezeFamily, ("mu", "nu", "tau", "h1", "h2", "d1", "d2", "c")),
 }
 _ENERGIES = ("v1", "v2", "h1", "h2")
@@ -102,14 +102,11 @@ def _spec_of(cfg):
     if (cfg.get("spec") is None) == (cfg.get("family") is None):
         raise ConfigError('provide exactly one of "spec" or "family"')
     if cfg.get("spec") is not None:
-        spec = _section(cfg, "spec")
-    else:
-        family = _section(cfg, "family")
-        if "eps" not in cfg:
-            raise ConfigError('a "family" config needs "eps" to realize it')
-        spec = realize(family, _number(cfg, "eps", None))
-    validate_spec(spec)
-    return spec
+        return _section(cfg, "spec")
+    family = _section(cfg, "family")
+    if "eps" not in cfg:
+        raise ConfigError('a "family" config needs "eps" to realize it')
+    return realize(family, _number(cfg, "eps", None))
 
 
 def _real_list(raw, name):

@@ -1,9 +1,13 @@
-"""Units and validated descriptions of the two-layer structure.
+"""Units and self-checking descriptions of the two-layer structure.
 
 Lengths are nanometres, inverse-length-squared energies throughout.  The
 stationary wave equation is -psi'' + V psi = k^2 psi, so potentials and
 k^2 both carry nm^-2.  Electron-volt inputs are converted once at the
 boundary with the fixed factor below (effective mass 0.1 m_e).
+
+A DoubleLayerSpec checks its five numbers when it is built (finite, and
+no negative width or gap), so a function that takes a spec needs no
+check of its own; Wavenumber checks itself the same way.
 """
 
 from dataclasses import dataclass
@@ -18,75 +22,42 @@ def convert_energy(value_ev):
 
 
 @dataclass(frozen=True)
-class LayerSpec:
-    """One constant-potential slab: height v (nm^-2), width l (nm >= 0)."""
-
-    v: float
-    l: float
-
-
-@dataclass(frozen=True)
 class DoubleLayerSpec:
-    """Two slabs separated by a zero-potential gap of width r.
+    """Slabs of height v1, v2 (nm^-2) and width l1, l2 (nm), separated by a
+    zero-potential gap of width r (nm).
 
     The structure occupies [0, l1 + r + l2]; outside it the potential
-    vanishes.  Widths may be zero (degenerate single-layer cases).
+    vanishes.  Widths may be zero (degenerate single-layer cases).  Every
+    field must be finite and l1, l2, r must be >= 0; construction raises
+    ValueError naming the offending field, so every spec is valid.
     """
 
-    layer1: LayerSpec
-    layer2: LayerSpec
+    v1: float
+    l1: float
+    v2: float
+    l2: float
     r: float
+
+    def __post_init__(self):
+        for name in ("v1", "l1", "v2", "l2", "r"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"spec field {name} is not finite: {value!r}")
+            if value < 0 and name in ("l1", "l2", "r"):
+                raise ValueError(f"spec field {name} must be >= 0, got {value!r}")
 
     @classmethod
     def make(cls, v1, l1, v2, l2, r):
-        return cls(LayerSpec(v1, l1), LayerSpec(v2, l2), r)
+        return cls(v1, l1, v2, l2, r)
 
     @classmethod
     def from_ev(cls, v1_ev, l1, v2_ev, l2, r):
-        return cls.make(convert_energy(v1_ev), l1, convert_energy(v2_ev), l2, r)
-
-    @property
-    def v1(self):
-        return self.layer1.v
-
-    @property
-    def l1(self):
-        return self.layer1.l
-
-    @property
-    def v2(self):
-        return self.layer2.v
-
-    @property
-    def l2(self):
-        return self.layer2.l
+        return cls(convert_energy(v1_ev), l1, convert_energy(v2_ev), l2, r)
 
     @property
     def extent(self):
         """Total width l1 + r + l2."""
         return self.l1 + self.r + self.l2
-
-
-def validate_spec(spec):
-    """Check finiteness and sign constraints; returns the spec unchanged.
-
-    Raises ValueError naming the offending field.  Validation is
-    idempotent, so calling it on an already validated spec is free of
-    side effects.
-    """
-    for name, value in (
-        ("v1", spec.v1),
-        ("l1", spec.l1),
-        ("v2", spec.v2),
-        ("l2", spec.l2),
-        ("r", spec.r),
-    ):
-        if not math.isfinite(value):
-            raise ValueError(f"spec field {name} is not finite: {value!r}")
-    for name, value in (("l1", spec.l1), ("l2", spec.l2), ("r", spec.r)):
-        if value < 0:
-            raise ValueError(f"spec field {name} must be >= 0, got {value!r}")
-    return spec
 
 
 @dataclass(frozen=True)

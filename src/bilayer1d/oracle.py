@@ -16,7 +16,6 @@ import numpy as np
 from numpy.lib import scimath
 from scipy.optimize import brentq
 
-from .core import validate_spec
 from .xfer import ScatteringData
 
 
@@ -103,7 +102,6 @@ def oracle_entries(spec, k2, cfg=None):
     k2 may be any real array (negative values reach the bound sector).
     Returns four real arrays (l11, l12, l21, l22).
     """
-    validate_spec(spec)
     cfg = cfg or IntegrationConfig()
     k2 = np.atleast_1d(np.asarray(k2, dtype=float))
     pieces = _pieces(spec)
@@ -168,7 +166,6 @@ def integrate_bound(spec, cfg=None):
     are the exact per-piece ones, since RK4 struggles with the
     exponential growth in deep wells.
     """
-    validate_spec(spec)
     cfg = cfg or IntegrationConfig(method="exact")
     vmin = min(spec.v1, spec.v2, 0.0)
     if vmin >= 0.0:
@@ -209,7 +206,6 @@ def level_count(spec, kappa):
     """
     import mpmath as mp
 
-    validate_spec(spec)
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
     with mp.workdps(40):

@@ -92,17 +92,17 @@ def realize(family, eps):
     e = float(eps)
     if not 0.0 < e <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps!r}")
-    spec = DoubleLayerSpec.make(
-        e ** (-family.mu) * family.h1,
-        e * family.d1,
-        e ** (-family.nu) * family.h2,
-        e ** (1.0 - family.mu + family.nu) * family.d2,
-        e**family.tau * family.c,
-    )
-    fields = (spec.v1, spec.l1, spec.v2, spec.l2, spec.r)
-    if not all(math.isfinite(f) for f in fields):
-        raise ValueError(f"eps = {eps!r} overflows the realized potential")
-    return spec
+    try:
+        return DoubleLayerSpec(
+            e ** (-family.mu) * family.h1,
+            e * family.d1,
+            e ** (-family.nu) * family.h2,
+            e ** (1.0 - family.mu + family.nu) * family.d2,
+            e**family.tau * family.c,
+        )
+    except (OverflowError, ValueError) as exc:
+        # eps**-mu overflows, or its product with h1 or h2 is infinite
+        raise ValueError(f"eps = {eps!r} overflows the realized potential") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -458,35 +458,46 @@ def _balanced(family):
     return abs(balance) <= BALANCE_TOL * scale
 
 
-def _gamma(family, powers):
-    """h1*d1/2 times the sum of d1, d2 and 2c over the first-angle edge
-    powers (q1, q2, t) that are 0, or None when none is."""
+def _gamma_rule(family):
+    """(gamma, divergence_power, note) of the distributional limit.
+
+    Without the zero-mean balance the pairing scales like eps**(1 - mu)
+    times probe(0).  With it, the terms left go like eps**q1, eps**q2 and
+    eps**t over the first-angle edge powers; the most negative of them
+    sets the divergence.  When none is negative, gamma is h1*d1/2 times
+    the sum of d1, d2 and 2c over the powers that are 0, or None when
+    none is, and note is "".  Otherwise gamma is None and note says why
+    there is no limit; divergence_power is the eps power with which the
+    pairing blows up (None for an unbalanced mu <= 1).
+    """
+    if not _balanced(family):
+        power = 1.0 - family.mu
+        note = ("zero-mean balance violated; the pairing scales like "
+                f"eps**({power:g}) times probe(0)")
+        return None, (power if power < -EQUALITY_TOL else None), note
+    powers, _ = _edge_powers(1, family.mu, family.nu, family.tau)
+    lowest = min(powers)
+    if lowest < -EQUALITY_TOL:
+        note = f"balanced pairing still diverges like eps**({lowest:g}) for these exponents"
+        return None, lowest, note
     parts = (family.d1, family.d2, 2.0 * family.c)
     on = [part for part, flag in zip(parts, _flags(powers)) if flag]
-    return 0.5 * family.h1 * family.d1 * sum(on) if on else None
+    return (0.5 * family.h1 * family.d1 * sum(on) if on else None), None, ""
 
 
 def gamma_strength(family):
     """Derivative-jump strength of the distributional limit.
 
-    Defined on the first angle when the zero-mean balance
-    h1*d1 + h2*d2 = 0 holds: h1*d1/2 times the sum of d1, d2 and 2c
-    over the edge powers q1, q2 and t that are 0.  In the interior I1
-    none is 0 and the strength is absent (None) because the pairing
-    itself vanishes.
+    Exists where delta_prime_pairing has a finite companion: under the
+    zero-mean balance h1*d1 + h2*d2 = 0 with no first-angle edge power
+    (q1, q2, t) negative.  It is h1*d1/2 times the sum of d1, d2 and 2c
+    over the edge powers that are 0; when none is 0 the pairing itself
+    vanishes and the strength is absent (None).  Elsewhere the pairing
+    has no limit and ValueError gives the pairing's note.
     """
-    label, powers = _label(1, family.mu, family.nu, family.tau)
-    if label is None:
-        raise ValueError(
-            "gamma is defined only on the first angle of exponents"
-        )
-    gamma = _gamma(family, powers)
-    if gamma is not None and not _balanced(family):
-        balance = family.h1 * family.d1 + family.h2 * family.d2
-        raise ValueError(
-            "the derivative-jump strength needs the zero-mean balance "
-            f"h1*d1 + h2*d2 = 0 (got {balance:g})"
-        )
+    gamma, _, note = _gamma_rule(family)
+    if note:
+        raise ValueError(note)
     return gamma
 
 
@@ -532,32 +543,9 @@ def delta_prime_pairing(family, eps, probe):
         spec.l1 + spec.r, spec.extent
     )
 
-    if not _balanced(family):
-        power = 1.0 - family.mu
-        return PairingResult(
-            eps,
-            value,
-            None,
-            None,
-            power if power < -EQUALITY_TOL else None,
-            "zero-mean balance violated; the pairing scales like "
-            f"eps**({power:g}) times probe(0)",
-        )
-
-    # balanced: the terms left go like eps**q1, eps**q2 and eps**t
-    powers, _ = _edge_powers(1, family.mu, family.nu, family.tau)
-    lowest = min(powers)
-    if lowest < -EQUALITY_TOL:
-        return PairingResult(
-            eps,
-            value,
-            None,
-            None,
-            lowest,
-            "balanced pairing still diverges like "
-            f"eps**({lowest:g}) for these exponents",
-        )
-    gamma = _gamma(family, powers)
+    gamma, power, note = _gamma_rule(family)
+    if note:
+        return PairingResult(eps, value, None, None, power, note)
     if gamma is None:
         return PairingResult(
             eps, value, 0.0, None, None,

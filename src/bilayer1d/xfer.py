@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LayerSpec, as_wavenumber, validate_spec
+from .core import as_wavenumber
 from .kernels import cos_sqrt, sinc_sqrt
 
 
@@ -79,10 +79,10 @@ def _layer_parts(v, l, k2):
     return c, sl, ks
 
 
-def layer_matrix(layer, k):
-    """Propagator across a single constant slab."""
+def layer_matrix(v, l, k):
+    """Propagator across a single slab of height v and width l."""
     wn = as_wavenumber(k)
-    c, sl, ks = _layer_parts(layer.v, layer.l, wn.k2)
+    c, sl, ks = _layer_parts(v, l, wn.k2)
     return TransferMatrix(c, sl, -ks, c)
 
 
@@ -110,12 +110,11 @@ def total_matrix(spec, k, method="explicit"):
     method="product" multiplies the three interval propagators.  Both
     agree to roundoff and are kept as mutual checks.
     """
-    validate_spec(spec)
     wn = as_wavenumber(k)
     if method == "product":
-        m1 = layer_matrix(spec.layer1, wn)
-        m0 = layer_matrix(LayerSpec(0.0, spec.r), wn)
-        m2 = layer_matrix(spec.layer2, wn)
+        m1 = layer_matrix(spec.v1, spec.l1, wn)
+        m0 = layer_matrix(0.0, spec.r, wn)
+        m2 = layer_matrix(spec.v2, spec.l2, wn)
         return m2 @ (m0 @ m1)
     if method != "explicit":
         raise ValueError(f"unknown method {method!r}")
@@ -192,7 +191,6 @@ def scattering_data(spec, k, method="closed"):
     amplitudes from the total propagator.  Agreement of the two routes
     is a library invariant (tested to 1e-10 relative).
     """
-    validate_spec(spec)
     wn = as_wavenumber(k)
     a, b = _amplitudes(spec, wn.k, wn.k2, method)
     return ScatteringData(complex(a), complex(b))
@@ -204,7 +202,6 @@ def amplitude_grid(spec, ks, method="closed"):
     Vectorized counterpart of scattering_data with the same two routes,
     evaluated elementwise over the whole k-grid.
     """
-    validate_spec(spec)
     kc = np.asarray(ks, dtype=float)
     if kc.size and not np.all(kc > 0.0):
         raise ValueError("amplitude_grid expects positive real wavenumbers")
@@ -246,7 +243,6 @@ def bound_state_residual(spec, kappa):
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    validate_spec(spec)
     kappa = as_wavenumber(1j * kappa).kappa
     l11, l12, l21, l22 = matrix_entries(spec, -kappa * kappa)
     return float(l11 + l22 + kappa * l12 + l21 / kappa)
@@ -271,7 +267,6 @@ class PiecewiseWave:
     """
 
     def __init__(self, spec, k, mode="scatter"):
-        validate_spec(spec)
         wn = as_wavenumber(k)
         if mode == "scatter" and not wn.is_real:
             raise ValueError("scatter mode requires real k")

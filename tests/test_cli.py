@@ -467,6 +467,22 @@ def test_malformed_config_value_is_config_error(tmp_path, command, extra):
     assert _run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
 
 
+@pytest.mark.parametrize("field", ["l1", "l2", "r"])
+def test_negative_width_or_gap_is_config_error(tmp_path, capsys, field):
+    spec = {**SPEC_SECTION, field: -0.5}
+    cfg = _write_config(tmp_path, {"units": "nm^-2", "spec": spec, "k_grid": [1.0]})
+    assert _run(["scatter", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert f"spec field {field} must be >= 0" in capsys.readouterr().err
+
+
+def test_eps_that_overflows_the_potential_is_domain_error(tmp_path, capsys):
+    # eps**-2 overflows a float here, which once escaped as OverflowError
+    payload = {"units": "nm^-2", "family": FAMILY_SECTION, "eps": 1e-200, "k_grid": [1.0]}
+    cfg = _write_config(tmp_path, payload)
+    assert _run(["scatter", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert "eps = 1e-200 overflows" in capsys.readouterr().err
+
+
 def test_non_finite_tol_flag_is_config_error(tmp_path):
     # a NaN tolerance fails every comparison, so a resonant family was
     # reported "separated" with exit code 0

@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bilayer1d import DoubleLayerSpec, build_chi_problem, find_roots, verify_ladder
+from bilayer1d import (
+    DoubleLayerSpec,
+    amplitude_grid,
+    build_chi_problem,
+    find_roots,
+    matrix_entries,
+    reflection_transmission,
+    scattering_data,
+    verify_ladder,
+)
 from bilayer1d.oracle import level_count
 
 # |V| up to 1e4 and widths up to 14, so sqrt|V| * l reaches 1400 (about
@@ -61,3 +70,79 @@ def test_a_certified_ladder_holds_every_level(spec):
         return
     if verify_ladder(spec, ladder).ok:
         assert ladder.n == level_count(spec, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# construction
+
+
+@drawn
+@given(st.tuples(*[st.floats()] * 5))
+def test_a_spec_is_built_exactly_when_its_fields_are_valid(fields):
+    # st.floats() draws NaN, infinities and negative zero among the rest
+    _, l1, _, l2, r = fields
+    valid = all(math.isfinite(x) for x in fields) and min(l1, l2, r) >= 0.0
+    try:
+        DoubleLayerSpec(*fields)
+    except ValueError:
+        assert not valid
+    else:
+        assert valid
+
+
+# ---------------------------------------------------------------------------
+# scattering
+
+
+def _scattering_values(spec, ks):
+    """Every number the four scattering functions give on ks."""
+    a, b = amplitude_grid(spec, ks)
+    values = [a, b, *matrix_entries(spec, ks * ks)]
+    for k in ks.tolist():
+        data, rt = scattering_data(spec, k), reflection_transmission(spec, k)
+        values.append([data.a, data.b, rt.r_right, rt.t, rt.r_left])
+    return values
+
+
+@st.composite
+def layers(draw, opacity):
+    """(V, l) with V in [-1e4, 1e4] and, for a barrier, sqrt(V) * l at most
+    opacity."""
+    v = draw(st.floats(-1e4, 1e4))
+    longest = 14.0 if v <= 0.0 else min(14.0, opacity / math.sqrt(v))
+    return v, draw(st.floats(0.0, longest))
+
+
+# wavenumbers from 1e-12 to 1e12 nm^-1, spread over the decades
+wavenumbers = st.lists(st.floats(-12.0, 12.0).map(lambda e: 10.0**e), min_size=1, max_size=4)
+
+
+@drawn
+@given(layers(150.0), layers(150.0), st.floats(0.0, 5.0), wavenumbers)
+def test_scattering_is_finite_below_the_opacity_bound(first, second, r, ks):
+    # the sum of sqrt(max(V, 0)) * l over both layers is at most 300
+    spec = DoubleLayerSpec(*first, *second, r)
+    for value in _scattering_values(spec, np.array(ks)):
+        assert np.all(np.isfinite(value)), (spec, ks)
+
+
+@st.composite
+def opaque_specs(draw):
+    """One barrier with sqrt(V) * l in [720, 1400] beside any layer."""
+    v = draw(st.floats(3000.0, 1e4))
+    barrier = v, draw(st.floats(720.0, 1400.0)) / math.sqrt(v)
+    other = draw(layers(1400.0))
+    first, second = (other, barrier) if draw(st.booleans()) else (barrier, other)
+    return DoubleLayerSpec(*first, *second, draw(st.floats(0.0, 5.0)))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: a barrier with sqrt(V) * l > 710 overflows cosh and sinh, "
+    "so the amplitudes come back NaN with only a RuntimeWarning"))
+@drawn
+@given(opaque_specs(), wavenumbers)
+def test_scattering_of_opaque_barriers_is_finite(spec, ks):
+    with np.errstate(all="ignore"):
+        values = _scattering_values(spec, np.array(ks))
+    for value in values:
+        assert np.all(np.isfinite(value)), (spec, ks)

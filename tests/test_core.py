@@ -10,7 +10,6 @@ from bilayer1d import (
     Wavenumber,
     as_wavenumber,
     convert_energy,
-    validate_spec,
 )
 from bilayer1d.core import EV_TO_INV_NM2
 
@@ -37,7 +36,7 @@ def test_extent_sums_widths_and_gap():
 
 
 def test_validate_spec_accepts_degenerate_widths():
-    validate_spec(DoubleLayerSpec.make(1.0, 0.0, -1.0, 0.0, 0.0))
+    DoubleLayerSpec.make(1.0, 0.0, -1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -50,7 +49,7 @@ def test_validate_spec_accepts_degenerate_widths():
 )
 def test_validate_spec_rejects_negative_lengths(fields):
     with pytest.raises(ValueError):
-        validate_spec(DoubleLayerSpec.make(*fields))
+        DoubleLayerSpec.make(*fields)
 
 
 def test_real_wavenumber_properties():

@@ -1,6 +1,7 @@
 """Squeeze families: realization, region taxonomy, sweeps and pairings."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -146,6 +147,15 @@ def test_realize_scales_with_the_advertised_powers():
     assert spec.r == pytest.approx(fam.c * eps**2)
 
 
+@pytest.mark.parametrize("eps, h", [(1e-200, 1.0), (1.1e-154, 10.0)], ids=["power", "product"])
+def test_realize_refuses_an_eps_that_overflows(eps, h):
+    # at 1e-200 eps**-2 itself overflows; at 1.1e-154 it is 8.3e307, and
+    # only its product with h is infinite
+    family = SqueezeFamily(2.0, 2.0, 2.0, h, -h, 1.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match=f"eps = {eps!r} overflows"):
+        realize(family, eps)
+
+
 def test_family_requires_shrinking_second_layer():
     with pytest.raises(ValueError):
         SqueezeFamily(3.0, 2.0, 1.0, H, -H, 1.0, 1.0, 2.0)
@@ -232,6 +242,29 @@ def test_gamma_strength_requires_balance():
     lopsided = SqueezeFamily(2.0, 2.0, 1.0, H, -H, 2.0, 0.5, 1.0)
     with pytest.raises(ValueError):
         gamma_strength(lopsided)
+
+
+def test_gamma_strength_follows_the_pairing():
+    # balanced below both angles: the pairing vanishes, so gamma is absent
+    assert gamma_strength(SqueezeFamily(0.75, 0.5, 0.5, H, -H, 1.0, 1.0, 2.0)) is None
+    # unbalanced in the interior I1: the pairing diverges like eps**(1 - mu)
+    with pytest.raises(ValueError, match=r"eps\*\*\(-0\.5\)"):
+        gamma_strength(SqueezeFamily(1.5, 1.5, 0.75, H, -H, 1.0, 2.0, 2.0))
+    # gamma exactly where the companion is finite, else the pairing's note
+    probe = probes.gaussian(3.0, center=-3.0)
+    grid = itertools.product((0.75, 1.0, 1.5, 2.0), (0.5, 1.0, 2.0, 3.0), (0.5, 1.0, 2.0),
+                             (1.0, 2.0))
+    for mu, nu, tau, d2 in grid:
+        if 1.0 - mu + nu <= 0.0:
+            continue
+        family = SqueezeFamily(mu, nu, tau, H, -H, 1.0, d2, 2.0)
+        pairing = delta_prime_pairing(family, 1e-3, probe)
+        if pairing.companion is None:
+            with pytest.raises(ValueError) as info:
+                gamma_strength(family)
+            assert str(info.value) == pairing.note
+        else:
+            assert gamma_strength(family) == pairing.gamma
 
 
 def test_pairing_converges_for_the_balanced_dipole():
