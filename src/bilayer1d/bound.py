@@ -3,18 +3,21 @@
 Levels are counted by Sturm's oscillation theorem on the three constant
 pieces, the setting of Pruess & Fulton (ACM TOMS 19, 360, 1993) and
 Pryce (Numerical Solution of Sturm-Liouville Problems, OUP 1993).  At
-energy -kappa^2, _phase carries, in plain floats from the spec's five
-numbers, the solution that decays on the left to the right end of the
-last piece where it oscillates, and the one that decays on the right
-back to the same point.  The Pruefer phase G(kappa)
-of the first against the second is continuous and decreasing; the count
-of levels with decay rate at least kappa is N = floor(G / pi) + 1, and
-the levels are where G = j * pi.  Matching inside an oscillating piece,
-not beyond a barrier, keeps G nearly linear, so Brent's method needs few
-steps.  find_roots bisects N until each interval holds one level and
-refines it on G - j * pi, with a Brent that starts from the G values the
-bisection has at the interval's ends; verify_ladder certifies a ladder
-by counts.
+energy -kappa^2, _phase matches in the layer with the larger phase w * l,
+where w^2 = -V - kappa^2; the mirrored structure (v2, l2, v1, l1, r) has
+the same levels, so that layer is taken as the second.  In plain floats
+from the spec's five numbers, it carries the solution that decays on the
+left through the first layer and the gap to the right end of the second,
+where the one that decays on the right is the bare tail.  The Pruefer
+phase G(kappa) of the first against the second is continuous and
+decreasing; the count of levels with decay rate at least kappa is
+N = floor(G / pi) + 1, and the levels are where G = j * pi.  Matching
+inside the most oscillating piece, not beyond a barrier or in a thin
+layer, keeps G nearly linear and well conditioned, so Brent's method
+needs few steps.  find_roots bisects N until each interval holds one
+level and refines it on G - j * pi, with a Brent that starts from the G
+values the bisection has at the interval's ends; verify_ladder certifies
+a ladder by counts.
 
 The paper's compactified problem stays as ChiProblem.  With the deeper
 attractive layer of width l as reference well, chi = l sqrt(-V - kappa^2)
@@ -152,49 +155,41 @@ def _params(spec):
 
 def _phase(p, kappa):
     """G(kappa) of the module docstring for kappa >= 0 and p = _params(spec),
-    in plain floats; -pi/2 where no piece oscillates, as no level lies
-    deeper there."""
+    matched in the layer with the larger phase (mirrored if that is layer 1);
+    -pi/2 where no piece oscillates, as no level lies deeper there."""
     v1, l1, v2, l2, r = p
     k2 = kappa * kappa
     # psi'' = q psi in each piece; the gap, q = k2, never oscillates
     q1, q2 = v1 + k2, v2 + k2
-    psi, dpsi, zeros = 1.0, kappa, 0
-    back, dback = 1.0, kappa
-    if q2 < 0.0 < l2:
-        # layer 2 oscillates last: the solution decaying on the left is
-        # carried through layer 1 and the gap, counting its zeros
-        q, l = q2, l2
-        if q1 < 0.0 < l1:
-            w = math.sqrt(-q1)
-            angle = math.atan2(psi, dpsi / w)
-            zeros += math.floor((angle + w * l1) / math.pi) - math.floor(angle / math.pi)
-            c, s = math.cos(w * l1), math.sin(w * l1)
-            psi, dpsi = psi * c + dpsi / w * s, dpsi * c - psi * w * s
-        elif l1 > 0.0:
-            new, dpsi = _carry(q1, l1, psi, dpsi)
-            zeros += new * psi < 0.0
-            psi = new
-        if r > 0.0:
-            new, dpsi = _carry(k2, r, psi, dpsi)
-            zeros += new * psi < 0.0
-            psi = new
-    elif q1 < 0.0 < l1:
-        # layer 1 oscillates last: the solution decaying on the right,
-        # mirrored, is carried from the right end through layer 2 and the
-        # gap, where it has no zero since q >= 0
-        q, l = q1, l1
-        if l2 > 0.0:
-            back, dback = _carry(q2, l2, back, dback)
-        if r > 0.0:
-            back, dback = _carry(k2, r, back, dback)
-    else:
+    # the mirrored structure has the same levels: match in the layer with
+    # the larger phase w * l, which is layer 2 after the swap
+    if q1 * l1 * l1 < q2 * l2 * l2:
+        q1, l1, q2, l2 = q2, l2, q1, l1
+    if not q2 < 0.0 < l2:
         return -0.5 * math.pi
-    w = math.sqrt(-q)
-    # psi has the sign (-1)^zeros, so this angle lies in [0, pi]
+    # the solution decaying on the left, through layer 1 and the gap
+    psi, dpsi, zeros = 1.0, kappa, 0
+    if q1 < 0.0 < l1:
+        w = math.sqrt(-q1)
+        angle = math.atan2(psi, dpsi / w)
+        zeros += math.floor((angle + w * l1) / math.pi) - math.floor(angle / math.pi)
+        c, s = math.cos(w * l1), math.sin(w * l1)
+        psi, dpsi = psi * c + dpsi / w * s, dpsi * c - psi * w * s
+    elif l1 > 0.0:
+        new, dpsi = _carry(q1, l1, psi, dpsi)
+        zeros += new * psi < 0.0
+        psi = new
+    if r > 0.0:
+        new, dpsi = _carry(k2, r, psi, dpsi)
+        zeros += new * psi < 0.0
+        psi = new
+    w = math.sqrt(-q2)
+    # psi has the sign (-1)^zeros, so this angle lies in [0, pi]; the
+    # solution decaying on the right is the bare tail (1, -kappa) there
     angle = math.atan2(psi, dpsi / w)
     if angle < 0.0:
         angle += math.pi
-    return zeros * math.pi + angle + w * l - math.atan2(back, -dback / w)
+    return zeros * math.pi + angle + w * l2 - math.atan2(1.0, -kappa / w)
 
 
 def _count(kappa, g):
@@ -304,7 +299,9 @@ def find_roots(problem):
 
 def _direct_condition(spec, kappa):
     """Value and scale of the direct level condition built from the two
-    layer tangents and tanh(kappa * r); has poles at the tangent poles."""
+    layer tangents and tanh(kappa * r); has poles at the tangent poles.
+    The scale counts kappa - q / kappa by its parts: on a tangent pole it
+    can vanish, and its term is 0 * inf."""
     kappa = np.asarray(kappa, dtype=float)
     k2 = -kappa * kappa
     q1 = k2 - spec.v1
@@ -313,16 +310,18 @@ def _direct_condition(spec, kappa):
     t2 = spec.l2 * tanc_sqrt(q2 * spec.l2 * spec.l2)
     t0 = np.tanh(kappa * spec.r)
     with np.errstate(divide="ignore", invalid="ignore"):
+        right, r1, r2 = 1.0 + t0, q1 / kappa, q2 / kappa
+        pole1, pole2 = t1 * right, t2 * right
         terms = (
-            2.0 * (1.0 + t0),
-            (kappa - q1 / kappa) * t1 * (1.0 + t0),
-            (kappa - q2 / kappa) * t2 * (1.0 + t0),
-            t1 * t2 * (kappa * kappa + q1 * q2 / (kappa * kappa)) * t0,
+            2.0 * right,
+            (kappa - r1) * pole1,
+            (kappa - r2) * pole2,
+            t1 * t2 * (kappa * kappa + r1 * r2) * t0,
             -t1 * t2 * (q1 + q2),
         )
-    value = sum(terms)
-    scale = sum(np.abs(t) for t in terms)
-    return value, np.maximum(scale, 1.0)
+        scale = (terms[0] + np.abs(terms[3]) + np.abs(terms[4])
+                 + (kappa + np.abs(r1)) * np.abs(pole1) + (kappa + np.abs(r2)) * np.abs(pole2))
+    return sum(terms), np.maximum(scale, 1.0)
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,9 @@ class SqueezeFamily:
 
     mu, nu govern the potential growth of the two layers, tau the gap
     shrink rate; h1, h2 (nm^-2) set the potential scale and d1, d2, c
-    (nm) the geometric scale at eps = 1.
+    (nm) the geometric scale at eps = 1.  Every field must be finite, the
+    exponents and lengths positive and 1 - mu + nu positive; construction
+    raises ValueError naming the offending field, so every family is valid.
     """
 
     mu: float
@@ -71,12 +73,12 @@ class SqueezeFamily:
     c: float
 
     def __post_init__(self):
-        for name in ("mu", "nu", "tau"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"exponent {name} must be positive")
-        for name in ("d1", "d2", "c"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"length prefactor {name} must be positive")
+        for name in ("mu", "nu", "tau", "h1", "h2", "d1", "d2", "c"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"family field {name} is not finite: {value!r}")
+            if value <= 0.0 and name not in ("h1", "h2"):
+                raise ValueError(f"family field {name} must be positive, got {value!r}")
         if not 1.0 - self.mu + self.nu > 0.0:
             raise ValueError(
                 "need 1 - mu + nu > 0 so the second layer width shrinks"

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 from bilayer1d import (
@@ -15,6 +16,7 @@ from bilayer1d import (
     build_chi_problem,
     find_roots,
     realize,
+    sweep_ladder,
     verify_ladder,
 )
 from bilayer1d.core import EV_TO_INV_NM2 as EV
@@ -497,3 +499,57 @@ def test_zero_width_layer_is_not_the_reference_well(swap):
     ladder = find_roots(problem)
     assert ladder.n == 1
     _assert_counted(spec, ladder)
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+def test_level_on_a_tangent_pole_is_certified(k):
+    # at kappa = k the well's tangent has its pole, k1 * l1 = pi / 2, and the
+    # factor kappa - q1 / kappa of the pole term vanishes with it
+    spec = DoubleLayerSpec.make(-2.0 * k * k, math.pi / (2.0 * k), 0.0, 0.0, 0.0)
+    ladder = find_roots(build_chi_problem(spec))
+    assert ladder.kappas == pytest.approx([k], rel=1e-12)
+    _assert_counted(spec, ladder)
+
+
+# ---------------------------------------------------------------------------
+# the mirrored structure (v2, l2, v1, l1, r) has the same levels
+
+
+@st.composite
+def _spec_and_branch(draw):
+    """A spec with one layer drawn as a well, and that layer's branch."""
+    well = draw(st.floats(-200.0, -1e-3)), draw(st.floats(1e-3, 6.0))
+    other = draw(st.floats(-200.0, 200.0)), draw(st.floats(0.0, 6.0))
+    branch = draw(st.sampled_from([1, 2]))
+    first, second = (well, other) if branch == 1 else (other, well)
+    return DoubleLayerSpec.make(*first, *second, draw(st.floats(0.0, 4.0))), branch
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_spec_and_branch())
+def test_mirrored_structure_has_the_same_ladder(drawn):
+    spec, branch = drawn
+    mirror = DoubleLayerSpec.make(spec.v2, spec.l2, spec.v1, spec.l1, spec.r)
+    ladder = find_roots(build_chi_problem(spec, branch))
+    mirrored = find_roots(build_chi_problem(mirror, 3 - branch))
+    assert mirrored.n == ladder.n
+    np.testing.assert_allclose(mirrored.kappas, ladder.kappas, rtol=1e-12, atol=0.0)
+
+
+# the on-resonance L1 family of test_limit_pins: a thick well, then a thin
+# well whose phase w * l tends to 0 as eps -> 0, so the match belongs in the
+# thick one
+L1_FAMILY = SqueezeFamily(2.0, 3.0, 1.0, -1.31232, -1.31232, 1.0, 1.0, 1.1573262590561457)
+
+
+def test_thick_layer_survivor_converges_and_is_certified():
+    eps = [1e-4, 1e-5, 1e-6]
+    sweep = sweep_ladder(L1_FAMILY, eps)
+    assert sweep.scenario == "shallowest_survives"
+    for e, ladder in zip(eps, sweep.ladders):
+        assert verify_ladder(realize(L1_FAMILY, e), ladder).ok, e
+    error = (sweep.survivor - sweep.kappa_limit) / sweep.kappa_limit
+    # approached from one side, each decade closer
+    assert np.all(np.sign(error) == np.sign(error[0]))
+    assert np.all(np.diff(np.abs(error)) < 0.0)
+    assert abs(error[-1]) <= 1e-6

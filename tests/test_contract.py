@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from bilayer1d import (
     DoubleLayerSpec,
+    SqueezeFamily,
     amplitude_grid,
     build_chi_problem,
     find_roots,
@@ -86,6 +87,29 @@ def test_a_spec_is_built_exactly_when_its_fields_are_valid(fields):
         DoubleLayerSpec(*fields)
     except ValueError:
         assert not valid
+    else:
+        assert valid
+
+
+FAMILY_FIELDS = ("mu", "nu", "tau", "h1", "h2", "d1", "d2", "c")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.tuples(*[st.one_of(*[st.floats(0.25, 3.0)] * 4, st.floats())] * 8))
+def test_a_family_is_built_exactly_when_its_fields_are_valid(fields):
+    # most fields are plausible, so that valid families are drawn too; the
+    # rest are any float, NaN and infinities among them
+    mu, nu, tau, _, _, d1, d2, c = fields
+    valid = (all(math.isfinite(x) for x in fields)
+             and min(mu, nu, tau, d1, d2, c) > 0.0 and 1.0 - mu + nu > 0.0)
+    try:
+        SqueezeFamily(*fields)
+    except ValueError as err:
+        assert not valid
+        # the message names an offending field, or the width condition
+        bad = [n for n, x in zip(FAMILY_FIELDS, fields)
+               if not math.isfinite(x) or (x <= 0.0 and n not in ("h1", "h2"))]
+        assert any(f"field {n} " in str(err) for n in bad) if bad else "1 - mu + nu" in str(err)
     else:
         assert valid
 
