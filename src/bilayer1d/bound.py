@@ -17,7 +17,8 @@ layer, keeps G nearly linear and well conditioned, so Brent's method
 needs few steps.  find_roots bisects N until each interval holds one
 level and refines it on G - j * pi, with a Brent that starts from the G
 values the bisection has at the interval's ends; verify_ladder certifies
-a ladder by counts.
+a ladder by counts and the direct level condition, in plain floats too,
+so the ladder path calls no kernel.
 
 The paper's compactified problem stays as ChiProblem.  With the deeper
 attractive layer of width l as reference well, chi = l sqrt(-V - kappa^2)
@@ -27,9 +28,9 @@ collecting the other layer and the gap.  Its cleared form
 
     h(chi) = sin(chi) * (chi*C1 - C2/chi) - cos(chi) * C0
 
-vanishes at the levels.  Nothing in the library calls it; it stays as the
-tests' cross-check of the counted ladder, and because the benchmark's
-tracer wraps it.  BoundLadder gives each level as kappa and chi.
+vanishes at the levels.  Nothing in the library calls it or tanc_sqrt;
+it stays as the tests' cross-check of the counted ladder, and because the
+benchmark's tracer wraps it.  BoundLadder holds each level's kappa and chi.
 """
 
 from dataclasses import dataclass
@@ -251,7 +252,7 @@ def brentq(f, a, fa, b, fb):
 
 
 def _levels(p, lo, hi):
-    """The levels with decay rate in [lo, hi), ascending.
+    """The levels with decay rate in [lo, hi), ascending, as a list.
 
     N is bisected until each interval holds one level, which Brent's
     method refines on G - j * pi to a relative 1e-15, so that a level
@@ -275,7 +276,7 @@ def _levels(p, lo, hi):
             gmid = _phase(p, mid)
             nmid = _count(mid, gmid)
             stack += [(mid, gmid, nmid, b, gb, nb), (a, ga, na, mid, gmid, nmid)]
-    return np.array(levels)
+    return levels
 
 
 def find_roots(problem):
@@ -288,40 +289,40 @@ def find_roots(problem):
     """
     rho, l = problem.rho, problem.l
     p = _params(problem.spec)
-    kappas = _levels(p, 0.0, rho / l) if rho > 0.0 and l > 0.0 else np.array([])
-    chis = np.sqrt(np.maximum((rho - kappas * l) * (rho + kappas * l), 0.0))
-    return BoundLadder(chis, kappas, rho, l, problem.branch)
+    kappas = _levels(p, 0.0, rho / l) if rho > 0.0 and l > 0.0 else []
+    chis = [math.sqrt(max((rho - k * l) * (rho + k * l), 0.0)) for k in kappas]
+    return BoundLadder(np.array(chis), np.array(kappas), rho, l, problem.branch)
 
 
 # ---------------------------------------------------------------------------
 # verification against the uncompactified level condition
 
 
-def _direct_condition(spec, kappa):
-    """Value and scale of the direct level condition built from the two
-    layer tangents and tanh(kappa * r); has poles at the tangent poles.
-    The scale counts kappa - q / kappa by its parts: on a tangent pole it
-    can vanish, and its term is 0 * inf."""
-    kappa = np.asarray(kappa, dtype=float)
-    k2 = -kappa * kappa
-    q1 = k2 - spec.v1
-    q2 = k2 - spec.v2
-    t1 = spec.l1 * tanc_sqrt(q1 * spec.l1 * spec.l1)  # tan(k1 l1)/k1
-    t2 = spec.l2 * tanc_sqrt(q2 * spec.l2 * spec.l2)
-    t0 = np.tanh(kappa * spec.r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        right, r1, r2 = 1.0 + t0, q1 / kappa, q2 / kappa
-        pole1, pole2 = t1 * right, t2 * right
-        terms = (
-            2.0 * right,
-            (kappa - r1) * pole1,
-            (kappa - r2) * pole2,
-            t1 * t2 * (kappa * kappa + r1 * r2) * t0,
-            -t1 * t2 * (q1 + q2),
-        )
-        scale = (terms[0] + np.abs(terms[3]) + np.abs(terms[4])
-                 + (kappa + np.abs(r1)) * np.abs(pole1) + (kappa + np.abs(r2)) * np.abs(pole2))
-    return sum(terms), np.maximum(scale, 1.0)
+def _tanc(q, l):
+    """tan(w * l) / w for w^2 = q, continued to tanh(w * l) / w for q < 0,
+    with s = w * l formed as sqrt(q * l^2), as tanc_sqrt forms it; l where
+    s = 0 and for a NaN q, whose terms are NaN anyway."""
+    s = math.sqrt(abs(q * l * l))
+    return l * ((math.tan(s) if q > 0.0 else math.tanh(s)) / s) if s > 0.0 else l
+
+
+def _direct_condition(p, kappa):
+    """Scaled residual of the direct level condition at one kappa != 0, in
+    plain floats from the two layer tangents and tanh(kappa * r), for
+    p = _params(spec).  The scale counts kappa - q / kappa by its parts: on
+    a tangent pole it can vanish, and its term is 0 * inf."""
+    v1, l1, v2, l2, r = p
+    k2 = kappa * kappa
+    q1, q2 = -k2 - v1, -k2 - v2
+    t1, t2 = _tanc(q1, l1), _tanc(q2, l2)
+    t0 = math.tanh(kappa * r)
+    right, r1, r2 = 1.0 + t0, q1 / kappa, q2 / kappa
+    pole1, pole2 = t1 * right, t2 * right
+    terms = (2.0 * right, (kappa - r1) * pole1, (kappa - r2) * pole2,
+             t1 * t2 * (k2 + r1 * r2) * t0, -t1 * t2 * (q1 + q2))
+    scale = (terms[0] + abs(terms[3]) + abs(terms[4])
+             + (kappa + abs(r1)) * abs(pole1) + (kappa + abs(r2)) * abs(pole2))
+    return abs(sum(terms)) / max(scale, 1.0)
 
 
 @dataclass(frozen=True)
@@ -349,25 +350,29 @@ def verify_ladder(spec, ladder):
     exactly one kappa_i, and a close doublet can be certified.
     A ladder that fails this is compared with all the levels, found as
     find_roots finds them, and a level with no kappa_i within
-    1e-8 * max(1, kappa) of it is reported as missed.
+    1e-8 * max(1, kappa) of it is reported as missed.  Each level is
+    checked in plain floats, as find_roots works, and no kernel is called;
+    the report's two arrays are built at the end.
     """
-    kappas = np.asarray(ladder.kappas, dtype=float)
-    value, scale = _direct_condition(spec, kappas)
-    residuals = np.abs(value) / scale
-    levels = np.sort(kappas)
-    gaps = np.diff(levels, prepend=-np.inf, append=np.inf)
-    half = np.minimum(5e-9 * levels, np.minimum(gaps[:-1], gaps[1:]) / 3.0)
     p = _params(spec)
+    kappas = np.asarray(ladder.kappas, dtype=float).tolist()
+    # no level lies at kappa = 0, where q / kappa is undefined
+    residuals = [_direct_condition(p, k) if k else math.nan for k in kappas]
 
     def count(k):
         return _count(k, _phase(p, k))
 
-    complete = count(0.0) == levels.size and all(
-        count(k - h) - count(k + h) == 1 for k, h in zip(levels.tolist(), half.tolist()))
-    missed = np.array([])
+    def steps_once(a, k, b):
+        h = min(5e-9 * k, (k - a) / 3.0, (b - k) / 3.0)
+        return count(k - h) - count(k + h) == 1
+
+    levels = sorted(kappas)
+    ends = [-math.inf, *levels, math.inf]
+    complete = count(0.0) == len(levels) and all(map(steps_once, ends, levels, ends[2:]))
+    missed = []
     if not complete:
         found = _levels(p, 0.0, math.sqrt(max(-spec.v1, -spec.v2, 0.0)))
-        missed = np.array([k for k in found
-                           if not np.any(np.abs(kappas - k) <= 1e-8 * max(1.0, k))])
-    ok = complete and bool(not residuals.size or residuals.max() < LEVEL_TOL)
-    return LadderReport(ok, residuals, missed)
+        missed = [k for k in found
+                  if not any(abs(x - k) <= 1e-8 * max(1.0, k) for x in kappas)]
+    ok = complete and all(r < LEVEL_TOL for r in residuals)
+    return LadderReport(ok, np.array(residuals), np.array(missed))

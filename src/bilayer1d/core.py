@@ -79,6 +79,8 @@ class Wavenumber:
                 "wavenumber must be real positive or i*kappa with kappa > 0, "
                 f"got {k!r}"
             )
+        if k * k == 0.0:
+            raise ValueError(f"wavenumber {k!r} is too small: its square underflows to 0")
         object.__setattr__(self, "k", k)
 
     @classmethod

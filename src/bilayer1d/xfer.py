@@ -205,7 +205,10 @@ def amplitude_grid(spec, ks, method="closed"):
     kc = np.asarray(ks, dtype=float)
     if kc.size and not np.all(kc > 0.0):
         raise ValueError("amplitude_grid expects positive real wavenumbers")
-    return _amplitudes(spec, kc, kc * kc, method)
+    k2 = kc * kc
+    if np.any(k2 == 0.0):
+        raise ValueError(f"wavenumber {kc[k2 == 0.0][0]} is too small: its square underflows to 0")
+    return _amplitudes(spec, kc, k2, method)
 
 
 @dataclass(frozen=True)

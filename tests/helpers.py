@@ -129,3 +129,45 @@ def draw_cancelling_spec(rng):
         if not np.isfinite(r_star) or not 0.05 < r_star < 5.0:
             continue
         return DoubleLayerSpec.make(v1, l1, v2, l2, r_star), k
+
+
+def array_certificate(spec, kappas):
+    """The certificate of verify_ladder written over arrays, as (ok,
+    residuals, missed): the direct level condition through the tanc_sqrt
+    kernel, and the count windows through np.sort, np.diff and np.minimum.
+    A reference for the plain-float version in bound.py, which must give
+    the same flags and missed levels."""
+    from bilayer1d import bound
+    from bilayer1d.kernels import tanc_sqrt
+
+    kappas = np.asarray(kappas, dtype=float)
+    k2 = -kappas * kappas
+    q1, q2 = k2 - spec.v1, k2 - spec.v2
+    t1 = spec.l1 * tanc_sqrt(q1 * spec.l1 * spec.l1)  # tan(k1 l1)/k1
+    t2 = spec.l2 * tanc_sqrt(q2 * spec.l2 * spec.l2)
+    t0 = np.tanh(kappas * spec.r)
+    with np.errstate(all="ignore"):
+        right, r1, r2 = 1.0 + t0, q1 / kappas, q2 / kappas
+        pole1, pole2 = t1 * right, t2 * right
+        terms = (2.0 * right, (kappas - r1) * pole1, (kappas - r2) * pole2,
+                 t1 * t2 * (kappas * kappas + r1 * r2) * t0, -t1 * t2 * (q1 + q2))
+        scale = (terms[0] + np.abs(terms[3]) + np.abs(terms[4])
+                 + (kappas + np.abs(r1)) * np.abs(pole1) + (kappas + np.abs(r2)) * np.abs(pole2))
+        residuals = np.abs(sum(terms)) / np.maximum(scale, 1.0)
+        levels = np.sort(kappas)
+        gaps = np.diff(levels, prepend=-np.inf, append=np.inf)
+        half = np.minimum(5e-9 * levels, np.minimum(gaps[:-1], gaps[1:]) / 3.0)
+    p = bound._params(spec)
+
+    def count(k):
+        return bound._count(k, bound._phase(p, k))
+
+    complete = count(0.0) == levels.size and all(
+        count(k - h) - count(k + h) == 1 for k, h in zip(levels.tolist(), half.tolist()))
+    missed = np.array([])
+    if not complete:
+        found = bound._levels(p, 0.0, np.sqrt(max(-spec.v1, -spec.v2, 0.0)))
+        missed = np.array([k for k in found
+                           if not np.any(np.abs(kappas - k) <= 1e-8 * max(1.0, k))])
+    ok = complete and bool(not residuals.size or residuals.max() < 1e-8)
+    return ok, residuals, missed

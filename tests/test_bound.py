@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 from bilayer1d import (
@@ -29,6 +29,7 @@ from helpers import (
     NEAR_THRESHOLD,
     THIN_EPS,
     THIN_FAMILY,
+    array_certificate,
     random_spec,
     single_well_kappas,
 )
@@ -176,6 +177,25 @@ def _counting(monkeypatch, name):
 
     monkeypatch.setattr(bound, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("entries", ["zero", "negative", "nan", "inf", "twice"])
+def test_malformed_ladder_is_refused_without_raising(entries):
+    # one level, at kappa = 0.78475677; q / kappa, sqrt and tan of these
+    # entries must not escape as ZeroDivisionError or ValueError
+    spec = DoubleLayerSpec.make(-2.0, 1.0, 0.0, 0.0, 0.0)
+    ladder = find_roots(build_chi_problem(spec))
+    level = ladder.kappas[0]
+    assert level == pytest.approx(0.78475677, abs=1e-8)
+    kappas = {"zero": [0.0], "negative": [-level], "nan": [math.nan], "inf": [math.inf],
+              "twice": [level, level]}[entries]
+    report = verify_ladder(spec, _with_kappas(ladder, kappas))
+    assert not report.ok
+    assert report.residuals.shape == (len(kappas),)
+    if entries == "twice":
+        assert report.missed.size == 0
+    else:
+        assert report.missed.tolist() == pytest.approx([0.78475677], abs=1e-8)
 
 
 def test_verify_ladder_refines_only_when_uncertified(monkeypatch):
@@ -553,3 +573,49 @@ def test_thick_layer_survivor_converges_and_is_certified():
     assert np.all(np.sign(error) == np.sign(error[0]))
     assert np.all(np.diff(np.abs(error)) < 0.0)
     assert abs(error[-1]) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the plain-float certificate against its array form in helpers.py
+
+
+@st.composite
+def _certificate_specs(draw):
+    """A well beside a second layer, in one of five shapes: any, a zero
+    width, no gap, a barrier, or a deep ladder of up to ~100 levels."""
+    shape = draw(st.sampled_from(["any", "zero-width", "zero-gap", "barrier", "deep"]))
+    depth = 1e4 if shape == "deep" else 300.0
+    well = -draw(st.floats(0.01, depth)), draw(st.floats(0.05, 3.0))
+    other = draw(st.floats(-depth, 1.0 if shape == "barrier" else depth)), draw(st.floats(0.0, 3.0))
+    if shape == "barrier":
+        other = (-other[0], other[1])
+    if shape == "zero-width":
+        other = (other[0], 0.0)
+    r = 0.0 if shape == "zero-gap" else draw(st.floats(0.0, 3.0))
+    first, second = (other, well) if draw(st.booleans()) else (well, other)
+    return DoubleLayerSpec.make(*first, *second, r)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_certificate_specs())
+@example(DoubleLayerSpec.make(-0.5, math.pi, 0.0, 0.0, 0.0))
+@example(DoubleLayerSpec.make(-2.0, math.pi / 2.0, 0.0, 0.0, 0.0))
+@example(DoubleLayerSpec.make(-8.0, math.pi / 4.0, 0.0, 0.0, 0.0))
+def test_certificate_matches_its_array_form(spec):
+    # the tangent-pole wells make(-2k^2, pi / (2k), 0, 0, 0), k = 0.5, 1, 2,
+    # are the examples; each ladder is checked whole, with a level dropped,
+    # and with its deepest level moved 4e-9 relative, inside its window, where
+    # only the residual can fail, or 2e-8, beyond the distance tolerance
+    ladder = find_roots(build_chi_problem(spec))
+    trials = [ladder.kappas]
+    if ladder.n:
+        trials.append(np.delete(ladder.kappas, ladder.n // 2))
+        for shift in (4e-9, 2e-8):
+            trials.append(ladder.kappas.copy())
+            trials[-1][-1] *= 1.0 + shift
+    for kappas in trials:
+        report = verify_ladder(spec, _with_kappas(ladder, kappas))
+        ok, residuals, missed = array_certificate(spec, kappas)
+        assert report.ok == ok
+        np.testing.assert_array_equal(report.missed, missed)
+        np.testing.assert_allclose(report.residuals, residuals, rtol=0.0, atol=1e-14)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bilayer1d import (
     DoubleLayerSpec,
@@ -148,6 +148,25 @@ def test_scattering_is_finite_below_the_opacity_bound(first, second, r, ks):
     spec = DoubleLayerSpec(*first, *second, r)
     for value in _scattering_values(spec, np.array(ks)):
         assert np.all(np.isfinite(value)), (spec, ks)
+
+
+# below about 1.6e-162, k^2 underflows to 0
+tiny_wavenumbers = st.floats(-323.5, -162.0).map(lambda e: 10.0**e)
+
+
+@drawn
+@given(layers(150.0), layers(150.0), st.floats(0.0, 5.0), tiny_wavenumbers)
+@example((0.0, 0.0), (0.0, 0.0), 0.0, 1e-300)
+def test_a_wavenumber_whose_square_underflows_is_refused(first, second, r, k):
+    # once a ZeroDivisionError from scattering_data, and NaN amplitudes
+    # with only a RuntimeWarning from amplitude_grid
+    spec = DoubleLayerSpec(*first, *second, r)
+    assert k > 0.0 and k * k == 0.0
+    for call in (lambda: scattering_data(spec, k), lambda: reflection_transmission(spec, k),
+                 lambda: amplitude_grid(spec, [k, 1.0]), lambda: amplitude_grid(spec, [1.0, k])):
+        with pytest.raises(ValueError, match="square underflows to 0") as err:
+            call()
+        assert repr(k) in str(err.value)
 
 
 @st.composite
