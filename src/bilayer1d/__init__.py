@@ -27,7 +27,6 @@ from .xfer import (
     bound_state_residual,
     cancellation_gap,
     divergence_residual,
-    layer_matrix,
     matrix_entries,
     reflection_transmission,
     scattering_data,
@@ -112,7 +111,6 @@ __all__ = [
     "integrate_bound",
     "integrate_scatter",
     "interaction_limit",
-    "layer_matrix",
     "matrix_entries",
     "oracle_entries",
     "probes",

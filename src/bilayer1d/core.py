@@ -79,8 +79,11 @@ class Wavenumber:
                 "wavenumber must be real positive or i*kappa with kappa > 0, "
                 f"got {k!r}"
             )
-        if k * k == 0.0:
+        k2 = k * k
+        if k2 == 0.0:
             raise ValueError(f"wavenumber {k!r} is too small: its square underflows to 0")
+        if math.isinf(k2.real):
+            raise ValueError(f"wavenumber {k!r} is too large: its square overflows")
         object.__setattr__(self, "k", k)
 
     @classmethod

@@ -4,9 +4,9 @@ Everything here walks the stationary wave equation numerically: a
 fixed-step RK4 on the fundamental matrix, or per-piece propagators built
 from complex square roots and hyperbolic functions.  Neither path shares
 code with the branch-free kernels used by the fast routines, so a bug
-cannot cancel between the two.  The level count works in mpmath, which
-is imported only when it runs, so the library itself needs only numpy
-and scipy.
+cannot cancel between the two.  The level count works in mpmath and the
+bound levels are refined with scipy's brentq; both are imported only
+when they run, so importing the library loads neither.
 """
 
 import math
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib import scimath
-from scipy.optimize import brentq
 
 from .xfer import ScatteringData
 
@@ -166,6 +165,8 @@ def integrate_bound(spec, cfg=None):
     are the exact per-piece ones, since RK4 struggles with the
     exponential growth in deep wells.
     """
+    from scipy.optimize import brentq
+
     cfg = cfg or IntegrationConfig(method="exact")
     vmin = min(spec.v1, spec.v2, 0.0)
     if vmin >= 0.0:

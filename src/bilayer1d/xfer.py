@@ -1,18 +1,16 @@
 """Propagation matrices, scattering amplitudes and piecewise wavefunctions.
 
 The two-layer structure is handled with real 2x2 interval propagators
-acting on (psi, psi').  Each propagator entry is built from the kernels
+acting on (psi, psi').  Each slab's propagator is built from the kernels
 module, so entries stay real both for travelling waves (local momentum
 squared positive) and under barriers or on the bound half line (negative).
 
-Two independent evaluation routes are kept on purpose:
-
-* a product of the three interval propagators,
-* the fully expanded entry formulas of that product,
-
-and likewise for the amplitudes a, b (read off the propagator entries
-versus the directly expanded closed form).  Tests hold the routes against
-each other.
+The propagator of the whole structure exists once: matrix_entries carries
+the two columns of the identity across the three pieces with one slab
+step, which PiecewiseWave walks too.  Its entries are checked against the
+independent integrators of the oracle module.  The amplitudes a, b have
+two routes, read off the propagator entries or evaluated from their
+expanded closed form, and tests hold the two against each other.
 """
 
 from dataclasses import dataclass
@@ -56,14 +54,6 @@ class TransferMatrix:
         scale = max(1.0, abs(self.l11 * self.l22), abs(self.l12 * self.l21))
         return abs(self.det - 1.0) / scale
 
-    def __matmul__(self, other):
-        return TransferMatrix(
-            self.l11 * other.l11 + self.l12 * other.l21,
-            self.l11 * other.l12 + self.l12 * other.l22,
-            self.l21 * other.l11 + self.l22 * other.l21,
-            self.l21 * other.l12 + self.l22 * other.l22,
-        )
-
 
 def _layer_parts(v, l, k2):
     """cos, sin/k_loc and k_loc*sin for one slab, all real.
@@ -79,46 +69,30 @@ def _layer_parts(v, l, k2):
     return c, sl, ks
 
 
-def layer_matrix(v, l, k):
-    """Propagator across a single slab of height v and width l."""
-    wn = as_wavenumber(k)
-    c, sl, ks = _layer_parts(v, l, wn.k2)
-    return TransferMatrix(c, sl, -ks, c)
+def _step(parts, psi, dpsi):
+    """(psi, psi') carried across a slab, given its _layer_parts."""
+    c, sl, ks = parts
+    return psi * c + dpsi * sl, -ks * psi + c * dpsi
 
 
 def matrix_entries(spec, k2):
-    """Expanded entries of the total propagator as functions of k^2.
+    """Entries l11, l12, l21, l22 of the total propagator at energies k2.
 
-    Vectorized over k2 (an array of energies is fine); used both by the
-    scalar total_matrix and by the level condition on the bound half line.
+    The product of the three slab propagators, layer 1 -> gap -> layer 2,
+    formed by carrying both columns of the identity across each piece.
+    Vectorized over k2 (an array of energies is fine).
     """
-    c1, sl1, ks1 = _layer_parts(spec.v1, spec.l1, k2)
-    c2, sl2, ks2 = _layer_parts(spec.v2, spec.l2, k2)
-    c0, sl0, ks0 = _layer_parts(0.0, spec.r, k2)
-
-    l11 = (c1 * c2 - ks1 * sl2) * c0 - ks1 * c2 * sl0 - ks0 * c1 * sl2
-    l12 = (sl1 * c2 + c1 * sl2) * c0 + c1 * c2 * sl0 - ks0 * sl1 * sl2
-    l21 = -(ks1 * c2 + c1 * ks2) * c0 - ks0 * c1 * c2 + ks1 * ks2 * sl0
-    l22 = (c1 * c2 - sl1 * ks2) * c0 - ks0 * sl1 * c2 - ks2 * c1 * sl0
+    col1, col2 = (1.0, 0.0), (0.0, 1.0)
+    for v, l in ((spec.v1, spec.l1), (0.0, spec.r), (spec.v2, spec.l2)):
+        parts = _layer_parts(v, l, k2)
+        col1, col2 = _step(parts, *col1), _step(parts, *col2)
+    (l11, l21), (l12, l22) = col1, col2
     return l11, l12, l21, l22
 
 
-def total_matrix(spec, k, method="explicit"):
-    """Propagator across the whole structure, layer 1 -> gap -> layer 2.
-
-    method="explicit" evaluates the expanded entry formulas directly;
-    method="product" multiplies the three interval propagators.  Both
-    agree to roundoff and are kept as mutual checks.
-    """
-    wn = as_wavenumber(k)
-    if method == "product":
-        m1 = layer_matrix(spec.v1, spec.l1, wn)
-        m0 = layer_matrix(0.0, spec.r, wn)
-        m2 = layer_matrix(spec.v2, spec.l2, wn)
-        return m2 @ (m0 @ m1)
-    if method != "explicit":
-        raise ValueError(f"unknown method {method!r}")
-    return TransferMatrix(*matrix_entries(spec, wn.k2))
+def total_matrix(spec, k):
+    """Propagator across the whole structure at wavenumber k."""
+    return TransferMatrix(*matrix_entries(spec, as_wavenumber(k).k2))
 
 
 @dataclass(frozen=True)
@@ -129,8 +103,9 @@ class ScatteringData:
     b: complex
 
     def unitarity_defect(self):
-        """| |a|^2 - |b|^2 - 1 |, zero for real k by flux conservation."""
-        return abs(abs(self.a) ** 2 - abs(self.b) ** 2 - 1.0)
+        """| |a|^2 - |b|^2 - 1 | / |a|^2, zero for real k by flux conservation."""
+        a2 = abs(self.a) ** 2
+        return abs(a2 - abs(self.b) ** 2 - 1.0) / a2
 
 
 def _amplitudes(spec, kc, k2, method):
@@ -156,6 +131,8 @@ def _amplitudes(spec, kc, k2, method):
     emikr = 1.0 / eikr
     sin_kr = np.sin(kc * spec.r)
     cos_kr = np.cos(kc * spec.r)
+    # sin(kr)/k^2 first: ks1*ks2/k^2 alone overflows at small k
+    sin_kr_k2 = sin_kr / k2
     a = (
         c1 * c2 * emikr
         - 0.5j
@@ -163,7 +140,7 @@ def _amplitudes(spec, kc, k2, method):
         * emikr
         + 0.5
         * (
-            1j * (k2 * sl1 * sl2 + ks1 * ks2 / k2) * sin_kr
+            1j * (k2 * sl1 * sl2 * sin_kr + ks1 * ks2 * sin_kr_k2)
             - (ks1 * sl2 + sl1 * ks2) * cos_kr
         )
     ) * phase
@@ -173,7 +150,7 @@ def _amplitudes(spec, kc, k2, method):
             (ks1 / kc - kc * sl1) * c2 * eikr
             + (ks2 / kc - kc * sl2) * c1 * emikr
             + (
-                (k2 * sl1 * sl2 - ks1 * ks2 / k2) * sin_kr
+                k2 * sl1 * sl2 * sin_kr - ks1 * ks2 * sin_kr_k2
                 + 1j * (ks1 * sl2 - sl1 * ks2) * cos_kr
             )
         )
@@ -205,9 +182,12 @@ def amplitude_grid(spec, ks, method="closed"):
     kc = np.asarray(ks, dtype=float)
     if kc.size and not np.all(kc > 0.0):
         raise ValueError("amplitude_grid expects positive real wavenumbers")
-    k2 = kc * kc
+    with np.errstate(over="ignore"):
+        k2 = kc * kc
     if np.any(k2 == 0.0):
         raise ValueError(f"wavenumber {kc[k2 == 0.0][0]} is too small: its square underflows to 0")
+    if np.any(k2 == np.inf):
+        raise ValueError(f"wavenumber {kc[k2 == np.inf][0]} is too large: its square overflows")
     return _amplitudes(spec, kc, k2, method)
 
 
@@ -255,12 +235,6 @@ def bound_state_residual(spec, kappa):
 # piecewise wavefunction
 
 
-def _advance(q, dx, psi, dpsi):
-    """(psi, psi') carried a distance dx at local momentum squared q."""
-    c, s, qs = _layer_parts(0.0, dx, q)
-    return psi * c + dpsi * s, -qs * psi + c * dpsi
-
-
 class PiecewiseWave:
     """Wavefunction of the structure, evaluable on all five regions.
 
@@ -280,15 +254,14 @@ class PiecewiseWave:
         self.mode = mode
         self.data = scattering_data(spec, wn)
         self.breaks = [0.0, spec.l1, spec.l1 + spec.r, spec.extent]
-        # per interior region: (left edge, local momentum squared,
-        # boundary value, boundary slope)
+        # per interior region: (left edge, potential, boundary value,
+        # boundary slope)
         psi = 1.0 + 0.0j
         dpsi = -1j * wn.k
         self._regions = []
         for x0, x1, v in zip(self.breaks, self.breaks[1:], (spec.v1, 0.0, spec.v2)):
-            q = wn.k2 - v
-            self._regions.append((x0, q, psi, dpsi))
-            psi, dpsi = _advance(q, x1 - x0, psi, dpsi)
+            self._regions.append((x0, v, psi, dpsi))
+            psi, dpsi = _step(_layer_parts(v, x1 - x0, wn.k2), psi, dpsi)
         self._end = (psi, dpsi)
 
     def _right_wave(self, x):
@@ -305,17 +278,17 @@ class PiecewiseWave:
     def _eval(self, x, want_derivative):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
-        kc = self.wavenumber.k
+        kc, k2 = self.wavenumber.k, self.wavenumber.k2
         pick = 1 if want_derivative else 0
         left = x < 0.0
         right = x >= self.breaks[3]
         incoming = np.exp(-1j * kc * x[left])
         out[left] = -1j * kc * incoming if want_derivative else incoming
         out[right] = self._right_wave(x[right])[pick]
-        for (x0, q, psi0, dpsi0), x1 in zip(self._regions, self.breaks[1:]):
+        for (x0, v, psi0, dpsi0), x1 in zip(self._regions, self.breaks[1:]):
             mask = (x >= x0) & (x < x1)
             if np.any(mask):
-                out[mask] = _advance(q, x[mask] - x0, psi0, dpsi0)[pick]
+                out[mask] = _step(_layer_parts(v, x[mask] - x0, k2), psi0, dpsi0)[pick]
         return out if out.ndim else complex(out)
 
     def __call__(self, x):

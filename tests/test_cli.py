@@ -491,6 +491,14 @@ def test_wavenumber_whose_square_underflows_is_domain_error(tmp_path, capsys):
     assert "wavenumber 1e-300 is too small" in capsys.readouterr().err
 
 
+def test_wavenumber_whose_square_overflows_is_domain_error(tmp_path, capsys):
+    # k^2 = inf once gave NaN amplitudes here, and exit 4 for the NaN cells
+    payload = {"units": "nm^-2", "spec": SPEC_SECTION, "k_grid": [1.0, 1e200]}
+    cfg = _write_config(tmp_path, payload)
+    assert _run(["scatter", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert "wavenumber 1e+200 is too large" in capsys.readouterr().err
+
+
 def test_non_finite_tol_flag_is_config_error(tmp_path):
     # a NaN tolerance fails every comparison, so a resonant family was
     # reported "separated" with exit code 0

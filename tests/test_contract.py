@@ -19,6 +19,7 @@ from bilayer1d import (
     matrix_entries,
     reflection_transmission,
     scattering_data,
+    total_matrix,
     verify_ladder,
 )
 from bilayer1d.oracle import level_count
@@ -165,6 +166,26 @@ def test_a_wavenumber_whose_square_underflows_is_refused(first, second, r, k):
     for call in (lambda: scattering_data(spec, k), lambda: reflection_transmission(spec, k),
                  lambda: amplitude_grid(spec, [k, 1.0]), lambda: amplitude_grid(spec, [1.0, k])):
         with pytest.raises(ValueError, match="square underflows to 0") as err:
+            call()
+        assert repr(k) in str(err.value)
+
+
+# above about 1.3e154, k^2 overflows
+huge_wavenumbers = st.floats(154.2, 308.0).map(lambda e: 10.0**e)
+
+
+@drawn
+@given(layers(150.0), layers(150.0), st.floats(0.0, 5.0), huge_wavenumbers)
+@example((1.0, 1.0), (-1.0, 1.0), 1.0, 1e200)
+@example((1.0, 1.0), (-1.0, 1.0), 1.0, math.inf)
+def test_a_wavenumber_whose_square_overflows_is_refused(first, second, r, k):
+    # once NaN amplitudes and a NaN propagator, with no error
+    spec = DoubleLayerSpec(*first, *second, r)
+    assert k > 0.0 and math.isinf(k * k)
+    for call in (lambda: scattering_data(spec, k), lambda: reflection_transmission(spec, k),
+                 lambda: total_matrix(spec, k), lambda: amplitude_grid(spec, [k, 1.0]),
+                 lambda: amplitude_grid(spec, [1.0, k])):
+        with pytest.raises(ValueError, match="square overflows") as err:
             call()
         assert repr(k) in str(err.value)
 

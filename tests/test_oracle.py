@@ -1,8 +1,13 @@
 """Independent direct-integration checks of the closed-form layer."""
 
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import bilayer1d
 from bilayer1d import DoubleLayerSpec, IntegrationConfig, matrix_entries
 from bilayer1d.bound import _count, _params, _phase
 from bilayer1d.oracle import (
@@ -145,3 +150,14 @@ def test_phase_count_matches_the_mpmath_count_on_fault_inputs(name):
     rng = np.random.default_rng(32)
     for kappa in (0.0, *rng.uniform(0.0, _kmax(spec), 20)):
         assert _phase_count(spec, kappa) == level_count(spec, kappa), kappa
+
+
+def test_importing_the_library_loads_no_oracle_dependency():
+    # scipy.optimize was imported with the oracle module, so every import
+    # of bilayer1d paid for it
+    src = str(pathlib.Path(bilayer1d.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import bilayer1d, bilayer1d.cli; "
+            "print(sorted({'scipy.optimize', 'scipy.integrate', 'scipy.interpolate', 'mpmath'}"
+            " & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
