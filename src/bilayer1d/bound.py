@@ -8,15 +8,19 @@ where w^2 = -V - kappa^2; the mirrored structure (v2, l2, v1, l1, r) has
 the same levels, so that layer is taken as the second.  In plain floats
 from the spec's five numbers, it carries the solution that decays on the
 left through the first layer and the gap to the right end of the second,
-where the one that decays on the right is the bare tail.  The Pruefer
-phase G(kappa) of the first against the second is continuous and
-decreasing; the count of levels with decay rate at least kappa is
-N = floor(G / pi) + 1, and the levels are where G = j * pi.  Matching
-inside the most oscillating piece, not beyond a barrier or in a thin
-layer, keeps G nearly linear and well conditioned, so Brent's method
+where the one that decays on the right is the bare tail.  The carries
+through the first layer and the gap are written out in _phase, from the
+bare tail (1, kappa), as one phase evaluation is most of what a level
+costs.  The Pruefer phase G(kappa) of the first against the second is
+continuous and decreasing; the count of levels with decay rate at least
+kappa is N = floor(G / pi) + 1, and the levels are where G = j * pi.
+Matching inside the most oscillating piece, not beyond a barrier or in a
+thin layer, keeps G nearly linear and well conditioned, so Brent's method
 needs few steps.  find_roots bisects N until each interval holds one
 level and refines it on G - j * pi, with a Brent that starts from the G
-values the bisection has at the interval's ends; verify_ladder certifies
+values the bisection has at the interval's ends (an end where G is within
+rounding of j * pi, so that the count and G - j * pi disagree on its side,
+counts as zero and is returned as the level); verify_ladder certifies
 a ladder by counts and the direct level condition, in plain floats too,
 so the ladder path calls no kernel.
 
@@ -39,6 +43,12 @@ import math
 import numpy as np
 
 from .kernels import tanc_sqrt
+
+
+# the math functions of the phase and of Brent's loop as module globals,
+# one lookup each where math.sqrt takes two
+_atan2, _copysign, _cos, _exp = math.atan2, math.copysign, math.cos, math.exp
+_floor, _sin, _sqrt, _tanh, _PI = math.floor, math.sin, math.sqrt, math.tanh, math.pi
 
 
 @dataclass(frozen=True)
@@ -134,30 +144,23 @@ class BoundLadder:
         return len(self.kappas)
 
 
-def _carry(q, l, psi, dpsi):
-    """(psi, psi') carried a distance l through a piece where
-    psi'' = q * psi with q >= 0, divided by cosh(sqrt(q) * l) so that it
-    cannot overflow.  1 - tanh(x) is written as 2 e^{-2x} / (1 + e^{-2x}),
-    which keeps the decaying part of the solution across a wide barrier."""
-    if q == 0.0:
-        return psi + dpsi * l, dpsi
-    w = math.sqrt(q)
-    p = dpsi / w
-    e = math.exp(-2.0 * w * l)
-    grow = (psi + p) * math.tanh(w * l)
-    rest = 2.0 * e / (1.0 + e)
-    return grow + psi * rest, (grow + p * rest) * w
-
-
 def _params(spec):
     """The five floats (v1, l1, v2, l2, r) that _phase reads."""
     return float(spec.v1), float(spec.l1), float(spec.v2), float(spec.l2), float(spec.r)
 
 
-def _phase(p, kappa):
-    """G(kappa) of the module docstring for kappa >= 0 and p = _params(spec),
-    matched in the layer with the larger phase (mirrored if that is layer 1);
-    -pi/2 where no piece oscillates, as no level lies deeper there."""
+def _phase(p, kappa, j=0.0):
+    """G(kappa) - j for G of the module docstring, kappa >= 0 and
+    p = _params(spec), matched in the layer with the larger phase (mirrored
+    if that is layer 1); -pi/2 - j where no piece oscillates, as no level
+    lies deeper there.  j is subtracted last, so _phase(p, kappa, j) is
+    the same float as _phase(p, kappa) - j.
+
+    The pieces before the matching layer are written out in place.  A
+    piece where psi'' = q psi with q > 0 carries (psi, psi') divided by
+    cosh(w l), w = sqrt(q), so that it cannot overflow, with 1 - tanh(w l)
+    written as 2 e^{-2 w l} / (1 + e^{-2 w l}) to keep the decaying part of
+    the solution across a wide barrier."""
     v1, l1, v2, l2, r = p
     k2 = kappa * kappa
     # psi'' = q psi in each piece; the gap, q = k2, never oscillates
@@ -167,30 +170,54 @@ def _phase(p, kappa):
     if q1 * l1 * l1 < q2 * l2 * l2:
         q1, l1, q2, l2 = q2, l2, q1, l1
     if not q2 < 0.0 < l2:
-        return -0.5 * math.pi
-    # the solution decaying on the left, through layer 1 and the gap
-    psi, dpsi, zeros = 1.0, kappa, 0
+        return -0.5 * _PI - j
+    # the solution decaying on the left starts as the bare tail (1, kappa)
     if q1 < 0.0 < l1:
-        w = math.sqrt(-q1)
-        angle = math.atan2(psi, dpsi / w)
-        zeros += math.floor((angle + w * l1) / math.pi) - math.floor(angle / math.pi)
-        c, s = math.cos(w * l1), math.sin(w * l1)
-        psi, dpsi = psi * c + dpsi / w * s, dpsi * c - psi * w * s
+        w = _sqrt(-q1)
+        t = kappa / w
+        wl = w * l1
+        # the start angle atan2(1, t) lies in (0, pi/2], so no zero lies
+        # before it
+        zeros = _floor((_atan2(1.0, t) + wl) / _PI)
+        c, s = _cos(wl), _sin(wl)
+        psi, dpsi = c + t * s, kappa * c - w * s
     elif l1 > 0.0:
-        new, dpsi = _carry(q1, l1, psi, dpsi)
-        zeros += new * psi < 0.0
-        psi = new
+        if q1 == 0.0:
+            psi, dpsi = 1.0 + kappa * l1, kappa
+        else:
+            w = _sqrt(q1)
+            t = kappa / w
+            e = _exp(-2.0 * w * l1)
+            grow = (1.0 + t) * _tanh(w * l1)
+            rest = 2.0 * e / (1.0 + e)
+            psi, dpsi = grow + rest, (grow + t * rest) * w
+        # from (1, kappa) psi stays positive unless kappa < 0, which the
+        # windows of a malformed ladder can read
+        zeros = psi < 0.0
+    else:
+        psi, dpsi, zeros = 1.0, kappa, 0
     if r > 0.0:
-        new, dpsi = _carry(k2, r, psi, dpsi)
+        # k2 == 0.0, not kappa == 0.0: for a subnormal kappa, k2 underflows
+        # and dpsi / sqrt(k2) would overflow
+        if k2 == 0.0:
+            new = psi + dpsi * r
+        else:
+            # sqrt(k2) is kappa exactly where k2 is a normal float
+            w = kappa if kappa > 1.5e-154 else _sqrt(k2)
+            t = dpsi / w
+            e = _exp(-2.0 * w * r)
+            grow = (psi + t) * _tanh(w * r)
+            rest = 2.0 * e / (1.0 + e)
+            new, dpsi = grow + psi * rest, (grow + t * rest) * w
         zeros += new * psi < 0.0
         psi = new
-    w = math.sqrt(-q2)
+    w = _sqrt(-q2)
     # psi has the sign (-1)^zeros, so this angle lies in [0, pi]; the
     # solution decaying on the right is the bare tail (1, -kappa) there
-    angle = math.atan2(psi, dpsi / w)
+    angle = _atan2(psi, dpsi / w)
     if angle < 0.0:
-        angle += math.pi
-    return zeros * math.pi + angle + w * l2 - math.atan2(1.0, -kappa / w)
+        angle += _PI
+    return zeros * _PI + angle + w * l2 - _atan2(1.0, -kappa / w) - j
 
 
 def _count(kappa, g):
@@ -199,54 +226,69 @@ def _count(kappa, g):
     threshold resonance and not a level, so N(0) counts the levels with
     kappa > 0.
     """
-    g /= math.pi
-    return math.ceil(g) if kappa == 0.0 else math.floor(g) + 1
+    g /= _PI
+    return math.ceil(g) if kappa == 0.0 else _floor(g) + 1
 
 
 def brentq(f, a, fa, b, fb):
     """The root of f in [a, b] by Brent's method, from fa = f(a), fb = f(b).
 
-    A line-for-line port of scipy's brentq.c (R. P. Brent, Algorithms for
-    Minimization without Derivatives, 1973) at xtol = 1e-300, rtol = 1e-15
-    and 100 iterations, root for root, with its checks: a zero end is
-    returned, ends of one sign raise ValueError.  It lives here to start
-    from the end values the count bisection already has, which scipy would
-    compute again; the benchmark's tracer counts refinements by its name.
+    A port of scipy's brentq.c (R. P. Brent, Algorithms for Minimization
+    without Derivatives, 1973) at xtol = 1e-300, rtol = 1e-15 and 100
+    iterations, iterate for iterate, with its checks: a zero end is
+    returned, ends of one sign raise ValueError.  Each absolute value is
+    taken once and kept, as the loop's cost is its interpreter work.  It
+    lives here to start from the end values the count bisection already
+    has, which scipy would compute again; the benchmark's tracer counts
+    refinements by its name.
     """
     xpre, fpre, xcur, fcur = a, fa, b, fb
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
         return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+    if _copysign(1.0, fpre) == _copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
+    # afpre, afcur and afblk are |fpre|, |fcur| and |fblk|, each taken once
+    xblk = fblk = afblk = spre = scur = 0.0
+    afpre = abs(fpre)
     for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
+        # brentq.c also tests fpre != 0, which always holds here: fpre is
+        # fa or a value that passed the fcur == 0.0 return below
+        if fcur != 0.0 and _copysign(1.0, fpre) != _copysign(1.0, fcur):
+            xblk, fblk, afblk = xpre, fpre, afpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        afcur = abs(fcur)
+        if afblk < afcur:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
+            afpre, afcur, afblk = afcur, afblk, afcur
         delta = (1e-300 + 1e-15 * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+        asbis = abs(sbis)
+        if fcur == 0.0 or asbis < delta:
             return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        aspre = abs(spre)
+        if aspre > delta and afcur < afpre:
             if xpre == xblk:  # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
                 stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            astry = abs(stry)
+            # min(aspre, limit)
+            limit = 3 * asbis - delta
+            if 2 * astry < (limit if limit < aspre else aspre):
                 spre, scur = scur, stry
+                step = stry if astry > delta else (delta if sbis > 0 else -delta)
             else:
-                spre = scur = sbis
+                spre = scur = step = sbis
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+            # asbis >= delta, so brentq.c's step of at least delta is sbis
+            spre = scur = step = sbis
+        xpre, fpre, afpre = xcur, fcur, afcur
+        xcur += step
         fcur = f(xcur)
     raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur!r}")
 
@@ -255,10 +297,13 @@ def _levels(p, lo, hi):
     """The levels with decay rate in [lo, hi), ascending, as a list.
 
     N is bisected until each interval holds one level, which Brent's
-    method refines on G - j * pi to a relative 1e-15, so that a level
-    near threshold keeps its digits; it starts from the G values the
-    bisection has at the interval's ends.  Levels closer than the float
-    spacing of their decay rate are returned as equal values.
+    method refines on _phase(p, kappa, j) = G - j * pi to a relative
+    1e-15, so that a level near threshold keeps its digits; it starts from
+    the G values the bisection has at the interval's ends.  Where G lies
+    within rounding of j * pi at an end, floor(G / pi) can put the level
+    in the interval while G - j * pi rounds to the wrong sign; that end
+    value is taken as zero, and Brent returns the end.  Levels closer than
+    the float spacing of their decay rate are returned as equal values.
     """
     levels = []
     glo, ghi = _phase(p, lo), _phase(p, hi)
@@ -266,8 +311,10 @@ def _levels(p, lo, hi):
     while stack:
         a, ga, na, b, gb, nb = stack.pop()
         if na - nb == 1:
-            j = nb * math.pi
-            levels.append(brentq(lambda k: _phase(p, k) - j, a, ga - j, b, gb - j))
+            # an end whose G - j * pi rounds to the wrong sign counts as zero
+            j = nb * _PI
+            levels.append(brentq(lambda k: _phase(p, k, j=j), a, max(ga - j, 0.0),
+                                 b, min(gb - j, 0.0)))
         elif na > nb:
             mid = 0.5 * (a + b)
             if not a < mid < b:
@@ -359,16 +406,17 @@ def verify_ladder(spec, ladder):
     # no level lies at kappa = 0, where q / kappa is undefined
     residuals = [_direct_condition(p, k) if k else math.nan for k in kappas]
 
-    def count(k):
-        return _count(k, _phase(p, k))
-
-    def steps_once(a, k, b):
-        h = min(5e-9 * k, (k - a) / 3.0, (b - k) / 3.0)
-        return count(k - h) - count(k + h) == 1
-
     levels = sorted(kappas)
-    ends = [-math.inf, *levels, math.inf]
-    complete = count(0.0) == len(levels) and all(map(steps_once, ends, levels, ends[2:]))
+    complete = _count(0.0, _phase(p, 0.0)) == len(levels)
+    if complete:
+        # N steps by one across each window, up to the first that fails
+        ends = [-math.inf, *levels, math.inf]
+        for a, k, b in zip(ends, levels, ends[2:]):
+            h = min(5e-9 * k, (k - a) / 3.0, (b - k) / 3.0)
+            lo, hi = k - h, k + h
+            if _count(lo, _phase(p, lo)) - _count(hi, _phase(p, hi)) != 1:
+                complete = False
+                break
     missed = []
     if not complete:
         found = _levels(p, 0.0, math.sqrt(max(-spec.v1, -spec.v2, 0.0)))

@@ -10,6 +10,7 @@ from scipy.optimize import brentq as scipy_brentq
 
 from bilayer1d import (
     BoundLadder,
+    LadderReport,
     DoubleLayerSpec,
     SqueezeFamily,
     bound,
@@ -379,6 +380,25 @@ def test_doublet_below_the_float_spacing_is_not_certified():
     assert ladder.kappas[::2] == pytest.approx(ladder.kappas[1::2], rel=1e-14)
     report = verify_ladder(spec, ladder)
     assert not report.ok
+    assert report.missed.size == 0
+
+
+@pytest.mark.parametrize("depth", [1e3, 3e3, 1e4])
+@pytest.mark.parametrize("width", [1.0, 2.0])
+@pytest.mark.parametrize("gap", [5.0, 40.0])
+def test_deep_equal_wells_give_every_level_without_raising(depth, width, gap):
+    # G lies within rounding of j * pi at some bisection points of these
+    # wells, so the count and G - j * pi can disagree on the side of a
+    # level: at make(-1e4, 1, -1e4, 1, 30), kappa = 83.2683328173795,
+    # G / pi reads 34.0 and G - 34 pi -1.4e-14, and both ends of a Brent
+    # bracket can read one sign; the end that rounds the wrong way counts
+    # as zero
+    spec = DoubleLayerSpec.make(-depth, width, -depth, width, gap)
+    ladder = find_roots(build_chi_problem(spec))
+    assert ladder.n == level_count(spec, 0.0)
+    assert np.all(np.diff(ladder.kappas) >= 0.0)
+    report = verify_ladder(spec, ladder)
+    assert isinstance(report, LadderReport)
     assert report.missed.size == 0
 
 

@@ -115,6 +115,21 @@ def test_boundstates_for_a_single_structure(tmp_path):
     assert len(lines) == summary["count"] + 1
 
 
+def test_boundstates_of_deep_equal_wells_exits_0_unverified(tmp_path):
+    # 36 levels in 18 doublets split below the float spacing of kappa, so
+    # the ladder cannot be certified; G lies within rounding of j * pi at
+    # some bisection points, where Brent's ends can read one sign
+    cfg = _write_config(
+        tmp_path,
+        {"units": "nm^-2", "spec": {"v1": -3000.0, "l1": 1.0, "v2": -3000.0, "l2": 1.0, "r": 5.0}},
+    )
+    out = tmp_path / "out"
+    assert _run(["boundstates", "--config", cfg, "--out", out]) == 0
+    summary = json.loads((out / "boundstates.json").read_text())
+    assert summary["verified"] is False
+    assert summary["count"] == len(summary["kappas"]) == 36
+
+
 def test_boundstates_family_sweep(tmp_path):
     cfg = _write_config(
         tmp_path,

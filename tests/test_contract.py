@@ -201,7 +201,7 @@ def opaque_specs(draw):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 2: a barrier with sqrt(V) * l > 710 overflows cosh and sinh, "
+    "ROADMAP item C: a barrier with sqrt(V) * l > 710 overflows cosh and sinh, "
     "so the amplitudes come back NaN with only a RuntimeWarning"))
 @drawn
 @given(opaque_specs(), wavenumbers)

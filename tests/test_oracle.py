@@ -144,6 +144,34 @@ def test_phase_count_matches_the_mpmath_count_on_random_wells():
             assert _phase_count(spec, kappa) == level_count(spec, kappa), (spec, kappa)
 
 
+# one point per branch of _phase, as (v1, l1, v2, l2, r) and kappa; layer 2
+# is the matching layer unless the layers swap
+PHASE_BRANCHES = {
+    "layer1-oscillating": ((-2.0, 1.0, -5.0, 1.5, 0.5), 0.8),
+    "layer1-barrier": ((4.0, 0.5, -5.0, 1.5, 0.5), 1.0),
+    # v1 + kappa^2 == 0.0: layer 1 is linear
+    "layer1-flat": ((-4.0, 1.0, -9.0, 1.5, 0.3), 2.0),
+    "layer1-zero-width": ((-3.0, 0.0, -5.0, 1.0, 0.5), 1.2),
+    "no-gap": ((-2.0, 1.0, -5.0, 1.5, 0.0), 0.8),
+    # kappa^2 underflows to 0.0, so the gap is linear
+    "gap-flat": ((-2.0, 1.0, -5.0, 1.5, 0.5), 1e-170),
+    # kappa^2 is subnormal, and sqrt(kappa^2) differs from kappa
+    "gap-subnormal": ((-2.0, 1.0, -5.0, 1.5, 0.5), 1e-160),
+    "swapped": ((-5.0, 1.5, -2.0, 1.0, 0.5), 0.8),
+    "swapped-barrier": ((-5.0, 1.5, 4.0, 0.5, 0.5), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_BRANCHES))
+def test_phase_count_matches_the_mpmath_count_in_each_branch(name):
+    s, kappa = PHASE_BRANCHES[name]
+    spec = DoubleLayerSpec.make(*s)
+    assert _phase_count(spec, kappa) == level_count(spec, kappa)
+    # and across the whole range, below and above each level
+    for kappa in np.linspace(0.0, _kmax(spec), 9):
+        assert _phase_count(spec, kappa) == level_count(spec, kappa), kappa
+
+
 @pytest.mark.parametrize("name", sorted(fault_specs()))
 def test_phase_count_matches_the_mpmath_count_on_fault_inputs(name):
     spec = fault_specs()[name]
