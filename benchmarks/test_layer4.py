@@ -70,6 +70,6 @@ def test_brent_refinement(benchmark, n):
     level, below = kappas[-1], (kappas[-2] if n > 1 else 0.0)
     a, b = 0.5 * (below + level), 0.5 * (level + math.sqrt(-spec.v1))
     j = bound._count(b, bound._phase(p, b)) * math.pi
-    fa, fb = bound._phase(p, a, j=j), bound._phase(p, b, j=j)
-    root = benchmark(bound.brentq, lambda k: bound._phase(p, k, j=j), a, fa, b, fb)
+    fa, fb = bound._phase(p, a) - j, bound._phase(p, b) - j
+    root = benchmark(bound.brentq, lambda k: bound._phase(p, k) - j, a, fa, b, fb)
     assert root == pytest.approx(level, rel=1e-14)

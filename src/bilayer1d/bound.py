@@ -149,12 +149,11 @@ def _params(spec):
     return float(spec.v1), float(spec.l1), float(spec.v2), float(spec.l2), float(spec.r)
 
 
-def _phase(p, kappa, j=0.0):
-    """G(kappa) - j for G of the module docstring, kappa >= 0 and
+def _phase(p, kappa):
+    """G(kappa) of the module docstring for kappa >= 0 and
     p = _params(spec), matched in the layer with the larger phase (mirrored
-    if that is layer 1); -pi/2 - j where no piece oscillates, as no level
-    lies deeper there.  j is subtracted last, so _phase(p, kappa, j) is
-    the same float as _phase(p, kappa) - j.
+    if that is layer 1); -pi/2 where no piece oscillates, as no level lies
+    deeper there.
 
     The pieces before the matching layer are written out in place.  A
     piece where psi'' = q psi with q > 0 carries (psi, psi') divided by
@@ -170,7 +169,7 @@ def _phase(p, kappa, j=0.0):
     if q1 * l1 * l1 < q2 * l2 * l2:
         q1, l1, q2, l2 = q2, l2, q1, l1
     if not q2 < 0.0 < l2:
-        return -0.5 * _PI - j
+        return -0.5 * _PI
     # the solution decaying on the left starts as the bare tail (1, kappa)
     if q1 < 0.0 < l1:
         w = _sqrt(-q1)
@@ -197,13 +196,11 @@ def _phase(p, kappa, j=0.0):
     else:
         psi, dpsi, zeros = 1.0, kappa, 0
     if r > 0.0:
-        # k2 == 0.0, not kappa == 0.0: for a subnormal kappa, k2 underflows
-        # and dpsi / sqrt(k2) would overflow
+        # k2, not kappa: a subnormal kappa's square underflows to 0.0 too
         if k2 == 0.0:
             new = psi + dpsi * r
         else:
-            # sqrt(k2) is kappa exactly where k2 is a normal float
-            w = kappa if kappa > 1.5e-154 else _sqrt(k2)
+            w = _sqrt(k2)
             t = dpsi / w
             e = _exp(-2.0 * w * r)
             grow = (psi + t) * _tanh(w * r)
@@ -217,7 +214,7 @@ def _phase(p, kappa, j=0.0):
     angle = _atan2(psi, dpsi / w)
     if angle < 0.0:
         angle += _PI
-    return zeros * _PI + angle + w * l2 - _atan2(1.0, -kappa / w) - j
+    return zeros * _PI + angle + w * l2 - _atan2(1.0, -kappa / w)
 
 
 def _count(kappa, g):
@@ -297,9 +294,9 @@ def _levels(p, lo, hi):
     """The levels with decay rate in [lo, hi), ascending, as a list.
 
     N is bisected until each interval holds one level, which Brent's
-    method refines on _phase(p, kappa, j) = G - j * pi to a relative
-    1e-15, so that a level near threshold keeps its digits; it starts from
-    the G values the bisection has at the interval's ends.  Where G lies
+    method refines on G - j * pi to a relative 1e-15, so that a level near
+    threshold keeps its digits; it starts from the G values the bisection
+    has at the interval's ends.  Where G lies
     within rounding of j * pi at an end, floor(G / pi) can put the level
     in the interval while G - j * pi rounds to the wrong sign; that end
     value is taken as zero, and Brent returns the end.  Levels closer than
@@ -313,7 +310,7 @@ def _levels(p, lo, hi):
         if na - nb == 1:
             # an end whose G - j * pi rounds to the wrong sign counts as zero
             j = nb * _PI
-            levels.append(brentq(lambda k: _phase(p, k, j=j), a, max(ga - j, 0.0),
+            levels.append(brentq(lambda k: _phase(p, k) - j, a, max(ga - j, 0.0),
                                  b, min(gb - j, 0.0)))
         elif na > nb:
             mid = 0.5 * (a + b)
