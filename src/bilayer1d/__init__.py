@@ -14,7 +14,7 @@ from .core import (
     as_wavenumber,
     convert_energy,
 )
-from .kernels import SERIES_CUTOFF, cos_sqrt, sinc_sqrt, tanc_sqrt
+from .kernels import cos_sqrt, sinc_sqrt, tanc_sqrt
 from .xfer import (
     NotAnEigenvalueError,
     PiecewiseWave,
@@ -72,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EV_TO_INV_NM2",
-    "SERIES_CUTOFF",
     "BoundLadder",
     "ChiProblem",
     "DivergentLimitError",

@@ -31,7 +31,6 @@ from .squeeze import (
 )
 from .xfer import (
     NotAnEigenvalueError,
-    ScatteringPoleError,
     amplitude_grid,
     scattering_data,
     scattering_wavefunction,
@@ -317,9 +316,6 @@ def _cmd_scatter(args, cfg):
     spec = _spec_of(cfg)
     ks = _k_grid(cfg)
     a, b = amplitude_grid(spec, ks)
-    if np.any(a == 0.0):
-        k = float(ks[np.argmax(a == 0.0)])
-        raise ScatteringPoleError(f"vanishing transmission denominator at k={k!r}")
     a2 = np.abs(a) ** 2
     columns = {
         "k": ks,

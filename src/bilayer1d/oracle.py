@@ -4,9 +4,10 @@ Everything here walks the stationary wave equation numerically: a
 fixed-step RK4 on the fundamental matrix, or per-piece propagators built
 from complex square roots and hyperbolic functions.  Neither path shares
 code with the branch-free kernels used by the fast routines, so a bug
-cannot cancel between the two.  The level count works in mpmath and the
-bound levels are refined with scipy's brentq; both are imported only
-when they run, so importing the library loads neither.
+cannot cancel between the two.  The bound levels come from a level
+count in mpmath, bisected to the float spacing; mpmath is imported only
+when it runs, so importing the library does not load it, and the oracle
+needs no scipy.
 """
 
 import math
@@ -153,41 +154,30 @@ def integrate_scatter(spec, k, cfg=None):
     return ScatteringData(complex(a[0]), complex(b[0]))
 
 
-def integrate_bound(spec, cfg=None):
-    """Bound levels kappa (ascending), located by shooting.
+def integrate_bound(spec):
+    """Bound levels kappa (ascending), located by the Sturm count alone.
 
-    The decaying-match function m(kappa) = psi'(L) + kappa psi(L) for the
-    solution started as (1, kappa) at the left edge vanishes exactly at
-    the bound levels.  Each level is first bracketed alone by bisecting
-    (0, kmax) with level_count, then refined on m with brentq, so close
-    doublets are separated.  Levels that no float midpoint separates are
-    returned at the upper end of their bracket.  The default propagators
-    are the exact per-piece ones, since RK4 struggles with the
-    exponential growth in deep wells.
+    (0, kmax) is bisected with level_count: an interval (lo, hi] holds
+    N(lo) - N(hi) levels, so each level is first bracketed alone, which
+    separates close doublets, and then narrowed until its bracket is
+    under 4e-16 relative or no float midpoint is left.  Each level is
+    returned at the upper end of its bracket, once per level it holds.
     """
-    from scipy.optimize import brentq
-
-    cfg = cfg or IntegrationConfig(method="exact")
     vmin = min(spec.v1, spec.v2, 0.0)
     if vmin >= 0.0:
         return np.array([])
     kmax = math.sqrt(-vmin) * (1.0 - 1e-12)
-
-    def match(kappa):
-        l11, l12, l21, l22 = oracle_entries(spec, [-kappa * kappa], cfg)
-        return float(l21[0] + kappa * (l11[0] + l22[0]) + kappa * kappa * l12[0])
-
     levels = []
     # (lo, hi, N(lo), N(hi)): the interval (lo, hi] holds N(lo) - N(hi) levels
     stack = [(0.0, kmax, level_count(spec, 0.0), level_count(spec, kmax))]
     while stack:
         lo, hi, n_lo, n_hi = stack.pop()
         mid = 0.5 * (lo + hi)
-        if n_lo - n_hi == 1:
-            levels.append(brentq(match, lo, hi, xtol=1e-13))
-        elif n_lo > n_hi and not lo < mid < hi:
+        if n_lo == n_hi:
+            continue
+        if hi - lo <= 4e-16 * hi or not lo < mid < hi:
             levels.extend([hi] * (n_lo - n_hi))
-        elif n_lo > n_hi:
+        else:
             n_mid = level_count(spec, mid)
             stack += [(lo, mid, n_lo, n_mid), (mid, hi, n_mid, n_hi)]
     return np.sort(np.array(levels))

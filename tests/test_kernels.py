@@ -2,15 +2,11 @@
 
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from bilayer1d.kernels import (
-    SERIES_CUTOFF,
-    cos_sqrt,
-    sinc_sqrt,
-    tanc_sqrt,
-)
+from bilayer1d.kernels import cos_sqrt, sinc_sqrt, tanc_sqrt
 
 WIDE = np.concatenate(
     (
@@ -20,15 +16,12 @@ WIDE = np.concatenate(
     )
 )
 
-# the series cutoff and its nextafter neighbours, on both signs
-CUTOFF_EDGES = [
+# both sides of the sign split: +-0, the smallest subnormals, and 1e-6
+# with its nextafter neighbours
+EDGES = [
     c * side
     for side in (1.0, -1.0)
-    for c in (
-        SERIES_CUTOFF,
-        np.nextafter(SERIES_CUTOFF, 0.0),
-        np.nextafter(SERIES_CUTOFF, np.inf),
-    )
+    for c in (0.0, 5e-324, 1e-6, np.nextafter(1e-6, 0.0), np.nextafter(1e-6, np.inf))
 ]
 
 
@@ -53,19 +46,35 @@ def test_sinc_sqrt_matches_reference():
 
 
 def test_values_at_zero():
-    assert cos_sqrt(0.0) == 1.0
-    assert sinc_sqrt(0.0) == 1.0
-    assert tanc_sqrt(0.0) == 1.0
+    for w in (0.0, -0.0):
+        assert cos_sqrt(w) == 1.0
+        assert sinc_sqrt(w) == 1.0
+        assert tanc_sqrt(w) == 1.0
 
 
-def test_series_joins_direct_branch_smoothly():
-    # sample a dense band straddling the series/direct switchover
-    for sign in (-1.0, 1.0):
-        w = sign * np.linspace(0.2 * SERIES_CUTOFF, 5.0 * SERIES_CUTOFF, 4001)
-        z = _z(w)
-        assert np.max(np.abs(cos_sqrt(w) - np.cos(z).real)) < 1e-14
-        assert np.max(np.abs(sinc_sqrt(w) - (np.sin(z) / z).real)) < 1e-14
-        assert np.max(np.abs(tanc_sqrt(w) - (np.tan(z) / z).real)) < 1e-13
+MPMATH_REFERENCE = {
+    cos_sqrt: (mp.cos, mp.cosh),
+    sinc_sqrt: (lambda s: mp.sin(s) / s, lambda s: mp.sinh(s) / s),
+    tanc_sqrt: (lambda s: mp.tan(s) / s, lambda s: mp.tanh(s) / s),
+}
+
+
+def test_direct_formulas_match_mpmath_near_zero():
+    # the direct formulas need no series near w = 0: on 0 < |w| <= 1e-4,
+    # subnormals included, they hold to 4 units of 2^-53 against 40 digits
+    rng = np.random.default_rng(43)
+    mags = np.concatenate(
+        (np.logspace(-323.5, -4.0, 300), rng.uniform(0.0, 1e-6, 100),
+         rng.uniform(0.0, 1e-4, 100), [5e-324, 1e-4])
+    )
+    mags = mags[mags > 0.0]
+    with mp.workdps(40):
+        for kernel, (circular, hyperbolic) in MPMATH_REFERENCE.items():
+            for w in np.concatenate((mags, -mags)):
+                got = kernel(w)
+                s = mp.sqrt(abs(mp.mpf(w)))
+                want = circular(s) if w > 0.0 else hyperbolic(s)
+                assert abs(got - want) <= 4.0 * 2.0**-53 * abs(want), (kernel, w, got)
 
 
 def test_pythagorean_identity():
@@ -103,10 +112,10 @@ def _bits(x):
 
 @pytest.mark.parametrize("kernel", [cos_sqrt, sinc_sqrt, tanc_sqrt])
 def test_scalar_call_equals_array_element(kernel):
-    # the cutoffs and their neighbours, the non-finite inputs, and
+    # both sides of the sign split, the non-finite inputs, and
     # cosh(1000) overflowing to inf
-    extra = [0.0, np.inf, -np.inf, np.nan, -1e6]
-    points = np.concatenate((WIDE, CUTOFF_EDGES, extra))
+    extra = [np.inf, -np.inf, np.nan, -1e6]
+    points = np.concatenate((WIDE, EDGES, extra))
     with np.errstate(over="ignore"):
         want = kernel(points)
         for w, ref in zip(points, want):
@@ -116,49 +125,35 @@ def test_scalar_call_equals_array_element(kernel):
                 assert _bits(got) == _bits(ref), (w, got, ref)
 
 
-def _three_way(circular, hyperbolic, series):
+def _by_sign(circular, hyperbolic):
     """Every branch on the whole array, picked by np.where: the kernels'
     branch formulas written out once more as the elementwise reference."""
 
     def reference(w):
         sp = np.sqrt(np.maximum(w, 0.0))
         sn = np.sqrt(np.maximum(-w, 0.0))
-        return np.where(
-            w >= SERIES_CUTOFF,
-            circular(sp),
-            np.where(w <= -SERIES_CUTOFF, hyperbolic(sn), series(w)),
-        )
+        return np.where(w > 0.0, circular(sp), np.where(w < 0.0, hyperbolic(sn), w + 1.0))
 
     return reference
 
 
 WHERE_REFERENCE = {
-    cos_sqrt: _three_way(
-        np.cos, np.cosh, lambda w: 1.0 - w / 2.0 + w * w / 24.0 - w * w * w / 720.0
-    ),
-    sinc_sqrt: _three_way(
-        lambda s: np.sin(s) / s,
-        lambda s: np.sinh(s) / s,
-        lambda w: 1.0 - w / 6.0 + w * w / 120.0 - w * w * w / 5040.0,
-    ),
-    tanc_sqrt: _three_way(
-        lambda s: np.tan(s) / s,
-        lambda s: np.tanh(s) / s,
-        lambda w: 1.0 + w / 3.0 + 2.0 * w * w / 15.0 + 17.0 * w * w * w / 315.0,
-    ),
+    cos_sqrt: _by_sign(np.cos, np.cosh),
+    sinc_sqrt: _by_sign(lambda s: np.sin(s) / s, lambda s: np.sinh(s) / s),
+    tanc_sqrt: _by_sign(lambda s: np.tan(s) / s, lambda s: np.tanh(s) / s),
 }
 
 
 def _mixed_points():
-    """All three branches shuffled together, with the cutoffs and their
-    nextafter neighbours, 0, NaN and +-inf."""
+    """All three branches shuffled together, with both sides of the sign
+    split, points near 0, NaN and +-inf."""
     rng = np.random.default_rng(41)
     points = np.concatenate(
         (
             WIDE,
-            rng.uniform(-3.0 * SERIES_CUTOFF, 3.0 * SERIES_CUTOFF, 40),
-            CUTOFF_EDGES,
-            [0.0, -0.0, np.nan, np.inf, -np.inf, np.nan],
+            rng.uniform(-3e-6, 3e-6, 40),
+            EDGES,
+            [np.nan, np.inf, -np.inf, np.nan],
         )
     )
     rng.shuffle(points)
@@ -169,9 +164,10 @@ MIXED = _mixed_points()
 ARRAYS = {
     "mixed": MIXED,
     "mixed-2d": MIXED[: MIXED.size // 4 * 4].reshape(-1, 4),
-    "circular-only": MIXED[MIXED >= SERIES_CUTOFF],
-    "hyperbolic-only": MIXED[MIXED <= -SERIES_CUTOFF].reshape(1, -1),
-    "series-only": MIXED[np.abs(MIXED) < SERIES_CUTOFF],
+    "circular-only": MIXED[MIXED > 0.0],
+    "hyperbolic-only": MIXED[MIXED < 0.0].reshape(1, -1),
+    # w = +-0 and NaN
+    "constant-only": MIXED[~(MIXED > 0.0) & ~(MIXED < 0.0)],
     "non-finite": np.array([np.nan, np.inf, -np.inf]),
     "empty": np.array([]),
     "empty-2d": np.zeros((0, 3)),

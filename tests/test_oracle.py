@@ -85,19 +85,37 @@ def test_integrate_bound_matches_root_solver():
         reference = np.sort(np.asarray(integrate_bound(spec)))
         assert ladder.chis.size == reference.size
         if reference.size:
-            assert np.max(np.abs(np.sort(ladder.kappas) - reference)) < 1e-6
+            assert np.max(np.abs(np.sort(ladder.kappas) - reference) / reference) < 1e-12
             checked += 1
     assert checked >= 5
 
 
-@pytest.mark.parametrize("name", sorted(fault_specs()))
+# the fault inputs and the equal doublet, whose members differ by ~1e-11
+BOUND_SPECS = {**fault_specs(), "equal-doublet": DoubleLayerSpec.make(-45, 1.2, -45, 1.2, 3.5)}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_SPECS))
 def test_integrate_bound_finds_every_level(name):
     # gapped doublets, a level near threshold and thin wells: each level is
-    # bracketed alone by the mpmath count before the shooting refinement
-    spec = fault_specs()[name]
+    # bracketed alone by the mpmath count, and the count still brackets it
+    # within 1e-12 relative once it is narrowed
+    spec = BOUND_SPECS[name]
     levels = integrate_bound(spec)
     assert levels.size == level_count(spec, 0.0)
     assert np.all(np.diff(levels) > 0.0)
+    for kappa in levels:
+        lo, hi = kappa * (1.0 - 1e-12), kappa * (1.0 + 1e-12)
+        assert level_count(spec, lo) - level_count(spec, hi) == 1, kappa
+
+
+def test_integrate_bound_needs_no_scipy():
+    src = str(pathlib.Path(bilayer1d.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); sys.modules['scipy'] = None; "
+            "from bilayer1d import DoubleLayerSpec; from bilayer1d.oracle import integrate_bound; "
+            "print(integrate_bound(DoubleLayerSpec.make(-45, 1.2, -45, 1.2, 3.5)).size)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "6"
 
 
 def test_too_coarse_step_is_rejected():
