@@ -20,7 +20,6 @@ from .xfer import (
     PiecewiseWave,
     RTCoefficients,
     ScatteringData,
-    ScatteringPoleError,
     TransferMatrix,
     amplitude_grid,
     amplitude_ratio_expressions,
@@ -60,7 +59,6 @@ from .squeeze import (
     sweep_ladder,
 )
 from .oracle import (
-    IntegrationConfig,
     integrate_bound,
     integrate_scatter,
     oracle_entries,
@@ -76,7 +74,6 @@ __all__ = [
     "ChiProblem",
     "DivergentLimitError",
     "DoubleLayerSpec",
-    "IntegrationConfig",
     "InteractionReport",
     "LadderReport",
     "NotAnEigenvalueError",
@@ -84,7 +81,6 @@ __all__ = [
     "PiecewiseWave",
     "RTCoefficients",
     "ScatteringData",
-    "ScatteringPoleError",
     "SqueezeFamily",
     "SqueezedInteraction",
     "SweepResult",

@@ -54,7 +54,8 @@ def _load_config(path):
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # bad JSON, bytes that are not UTF-8, an int too long to parse, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -194,12 +195,14 @@ def _probe_of(cfg):
 
 
 def _real(value):
-    """float(value) for a finite JSON number; booleans, strings, NaN and
-    infinities are refused rather than converted."""
+    """float(value) for a finite JSON number; booleans, strings, NaN,
+    infinities and integers beyond the float range are refused rather
+    than converted."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{value!r} is not a number")
-    if not math.isfinite(value):
-        raise ValueError(f"{value!r} is not finite")
+    # compared exactly: math.isfinite overflows on an int beyond the float range
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{value!r} is not a finite float")
     return float(value)
 
 

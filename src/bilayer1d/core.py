@@ -87,10 +87,6 @@ class Wavenumber:
         object.__setattr__(self, "k", k)
 
     @classmethod
-    def real(cls, k):
-        return cls(complex(k))
-
-    @classmethod
     def bound(cls, kappa):
         return cls(complex(0.0, kappa))
 

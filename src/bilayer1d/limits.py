@@ -146,10 +146,6 @@ class SqueezedInteraction:
     theta: float = None
     alpha: float = None
 
-    @classmethod
-    def separated(cls):
-        return cls("separated")
-
     def amplitudes(self, k):
         """Limit amplitudes a(k), b(k) of the point interaction."""
         if self.kind == "separated":

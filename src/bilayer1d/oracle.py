@@ -1,34 +1,23 @@
 """Slow, independent integrators that cross-check the closed forms.
 
-Everything here walks the stationary wave equation numerically: a
-fixed-step RK4 on the fundamental matrix, or per-piece propagators built
-from complex square roots and hyperbolic functions.  Neither path shares
-code with the branch-free kernels used by the fast routines, so a bug
-cannot cancel between the two.  The bound levels come from a level
-count in mpmath, bisected to the float spacing; mpmath is imported only
-when it runs, so importing the library does not load it, and the oracle
-needs no scipy.
+Everything here walks the stationary wave equation numerically, by the
+method that oracle_entries, scatter_grid and integrate_scatter take:
+"rk4" (the default) steps the fundamental matrix by RK4 at a step that
+resolves the narrowest piece, "exact" multiplies per-piece propagators
+built from complex square roots and hyperbolic functions.  Neither path
+shares code with the branch-free kernels used by the fast routines, so
+a bug cannot cancel between the two.  The bound levels come from a
+level count in mpmath, bisected to the float spacing; mpmath is imported
+only when it runs, so importing the library does not load it, and the
+oracle needs no scipy.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib import scimath
 
 from .xfer import ScatteringData
-
-
-@dataclass(frozen=True)
-class IntegrationConfig:
-    """Controls for the oracle integrators.
-
-    h: RK4 step (None = auto; must resolve the narrowest piece).
-    method: "rk4" or "exact" (per-piece complex propagators).
-    """
-
-    h: float = None
-    method: str = "rk4"
 
 
 def _pieces(spec):
@@ -96,30 +85,22 @@ def _exact_matrix(spec, k2):
     return m
 
 
-def oracle_entries(spec, k2, cfg=None):
+def oracle_entries(spec, k2, method="rk4"):
     """Fundamental-matrix entries across the structure, by integration.
 
-    k2 may be any real array (negative values reach the bound sector).
-    Returns four real arrays (l11, l12, l21, l22).
+    k2 may be any real array (negative values reach the bound sector),
+    method "rk4" or "exact".  Returns four real arrays (l11, l12, l21, l22).
     """
-    cfg = cfg or IntegrationConfig()
     k2 = np.atleast_1d(np.asarray(k2, dtype=float))
     pieces = _pieces(spec)
     if not pieces:
         one = np.ones_like(k2)
         zero = np.zeros_like(k2)
         return one, zero, zero, one.copy()
-    if cfg.method == "rk4":
-        min_piece = min(length for length, _ in pieces)
-        if cfg.h is not None and cfg.h > min_piece / 16.0:
-            raise ValueError(
-                f"integration step {cfg.h:g} too coarse for the narrowest "
-                f"piece of width {min_piece:g}"
-            )
-        step = cfg.h if cfg.h is not None else _auto_step(pieces, k2)
-        m = _rk4_matrix(spec, k2, step)
+    if method == "rk4":
+        m = _rk4_matrix(spec, k2, _auto_step(pieces, k2))
         return m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    if cfg.method == "exact":
+    if method == "exact":
         m = _exact_matrix(spec, k2)
         scale = np.max(np.abs(m))
         drift = np.max(np.abs(m.imag))
@@ -129,7 +110,7 @@ def oracle_entries(spec, k2, cfg=None):
             )
         mr = m.real
         return mr[0, 0], mr[0, 1], mr[1, 0], mr[1, 1]
-    raise ValueError(f"unknown oracle method {cfg.method!r}")
+    raise ValueError(f"unknown oracle method {method!r}")
 
 
 def _amplitudes(l11, l12, l21, l22, k, extent):
@@ -139,18 +120,18 @@ def _amplitudes(l11, l12, l21, l22, k, extent):
     return a, b
 
 
-def scatter_grid(spec, ks, cfg=None):
+def scatter_grid(spec, ks, method="rk4"):
     """Amplitude pair (a, b) on a real-k grid, by numerical integration."""
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
     if np.any(ks <= 0.0):
         raise ValueError("scattering oracle needs k > 0")
-    l11, l12, l21, l22 = oracle_entries(spec, ks * ks, cfg)
+    l11, l12, l21, l22 = oracle_entries(spec, ks * ks, method)
     return _amplitudes(l11, l12, l21, l22, ks, spec.extent)
 
 
-def integrate_scatter(spec, k, cfg=None):
+def integrate_scatter(spec, k, method="rk4"):
     """Scattering amplitudes at one real k, by numerical integration."""
-    a, b = scatter_grid(spec, [float(k)], cfg)
+    a, b = scatter_grid(spec, [float(k)], method)
     return ScatteringData(complex(a[0]), complex(b[0]))
 
 

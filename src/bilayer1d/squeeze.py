@@ -283,7 +283,7 @@ def interaction_limit(family, res_tol=1e-9, spread_tol=1e-9):
     spread = math.inf
     theta = math.nan
     alpha = math.nan
-    interaction = SqueezedInteraction.separated()
+    interaction = SqueezedInteraction("separated")
 
     if abs(residual) <= res_tol:
         term = divergent_term(m, residual_power, res_tol)

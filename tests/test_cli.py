@@ -6,7 +6,16 @@ import json
 import numpy as np
 import pytest
 
-from bilayer1d import cli, scattering_data, DoubleLayerSpec
+from bilayer1d import (
+    DoubleLayerSpec,
+    SqueezeFamily,
+    build_chi_problem,
+    cli,
+    delta_prime_pairing,
+    find_roots,
+    probes,
+    scattering_data,
+)
 from bilayer1d.core import EV_TO_INV_NM2
 
 
@@ -412,6 +421,9 @@ FAMILY_SECTION = {
     "d1": 1.0, "d2": 0.6, "c": 2.0,
 }
 WAVE_SCATTER = {"spec": SPEC_SECTION, "mode": "scatter"}
+# a JSON integer that no float holds, once an OverflowError from
+# math.isfinite and so exit 4
+HUGE = 10**400
 
 
 @pytest.mark.parametrize(
@@ -444,6 +456,10 @@ WAVE_SCATTER = {"spec": SPEC_SECTION, "mode": "scatter"}
         ("deltaprime", {"test_function": {"kind": "bump", "width": "2"}}),
         ("deltaprime", {"test_function": {"kind": "tabulated", "xs": [0.0, True, 2.0],
                                           "ys": [0.0, 1.0, 0.0]}}),
+        ("scatter", {"spec": {**SPEC_SECTION, "v1": HUGE}, "k_grid": [1.0]}),
+        ("scatter", {"spec": SPEC_SECTION, "k_grid": [1.0, HUGE]}),
+        ("resonance", {"tol": HUGE}),
+        ("scatter", {"spec": SPEC_SECTION, "ev_to_inv_nm2": HUGE, "k_grid": [1.0]}),
     ],
     ids=[
         "resonance-k",
@@ -472,6 +488,10 @@ WAVE_SCATTER = {"spec": SPEC_SECTION, "mode": "scatter"}
         "k_grid-list-inf",
         "test_function-width-string",
         "test_function-xs-bool",
+        "spec-energy-huge-int",
+        "k_grid-list-huge-int",
+        "resonance-tol-huge-int",
+        "ev_to_inv_nm2-huge-int",
     ],
 )
 def test_malformed_config_value_is_config_error(tmp_path, command, extra):
@@ -618,3 +638,143 @@ def test_json_format_holds_the_csv_table_and_summary(tmp_path, command, cfg, det
     assert payload.pop("spec_version") == summary.pop("spec_version", 1) == 1
     assert set(payload) - set(summary) == details
     assert {key: payload[key] for key in summary} == summary
+
+
+SPEC_WITHOUT_R = {key: value for key, value in SPEC_SECTION.items() if key != "r"}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("scatter", [SPEC_SECTION], "config root must be a JSON object"),
+        ("resonance", {}, 'this command needs a "family" section'),
+        ("scatter", {"spec": SPEC_WITHOUT_R, "k_grid": [1.0]}, "spec section is missing 'r'"),
+        ("scatter", {"family": FAMILY_SECTION, "k_grid": [1.0]},
+         'a "family" config needs "eps" to realize it'),
+        ("scatter", {"spec": SPEC_SECTION, "k_grid": []},
+         "k_grid must be a nonempty list of numbers"),
+        ("scatter", {"spec": SPEC_SECTION, "k_grid": {"start": 0.5, "stop": 1.0, "count": 0}},
+         "k_grid count must be >= 1"),
+        ("scatter", {"spec": SPEC_SECTION, "k_grid": "0.5:1.0"},
+         "k_grid must be a list or a start/stop/count object"),
+        ("scatter", {"spec": SPEC_SECTION, "k2_grid": [1.0, 0.0]},
+         "k2_grid values must be positive energies"),
+        ("scatter", {"spec": SPEC_SECTION}, 'provide "k_grid" (nm^-1) or "k2_grid" (energy)'),
+        ("scatter", {"spec": SPEC_SECTION, "k_grid": [1.0, -0.5]}, "k values must be positive"),
+        ("boundstates", {"family": FAMILY_SECTION, "eps_grid": 0.1},
+         "eps_grid must be a list or a start/stop/per_decade object"),
+        ("deltaprime", {"family": FAMILY_SECTION, "test_function": [1.0]},
+         "test_function must be an object"),
+        ("deltaprime", {"family": FAMILY_SECTION, "test_function": {"kind": "gaussian"}},
+         "test_function 'gaussian' is missing 'sigma'"),
+        ("deltaprime", {"family": FAMILY_SECTION, "test_function": {"kind": "triangle"}},
+         "unknown test_function kind 'triangle'"),
+    ],
+    ids=[
+        "root-not-object",
+        "no-family-section",
+        "section-missing-key",
+        "family-without-eps",
+        "empty-list",
+        "count-below-1",
+        "grid-neither-list-nor-object",
+        "k2_grid-not-positive",
+        "no-k-grid",
+        "k-not-positive",
+        "eps_grid-wrong-type",
+        "test_function-not-object",
+        "test_function-missing-key",
+        "test_function-unknown-kind",
+    ],
+)
+def test_config_refusal_names_its_cause(tmp_path, capsys, command, payload, message):
+    if isinstance(payload, dict):
+        payload = {"units": "nm^-2", **payload}
+    cfg = _write_config(tmp_path, payload)
+    assert _run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # UnicodeDecodeError is a ValueError, once exit 3
+        '{"units": "nm^-2", "note": "\xe9"}'.encode("latin-1"),
+        # once an uncaught RecursionError
+        b"[" * 100_000 + b"]" * 100_000,
+        # past the digit limit of int parsing, a ValueError, once exit 3
+        b'{"k_grid": [' + b"1" * 5000 + b"]}",
+    ],
+    ids=["not-utf8", "nested-too-deeply", "integer-too-long"],
+)
+def test_unreadable_config_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    assert _run(["scatter", "--config", path, "--out", tmp_path / "o"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def _rows(path):
+    """The data rows of a CSV table, as lists of cells."""
+    return [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
+
+
+def test_deltaprime_with_a_gaussian_bump_probe(tmp_path):
+    eps_grid = [1e-2, 1e-3]
+    tf = {"kind": "gaussian_bump", "sigma": 2.0, "width": 6.0, "center": -1.0}
+    cfg = _write_config(tmp_path, {"units": "nm^-2", "family": DIPOLE_FAMILY,
+                                   "eps_grid": eps_grid, "test_function": tf})
+    out = tmp_path / "o"
+    assert _run(["deltaprime", "--config", cfg, "--out", out]) == 0
+    family = SqueezeFamily(**DIPOLE_FAMILY)
+    probe = probes.gaussian_bump(2.0, 6.0, -1.0)
+    for eps, row in zip(eps_grid, _rows(out / "deltaprime.csv"), strict=True):
+        want = delta_prime_pairing(family, eps, probe)
+        assert [float(c) for c in row[:3]] == [eps, want.value, want.companion]
+
+
+def test_wavefunction_bound_mode_at_an_explicit_kappa(tmp_path):
+    # a "kappa" key replaces "level": the same level gives the same bytes
+    spec = DoubleLayerSpec.from_ev(*DEEP_SPEC.values())
+    kappa = float(find_roots(build_chi_problem(spec)).kappas[0])
+    base = {"units": "eV", "spec": DEEP_SPEC, "mode": "bound"}
+    by_level = _write_config(tmp_path, {**base, "level": 1}, name="level.json")
+    by_kappa = _write_config(tmp_path, {**base, "kappa": kappa}, name="kappa.json")
+    assert _run(["wavefunction", "--config", by_level, "--out", tmp_path / "level"]) == 0
+    assert _run(["wavefunction", "--config", by_kappa, "--out", tmp_path / "kappa"]) == 0
+    table = (tmp_path / "kappa" / "wavefunction.csv").read_bytes()
+    assert table == (tmp_path / "level" / "wavefunction.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "spec, lo, hi",
+    [(SPEC_SECTION, -0.9, 4.5),
+     ({"v1": 0.5, "l1": 0.0, "v2": -0.5, "l2": 0.0, "r": 0.0}, -1.0, 1.0)],
+    ids=["padded-by-a-quarter", "zero-extent"],
+)
+def test_wavefunction_default_x_grid(tmp_path, spec, lo, hi):
+    # without "x_grid", 400 points across the structure and a quarter of
+    # its extent on each side, or [-1, 1] when it has no extent
+    cfg = _write_config(tmp_path, {"units": "nm^-2", "spec": spec, "mode": "scatter", "k": 1.0})
+    out = tmp_path / "o"
+    assert _run(["wavefunction", "--config", cfg, "--out", out]) == 0
+    xs = [float(row[0]) for row in _rows(out / "wavefunction.csv")]
+    assert xs == pytest.approx(np.linspace(lo, hi, 400), rel=1e-15, abs=1e-15)
+
+
+def test_deltaprime_without_a_companion_reports_the_pairing_as_gap(tmp_path):
+    # h1 d1 + h2 d2 = 0.52 breaks the zero-mean balance: no companion, and
+    # the gap column is the pairing itself
+    cfg = _write_config(tmp_path, {"units": "nm^-2", "family": FAMILY_SECTION,
+                                   "eps_grid": [1e-2, 1e-3],
+                                   "test_function": {"kind": "gaussian", "sigma": 3.0}})
+    out = tmp_path / "o"
+    assert _run(["deltaprime", "--config", cfg, "--out", out]) == 0
+    summary = json.loads((out / "deltaprime.json").read_text())
+    assert summary["companion"] is None
+    assert summary["divergence_power"] == -1.0
+    rows = _rows(out / "deltaprime.csv")
+    assert len(rows) == 2
+    for eps, pairing, companion, gap, _ in rows:
+        assert companion == ""
+        assert gap == pairing

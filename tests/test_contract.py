@@ -12,17 +12,27 @@ from hypothesis import example, given, settings, strategies as st
 
 from bilayer1d import (
     DoubleLayerSpec,
+    PiecewiseWave,
+    SqueezedInteraction,
     SqueezeFamily,
+    Wavenumber,
     amplitude_grid,
+    bound_state_residual,
     build_chi_problem,
+    delta_prime_pairing,
+    eps_log_grid,
     find_roots,
+    forced_branch,
     matrix_entries,
+    probes,
+    realize,
     reflection_transmission,
     scattering_data,
+    sweep_ladder,
     total_matrix,
     verify_ladder,
 )
-from bilayer1d.oracle import level_count
+from bilayer1d.oracle import integrate_bound, level_count
 
 # |V| up to 1e4 and widths up to 14, so sqrt|V| * l reaches 1400 (about
 # 450 levels in one layer); zero widths, zero depths and a zero gap are
@@ -210,3 +220,97 @@ def test_scattering_of_opaque_barriers_is_finite(spec, ks):
         values = _scattering_values(spec, np.array(ks))
     for value in values:
         assert np.all(np.isfinite(value)), (spec, ks)
+
+
+# ---------------------------------------------------------------------------
+# refusals and edge values of single calls
+
+
+# a well beside a barrier, a family with a well and one with none
+WELL = DoubleLayerSpec(-2.0, 1.0, 1.0, 0.5, 0.3)
+FAMILY = SqueezeFamily(2.0, 2.0, 2.0, 1.3, -1.3, 1.0, 0.6, 2.0)
+NO_WELL = SqueezeFamily(2.0, 2.0, 2.0, 1.3, 1.3, 1.0, 0.6, 2.0)
+SEPARATED = SqueezedInteraction("separated")
+
+REFUSALS = {
+    "branch-1-on-a-barrier": (lambda: build_chi_problem(DoubleLayerSpec(1.0, 0.5, -2.0, 1.0, 0.3),
+                                                        branch=1),
+                              "branch 1 requires an attractive first layer"),
+    "branch-2-on-a-barrier": (lambda: build_chi_problem(WELL, branch=2),
+                              "branch 2 requires an attractive second layer"),
+    "branch-3": (lambda: build_chi_problem(WELL, branch=3), "branch must be 1 or 2, got 3"),
+    "kappa-at-real-k": (lambda: Wavenumber(1.0).kappa, "kappa is defined only for imaginary"),
+    "reflection-at-imaginary-k": (lambda: reflection_transmission(WELL, 1j), "requires real k"),
+    "residual-at-kappa-0": (lambda: bound_state_residual(WELL, 0.0), "kappa must be positive"),
+    "residual-at-negative-kappa": (lambda: bound_state_residual(WELL, -1.0),
+                                   "kappa must be positive"),
+    "scatter-wave-at-imaginary-k": (lambda: PiecewiseWave(WELL, 1j), "scatter mode requires real k"),
+    "bound-wave-at-real-k": (lambda: PiecewiseWave(WELL, 1.0, mode="bound"),
+                             "bound mode requires k = i[*]kappa"),
+    "realize-at-eps-0": (lambda: realize(FAMILY, 0.0), "eps must lie in"),
+    "realize-above-eps-1": (lambda: realize(FAMILY, 1.5), "eps must lie in"),
+    "realize-at-eps-nan": (lambda: realize(FAMILY, math.nan), "eps must lie in"),
+    "eps-grid-stop-at-start": (lambda: eps_log_grid(1e-2, 1e-2), "need 0 < stop < start <= 1"),
+    "eps-grid-stop-above-start": (lambda: eps_log_grid(1e-3, 1e-2), "need 0 < stop < start"),
+    "forced-branch-without-a-well": (lambda: forced_branch(NO_WELL), "neither layer is attractive"),
+    "sweep-on-an-empty-grid": (lambda: sweep_ladder(FAMILY, []), "eps_grid must be a nonempty"),
+    "separated-amplitudes": (lambda: SEPARATED.amplitudes(1.0), "no finite amplitudes"),
+    "separated-connection-matrix": (lambda: SEPARATED.connection_matrix(),
+                                    "no finite connection matrix"),
+    "level-count-below-0": (lambda: level_count(WELL, -1e-3), "kappa must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_a_refused_call_raises_value_error(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_a_separated_limit_transmits_nothing_and_binds_nothing():
+    assert SEPARATED.transmission(1.0) == 0.0
+    assert SEPARATED.bound_level() is None
+
+
+def test_a_structure_without_a_well_has_no_oracle_levels():
+    levels = integrate_bound(DoubleLayerSpec(1.0, 0.5, 0.0, 1.0, 0.3))
+    assert isinstance(levels, np.ndarray) and levels.size == 0
+
+
+def test_a_tabulated_probe_vanishes_outside_its_table():
+    probe = probes.tabulated(np.array([-2.0, -1.0, 0.0, 1.0, 2.0]),
+                             np.array([0.0, 0.5, 1.0, 0.5, 0.0]))
+    for x in (-2.5, 2.0 + 1e-9, 7.0):
+        assert probe.f(x) == 0.0
+        assert probe.df(x) == 0.0
+    assert probe.df(-0.5) != 0.0
+
+
+def test_a_pairing_skips_a_slab_outside_the_probe_support():
+    # at eps = 1 the slabs are [0, 1] and [3, 3.6]; the bump's support
+    # (-1, 2) misses the second, so its depth cannot change the pairing,
+    # and a bump right of the structure pairs to 0
+    probe = probes.bump(width=1.5, center=0.5)
+    value = delta_prime_pairing(FAMILY, 1.0, probe).value
+    assert value != 0.0
+    other = SqueezeFamily(2.0, 2.0, 2.0, 1.3, -7.0, 1.0, 0.6, 2.0)
+    assert delta_prime_pairing(other, 1.0, probe).value == value
+    assert delta_prime_pairing(FAMILY, 1.0, probes.bump(width=1.0, center=6.0)).value == 0.0
+
+
+@pytest.mark.parametrize("mode", ["scatter", "bound"])
+def test_wave_derivative_is_the_slope_of_the_wave(mode):
+    # one point inside each of the five regions: left of 0, layer 1, the
+    # gap, layer 2 and right of the structure
+    k = 1.3 if mode == "scatter" else 1j * find_roots(build_chi_problem(WELL)).kappas[0]
+    wave = PiecewiseWave(WELL, k, mode=mode)
+    xs = np.array([-0.7, 0.5, 1.15, 1.55, 2.6])
+    h = 1e-6
+    slope = (wave(xs + h) - wave(xs - h)) / (2.0 * h)
+    got = wave.derivative(xs)
+    assert np.all(np.abs(got - slope) <= 1e-7 * np.maximum(1.0, np.abs(got)))
+    # left of 0 the wave is the incoming exp(-ikx)
+    left = np.array([-3.0, -0.25])
+    assert np.allclose(wave.derivative(left), -1j * k * np.exp(-1j * k * left),
+                       rtol=1e-15, atol=0.0)

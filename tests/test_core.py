@@ -57,7 +57,7 @@ def test_real_wavenumber_properties():
     assert wn.is_real
     assert wn.k == pytest.approx(1.2)
     assert wn.k2 == pytest.approx(1.44)
-    assert Wavenumber.real(1.2) == wn
+    assert Wavenumber(1.2) == wn
 
 
 def test_bound_wavenumber_properties():

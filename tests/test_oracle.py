@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bilayer1d
-from bilayer1d import DoubleLayerSpec, IntegrationConfig, matrix_entries
+from bilayer1d import DoubleLayerSpec, matrix_entries
 from bilayer1d.bound import _count, _params, _phase
 from bilayer1d.oracle import (
     integrate_bound,
@@ -32,10 +32,9 @@ SPECS = [
 
 def test_exact_stepping_reproduces_closed_form_entries():
     k2 = np.linspace(-3.0, 3.0, 13)
-    cfg = IntegrationConfig(method="exact")
     for spec in SPECS:
         want = np.array(matrix_entries(spec, k2))
-        got = np.array([oracle_entries(spec, float(e), cfg) for e in k2]).T
+        got = np.array([oracle_entries(spec, float(e), method="exact") for e in k2]).T
         assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
@@ -118,16 +117,10 @@ def test_integrate_bound_needs_no_scipy():
     assert out.stdout.strip() == "6"
 
 
-def test_too_coarse_step_is_rejected():
-    spec = DoubleLayerSpec.make(1.0, 0.8, -2.0, 0.1, 0.4)
-    with pytest.raises(ValueError):
-        oracle_entries(spec, 1.0, IntegrationConfig(h=0.5))
-
-
 def test_unknown_method_is_rejected():
     spec = SPECS[0]
     with pytest.raises(ValueError):
-        oracle_entries(spec, 1.0, IntegrationConfig(method="euler"))
+        oracle_entries(spec, 1.0, method="euler")
 
 
 def test_scatter_requires_positive_wavenumber():
