@@ -20,17 +20,14 @@ from .xfer import (
     PiecewiseWave,
     RTCoefficients,
     ScatteringData,
-    TransferMatrix,
     amplitude_grid,
     amplitude_ratio_expressions,
-    bound_state_residual,
     cancellation_gap,
     divergence_residual,
     matrix_entries,
     reflection_transmission,
     scattering_data,
     scattering_wavefunction,
-    total_matrix,
 )
 from .bound import (
     BoundLadder,
@@ -84,12 +81,10 @@ __all__ = [
     "SqueezeFamily",
     "SqueezedInteraction",
     "SweepResult",
-    "TransferMatrix",
     "Wavenumber",
     "amplitude_grid",
     "amplitude_ratio_expressions",
     "as_wavenumber",
-    "bound_state_residual",
     "build_chi_problem",
     "cancellation_gap",
     "classify_first_angle",
@@ -118,6 +113,5 @@ __all__ = [
     "sinc_sqrt",
     "sweep_ladder",
     "tanc_sqrt",
-    "total_matrix",
     "verify_ladder",
 ]

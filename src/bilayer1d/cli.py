@@ -462,7 +462,8 @@ def _cmd_deltaprime(args, cfg):
         else:
             gap = res.value
         slope = None
-        if prev is not None and gap != 0.0 and prev[1] != 0.0:
+        # no slope across a zero gap or a repeated eps
+        if prev is not None and gap != 0.0 and prev[1] != 0.0 and res.eps != prev[0]:
             slope = math.log(abs(gap) / abs(prev[1])) / math.log(res.eps / prev[0])
         rows.append((res.eps, res.value, companion, gap, slope))
         prev = (res.eps, gap)

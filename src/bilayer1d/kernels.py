@@ -8,51 +8,25 @@ no series is needed near w = 0.  Evaluating propagators through these
 kernels keeps every matrix entry real when the local momentum squared
 changes sign, with no complex square roots and no branch cuts.
 
-Each kernel writes its two branches once and evaluates a branch only
-where it applies.  An array is split by the sign of w: each branch runs
-on the elements that take it, and when every element takes the same
-branch (the common case on the bound half line) it runs once on the
-whole array.  Zero and NaN share one constant branch, x + 1, which gives
-1 at 0 and keeps NaN.  A scalar goes the same way as a 0-d array and
-comes back as a Python float.
+Each kernel writes its two branches once and evaluates a branch only on
+the elements that take it, so an untaken branch neither costs nor warns.
+Zero and NaN keep the constant x + 1, which gives 1 at 0 and keeps NaN.
+A scalar goes the same way as a 0-d array and comes back as a Python
+float.
 """
 
 import numpy as np
 
 
-def _branches(x, *cases):
-    """Elementwise branch choice over the float array x.
-
-    cases are (mask, formula) pairs whose masks split x, each element in
-    exactly one.  A formula sees only its own elements, so an untaken
-    branch neither costs nor warns, and a branch that takes every element
-    runs once on x itself.  A 0-d x gives a Python float.
-    """
-    # count_nonzero costs a fraction of mask.all() on short arrays
-    counts = [np.count_nonzero(mask) for mask, _ in cases]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for (mask, formula), n in zip(cases, counts):
-            if n == x.size:
-                out = formula(x)
-                break
-        else:
-            out = np.empty_like(x)
-            for (mask, formula), n in zip(cases, counts):
-                if n:
-                    out[mask] = formula(x[mask])
-    return out if out.ndim else float(out)
-
-
 def _dispatch(w, circular, hyperbolic):
     w = np.asarray(w, dtype=float)
+    # w = +-0 and NaN: 1 at zero, NaN kept
+    out = np.add(w, 1.0, out=np.empty_like(w))
     up, down = w > 0.0, w < 0.0
-    return _branches(
-        w,
-        (up, lambda x: circular(np.sqrt(x))),
-        (down, lambda x: hyperbolic(np.sqrt(-x))),
-        # w = +-0 and NaN: 1 at zero, NaN kept
-        (~(up | down), lambda x: x + 1.0),
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[up] = circular(np.sqrt(w[up]))
+        out[down] = hyperbolic(np.sqrt(-w[down]))
+    return out if out.ndim else float(out)
 
 
 def cos_sqrt(w):

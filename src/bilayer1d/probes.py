@@ -21,9 +21,17 @@ class Probe:
     integral: object = None
 
 
+def _positive(name, value):
+    """float(value), refused with ValueError unless finite and positive."""
+    x = float(value)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {x!r}")
+    return x
+
+
 def bump(width=1.0, center=0.0):
     """The classic compactly supported mollifier exp(-1/(1-u^2))."""
-    w = float(width)
+    w = _positive("width", width)
     c = float(center)
 
     def f(x):
@@ -45,7 +53,7 @@ def bump(width=1.0, center=0.0):
 def gaussian_bump(sigma, width, center=0.0):
     """Gaussian modulated by a bump window, so the support is compact."""
     window = bump(width, center)
-    s2 = float(sigma) ** 2
+    s2 = _positive("sigma", sigma) ** 2
     c = float(center)
 
     def f(x):
@@ -61,7 +69,7 @@ def gaussian_bump(sigma, width, center=0.0):
 def gaussian(sigma, center=0.0):
     """Plain Gaussian, truncated at 8 sigma; the mass outside the nominal
     support is below 1.3e-15 of the total and is reported in the note."""
-    s = float(sigma)
+    s = _positive("sigma", sigma)
     c = float(center)
 
     def f(x):

@@ -28,24 +28,6 @@ class NotAnEigenvalueError(ValueError):
     """Raised when a bound-mode wavefunction is requested off eigenvalue."""
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Real propagator for (psi, psi') across an interval; det = 1."""
-
-    l11: float
-    l12: float
-    l21: float
-    l22: float
-
-    @property
-    def det(self):
-        return self.l11 * self.l22 - self.l12 * self.l21
-
-    def det_defect(self):
-        scale = max(1.0, abs(self.l11 * self.l22), abs(self.l12 * self.l21))
-        return abs(self.det - 1.0) / scale
-
-
 def _layer_parts(v, l, k2):
     """cos, sin/k_loc and k_loc*sin for one slab, all real.
 
@@ -79,11 +61,6 @@ def matrix_entries(spec, k2):
         col1, col2 = _step(parts, *col1), _step(parts, *col2)
     (l11, l21), (l12, l22) = col1, col2
     return l11, l12, l21, l22
-
-
-def total_matrix(spec, k):
-    """Propagator across the whole structure at wavenumber k."""
-    return TransferMatrix(*matrix_entries(spec, as_wavenumber(k).k2))
 
 
 @dataclass(frozen=True)
@@ -204,20 +181,6 @@ def reflection_transmission(spec, k):
     )
 
 
-def bound_state_residual(spec, kappa):
-    """Real function of kappa > 0 whose zeros are the bound levels.
-
-    Returns l11 + l22 + kappa*l12 + l21/kappa of the total propagator
-    at k = i*kappa as a float; identical in zero set to a(i*kappa) = 0
-    and free of poles on kappa > 0.
-    """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    kappa = as_wavenumber(1j * kappa).kappa
-    l11, l12, l21, l22 = matrix_entries(spec, -kappa * kappa)
-    return float(l11 + l22 + kappa * l12 + l21 / kappa)
-
-
 # ---------------------------------------------------------------------------
 # piecewise wavefunction
 
@@ -231,6 +194,8 @@ class PiecewiseWave:
     """
 
     def __init__(self, spec, k, mode="scatter"):
+        if mode not in ("scatter", "bound"):
+            raise ValueError(f"unknown mode {mode!r}")
         wn = as_wavenumber(k)
         if mode == "scatter" and not wn.is_real:
             raise ValueError("scatter mode requires real k")

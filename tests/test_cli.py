@@ -454,6 +454,8 @@ HUGE = 10**400
         ("resonance", {"tol": float("nan")}),
         ("scatter", {"spec": SPEC_SECTION, "k_grid": [1.0, float("inf")]}),
         ("deltaprime", {"test_function": {"kind": "bump", "width": "2"}}),
+        ("deltaprime", {"test_function": {"kind": "bump", "width": -30.0, "center": 5.0}}),
+        ("deltaprime", {"test_function": {"kind": "gaussian", "sigma": 0.0}}),
         ("deltaprime", {"test_function": {"kind": "tabulated", "xs": [0.0, True, 2.0],
                                           "ys": [0.0, 1.0, 0.0]}}),
         ("scatter", {"spec": {**SPEC_SECTION, "v1": HUGE}, "k_grid": [1.0]}),
@@ -487,6 +489,8 @@ HUGE = 10**400
         "resonance-tol-nan",
         "k_grid-list-inf",
         "test_function-width-string",
+        "test_function-width-negative",
+        "test_function-sigma-zero",
         "test_function-xs-bool",
         "spec-energy-huge-int",
         "k_grid-list-huge-int",
@@ -778,3 +782,15 @@ def test_deltaprime_without_a_companion_reports_the_pairing_as_gap(tmp_path):
     for eps, pairing, companion, gap, _ in rows:
         assert companion == ""
         assert gap == pairing
+
+
+def test_deltaprime_leaves_the_slope_at_a_repeated_eps_empty(tmp_path):
+    # log(eps / eps) = 0 once divided the slope by zero, and exit 4
+    cfg = _write_config(tmp_path, {"units": "nm^-2", "family": DIPOLE_FAMILY,
+                                   "eps_grid": [0.1, 0.1, 0.01]})
+    out = tmp_path / "o"
+    assert _run(["deltaprime", "--config", cfg, "--out", out]) == 0
+    rows = _rows(out / "deltaprime.csv")
+    assert rows[0][:4] == rows[1][:4]
+    assert [row[4] for row in rows[:2]] == ["", ""]
+    assert float(rows[2][4]) != 0.0

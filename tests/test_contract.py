@@ -17,7 +17,6 @@ from bilayer1d import (
     SqueezeFamily,
     Wavenumber,
     amplitude_grid,
-    bound_state_residual,
     build_chi_problem,
     delta_prime_pairing,
     eps_log_grid,
@@ -28,8 +27,8 @@ from bilayer1d import (
     realize,
     reflection_transmission,
     scattering_data,
+    scattering_wavefunction,
     sweep_ladder,
-    total_matrix,
     verify_ladder,
 )
 from bilayer1d.oracle import integrate_bound, level_count
@@ -193,8 +192,7 @@ def test_a_wavenumber_whose_square_overflows_is_refused(first, second, r, k):
     spec = DoubleLayerSpec(*first, *second, r)
     assert k > 0.0 and math.isinf(k * k)
     for call in (lambda: scattering_data(spec, k), lambda: reflection_transmission(spec, k),
-                 lambda: total_matrix(spec, k), lambda: amplitude_grid(spec, [k, 1.0]),
-                 lambda: amplitude_grid(spec, [1.0, k])):
+                 lambda: amplitude_grid(spec, [k, 1.0]), lambda: amplitude_grid(spec, [1.0, k])):
         with pytest.raises(ValueError, match="square overflows") as err:
             call()
         assert repr(k) in str(err.value)
@@ -241,12 +239,14 @@ REFUSALS = {
     "branch-3": (lambda: build_chi_problem(WELL, branch=3), "branch must be 1 or 2, got 3"),
     "kappa-at-real-k": (lambda: Wavenumber(1.0).kappa, "kappa is defined only for imaginary"),
     "reflection-at-imaginary-k": (lambda: reflection_transmission(WELL, 1j), "requires real k"),
-    "residual-at-kappa-0": (lambda: bound_state_residual(WELL, 0.0), "kappa must be positive"),
-    "residual-at-negative-kappa": (lambda: bound_state_residual(WELL, -1.0),
-                                   "kappa must be positive"),
     "scatter-wave-at-imaginary-k": (lambda: PiecewiseWave(WELL, 1j), "scatter mode requires real k"),
     "bound-wave-at-real-k": (lambda: PiecewiseWave(WELL, 1.0, mode="bound"),
                              "bound mode requires k = i[*]kappa"),
+    # once taken as scatter mode, with no error
+    "wave-in-an-unknown-mode": (lambda: PiecewiseWave(WELL, 2j, mode="bond"),
+                                "unknown mode 'bond'"),
+    "wavefunction-in-an-unknown-mode": (lambda: scattering_wavefunction(WELL, 1.0, mode="Bound"),
+                                        "unknown mode 'Bound'"),
     "realize-at-eps-0": (lambda: realize(FAMILY, 0.0), "eps must lie in"),
     "realize-above-eps-1": (lambda: realize(FAMILY, 1.5), "eps must lie in"),
     "realize-at-eps-nan": (lambda: realize(FAMILY, math.nan), "eps must lie in"),

@@ -1,5 +1,7 @@
 """Test functions used for distributional pairings."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,19 @@ def test_tabulated_rejects_bad_tables():
         probes.tabulated([0.0, 1.0], [1.0])
     with pytest.raises(ValueError):
         probes.tabulated([1.0, 0.0, 2.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("value", [-30.0, -0.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [lambda v: probes.bump(width=v, center=5.0),
+     lambda v: probes.gaussian(sigma=v),
+     lambda v: probes.gaussian_bump(sigma=v, width=3.0),
+     lambda v: probes.gaussian_bump(sigma=1.0, width=v)],
+    ids=["bump-width", "gaussian-sigma", "gaussian_bump-sigma", "gaussian_bump-width"],
+)
+def test_a_width_or_sigma_that_is_not_finite_and_positive_is_refused(build, value):
+    # a negative width once reversed the support, so every pairing read 0,
+    # and a zero width divided by zero only when the probe was evaluated
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        build(value)
