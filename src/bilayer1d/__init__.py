@@ -12,7 +12,6 @@ from .core import (
     DoubleLayerSpec,
     Wavenumber,
     as_wavenumber,
-    convert_energy,
 )
 from .kernels import cos_sqrt, sinc_sqrt, tanc_sqrt
 from .xfer import (
@@ -45,7 +44,6 @@ from .squeeze import (
     SweepResult,
     classify_first_angle,
     classify_region,
-    classify_second_angle,
     delta_prime_pairing,
     eps_log_grid,
     forced_branch,
@@ -57,7 +55,6 @@ from .squeeze import (
 )
 from .oracle import (
     integrate_bound,
-    integrate_scatter,
     oracle_entries,
     scatter_grid,
 )
@@ -89,8 +86,6 @@ __all__ = [
     "cancellation_gap",
     "classify_first_angle",
     "classify_region",
-    "classify_second_angle",
-    "convert_energy",
     "cos_sqrt",
     "delta_prime_pairing",
     "divergence_residual",
@@ -99,7 +94,6 @@ __all__ = [
     "forced_branch",
     "gamma_strength",
     "integrate_bound",
-    "integrate_scatter",
     "interaction_limit",
     "matrix_entries",
     "oracle_entries",

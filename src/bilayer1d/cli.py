@@ -315,6 +315,15 @@ plot 'deltaprime.csv' using 1:(abs($4)) with linespoints
 # ---------------------------------------------------------------------------
 
 
+def _refuse_overflow(table, grid, name):
+    """OverflowError at the first grid value whose column of table (one row
+    per output quantity) is not finite, raised before anything is written."""
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        value = float(grid[np.argmin(finite)])
+        raise OverflowError(f"this structure overflows at {name}={value!r}")
+
+
 def _cmd_scatter(args, cfg):
     spec = _spec_of(cfg)
     ks = _k_grid(cfg)
@@ -332,13 +341,8 @@ def _cmd_scatter(args, cfg):
         "unitarity_defect": np.abs(a2 - np.abs(b) ** 2 - 1.0) / a2,
     }
     table = np.array(list(columns.values()))
-    finite = np.isfinite(table).all(axis=0)
-    if not finite.all():
-        # an opaque structure overflows the amplitudes or |a|^2
-        k = float(ks[np.argmin(finite)])
-        raise OverflowError(f"amplitudes of this structure overflow at k={k!r}")
-    rows = table.T.tolist()
-    _write_table(args, "scatter", tuple(columns), rows)
+    _refuse_overflow(table, ks, "k")
+    _write_table(args, "scatter", tuple(columns), table.T.tolist())
 
 
 def _cmd_boundstates(args, cfg):
@@ -388,13 +392,14 @@ def _cmd_resonance(args, cfg):
     report = interaction_limit(family, res_tol=tol, spread_tol=spread_tol)
     samples = []
     for eps in eps_samples:
-        spec = realize(family, eps)
-        data = scattering_data(spec, k_probe)
+        a = scattering_data(realize(family, eps), k_probe).a
+        transmission = 1.0 / abs(a) ** 2
+        _refuse_overflow(np.array([[a], [transmission]]), [eps], "eps")
         samples.append(
             {
                 "eps": eps,
                 "k": k_probe,
-                "transmission": 1.0 / abs(data.a) ** 2,
+                "transmission": transmission,
                 "limit_transmission": report.interaction.transmission(k_probe),
             }
         )
@@ -441,6 +446,7 @@ def _cmd_wavefunction(args, cfg):
         pad = 0.25 * spec.extent if spec.extent > 0 else 1.0
         xs = np.linspace(-pad, spec.extent + pad, 400)
     rows = [(x, v.real, v.imag, abs(v)) for x, v in zip(xs.tolist(), wave(xs).tolist())]
+    _refuse_overflow(np.array(rows).T, xs, "x")
     header = ("x", "re_psi", "im_psi", "abs_psi")
     details = {"mode": mode, "continuity_defect": wave.continuity_defect()}
     _write_table(args, "wavefunction", header, rows, details=details)

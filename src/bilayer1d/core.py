@@ -16,11 +16,6 @@ import math
 EV_TO_INV_NM2 = 2.62464
 
 
-def convert_energy(value_ev):
-    """eV -> nm^-2 at the default effective mass."""
-    return value_ev * EV_TO_INV_NM2
-
-
 @dataclass(frozen=True)
 class DoubleLayerSpec:
     """Slabs of height v1, v2 (nm^-2) and width l1, l2 (nm), separated by a
@@ -52,7 +47,7 @@ class DoubleLayerSpec:
 
     @classmethod
     def from_ev(cls, v1_ev, l1, v2_ev, l2, r):
-        return cls(convert_energy(v1_ev), l1, convert_energy(v2_ev), l2, r)
+        return cls(v1_ev * EV_TO_INV_NM2, l1, v2_ev * EV_TO_INV_NM2, l2, r)
 
     @property
     def extent(self):

@@ -1,7 +1,7 @@
 """Slow, independent integrators that cross-check the closed forms.
 
 Everything here walks the stationary wave equation numerically, by the
-method that oracle_entries, scatter_grid and integrate_scatter take:
+method that oracle_entries and scatter_grid take:
 "rk4" (the default) steps the fundamental matrix by RK4 at a step that
 resolves the narrowest piece, "exact" multiplies per-piece propagators
 built from complex square roots and hyperbolic functions.  Neither path
@@ -16,8 +16,6 @@ import math
 
 import numpy as np
 from numpy.lib import scimath
-
-from .xfer import ScatteringData
 
 
 def _pieces(spec):
@@ -70,12 +68,12 @@ def _exact_matrix(spec, k2):
         q = v - k2
         kloc = scimath.sqrt(q.astype(complex))
         z = kloc * length
-        small = np.abs(z) < 1e-8
-        safe = np.where(small, 1.0, kloc)
+        # sinh(z)/kloc tends to length as kloc -> 0; kloc*sinh(z) is exact there
+        zero = kloc == 0.0
         sh = np.sinh(z)
         p11 = np.cosh(z)
-        p12 = np.where(small, length * (1.0 + z * z / 6.0), sh / safe)
-        p21 = np.where(small, q * length * (1.0 + z * z / 6.0), kloc * sh)
+        p12 = np.where(zero, length, sh / np.where(zero, 1.0, kloc))
+        p21 = kloc * sh
         m = np.stack(
             [
                 np.stack([p11 * m[0, 0] + p12 * m[1, 0], p11 * m[0, 1] + p12 * m[1, 1]]),
@@ -127,12 +125,6 @@ def scatter_grid(spec, ks, method="rk4"):
         raise ValueError("scattering oracle needs k > 0")
     l11, l12, l21, l22 = oracle_entries(spec, ks * ks, method)
     return _amplitudes(l11, l12, l21, l22, ks, spec.extent)
-
-
-def integrate_scatter(spec, k, method="rk4"):
-    """Scattering amplitudes at one real k, by numerical integration."""
-    a, b = scatter_grid(spec, [float(k)], method)
-    return ScatteringData(complex(a[0]), complex(b[0]))
 
 
 def integrate_bound(spec):

@@ -29,6 +29,14 @@ def _positive(name, value):
     return x
 
 
+def _sigma(value):
+    """_positive("sigma", value), refused too when its square underflows to 0."""
+    s = _positive("sigma", value)
+    if s * s == 0.0:
+        raise ValueError(f"sigma = {s!r} is too small: its square underflows to 0")
+    return s
+
+
 def bump(width=1.0, center=0.0):
     """The classic compactly supported mollifier exp(-1/(1-u^2))."""
     w = _positive("width", width)
@@ -53,7 +61,7 @@ def bump(width=1.0, center=0.0):
 def gaussian_bump(sigma, width, center=0.0):
     """Gaussian modulated by a bump window, so the support is compact."""
     window = bump(width, center)
-    s2 = _positive("sigma", sigma) ** 2
+    s2 = _sigma(sigma) ** 2
     c = float(center)
 
     def f(x):
@@ -69,7 +77,7 @@ def gaussian_bump(sigma, width, center=0.0):
 def gaussian(sigma, center=0.0):
     """Plain Gaussian, truncated at 8 sigma; the mass outside the nominal
     support is below 1.3e-15 of the total and is reported in the note."""
-    s = _positive("sigma", sigma)
+    s = _sigma(sigma)
     c = float(center)
 
     def f(x):

@@ -170,14 +170,6 @@ def classify_first_angle(mu, nu, tau):
     return _label(1, mu, nu, tau)[0]
 
 
-def classify_second_angle(mu, nu, tau):
-    """Label within the point-interaction (second) angle, or None outside.
-
-    Same (mu, nu) footprint as the first angle but the tau threshold is
-    doubled: tau >= 2(mu - 1)."""
-    return _label(2, mu, nu, tau)[0]
-
-
 def classify_region(mu, nu, tau):
     """Mutually exclusive exponent label; second angle takes priority.
 
@@ -217,7 +209,7 @@ def _expansion(family):
     Both series are cut at power mu - 1: the rest of any product term is
     at least eps**(1 - mu), so no higher term reaches eps**0.  Raises
     DivergentLimitError off the two routes, naming the first
-    characteristic that blows up.
+    characteristic that blows up; OverflowError if a term overflows.
     """
     mu, nu, tau = family.mu, family.nu, family.tau
     region, way, powers = _place(mu, nu, tau)
@@ -233,7 +225,10 @@ def _expansion(family):
     cut = mu - 1.0
     slab1 = slab_series(family.h1, family.d1, mu, 1.0, q1, cut)
     slab2 = slab_series(family.h2, family.d2, nu, 1.0 - mu + nu, q2, cut)
-    return region, way, propagator_series(slab1, slab2, family.c, tau)
+    m = propagator_series(slab1, slab2, family.c, tau)
+    if not np.isfinite(m[2]).all():
+        raise OverflowError("the eps-expansion of M overflows the float range")
+    return region, way, m
 
 
 def resonance_residual_of(family):

@@ -345,6 +345,53 @@ def test_opaque_barrier_scatter_is_numerical_failure(tmp_path, capsys, v1, l1):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_opaque_barrier_wavefunction_is_numerical_failure(tmp_path, capsys, fmt):
+    # 199 of the 400 samples overflowed to NaN and were written as nan or null
+    cfg = _write_config(
+        tmp_path,
+        {
+            "units": "nm^-2",
+            "spec": {"v1": 5000.0, "l1": 20.0, "v2": 0.0, "l2": 0.0, "r": 0.0},
+            "mode": "scatter",
+            "k": 1.0,
+        },
+    )
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert _run(["wavefunction", "--format", fmt, "--config", cfg, "--out", out]) == 4
+    assert "overflows at x=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_resonance_is_numerical_failure(tmp_path, capsys):
+    # sqrt(h1 d1^2) = 1000 overflowed the expansion, whose NaN residual
+    # was written as null under the verdict "separated"
+    family = {"mu": 2.0, "nu": 2.0, "tau": 2.0, "h1": 1e6, "h2": -2.0,
+              "d1": 1.0, "d2": 1.0, "c": 1.0}
+    cfg = _write_config(tmp_path, {"units": "nm^-2", "family": family, "eps_samples": [0.1]})
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert _run(["resonance", "--config", cfg, "--out", out]) == 4
+    assert "eps-expansion of M overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_resonance_sample_is_numerical_failure(tmp_path, capsys):
+    # a thin slab keeps the expansion finite, but at eps = 0.5 its
+    # sqrt(v1) l1 is 840, past cosh's float range: the sample's
+    # transmission was NaN and written as null
+    family = {"mu": 1.5, "nu": 1.0, "tau": 1.0, "h1": 1e6, "h2": -2.0,
+              "d1": 1.0, "d2": 1.0, "c": 2.0}
+    cfg = _write_config(tmp_path, {"units": "nm^-2", "family": family,
+                                   "eps_samples": [0.5, 1.0]})
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert _run(["resonance", "--config", cfg, "--out", out]) == 4
+    assert "overflows at eps=0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scatter_unitarity_defect_is_relative(tmp_path):
     # |a|^2 runs from 3e304 to 1e287 on this grid; an absolute defect
     # |(|a|^2 - |b|^2 - 1)| would read the rounding of |a|^2 as 4.9e288
@@ -456,6 +503,9 @@ HUGE = 10**400
         ("deltaprime", {"test_function": {"kind": "bump", "width": "2"}}),
         ("deltaprime", {"test_function": {"kind": "bump", "width": -30.0, "center": 5.0}}),
         ("deltaprime", {"test_function": {"kind": "gaussian", "sigma": 0.0}}),
+        ("deltaprime", {"test_function": {"kind": "gaussian", "sigma": 1e-200}}),
+        ("deltaprime", {"test_function": {"kind": "gaussian_bump", "sigma": 1e-200,
+                                          "width": 3.0}}),
         ("deltaprime", {"test_function": {"kind": "tabulated", "xs": [0.0, True, 2.0],
                                           "ys": [0.0, 1.0, 0.0]}}),
         ("scatter", {"spec": {**SPEC_SECTION, "v1": HUGE}, "k_grid": [1.0]}),
@@ -491,6 +541,8 @@ HUGE = 10**400
         "test_function-width-string",
         "test_function-width-negative",
         "test_function-sigma-zero",
+        "test_function-sigma-underflow",
+        "test_function-gaussian_bump-sigma-underflow",
         "test_function-xs-bool",
         "spec-energy-huge-int",
         "k_grid-list-huge-int",

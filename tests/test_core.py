@@ -9,21 +9,20 @@ from bilayer1d import (
     DoubleLayerSpec,
     Wavenumber,
     as_wavenumber,
-    convert_energy,
 )
 from bilayer1d.core import EV_TO_INV_NM2
 
 
 def test_energy_conversion_constant():
     assert EV_TO_INV_NM2 == 2.62464
-    assert convert_energy(1.0) == 2.62464
-    assert convert_energy(-0.5) == -1.31232
+    spec = DoubleLayerSpec.from_ev(1.0, 1.0, -0.5, 1.0, 0.0)
+    assert (spec.v1, spec.v2) == (2.62464, -1.31232)
 
 
 def test_from_ev_equals_make_with_converted_depths():
     a = DoubleLayerSpec.from_ev(0.5, 1.0, -0.5, 0.6, 2.0)
     b = DoubleLayerSpec.make(
-        convert_energy(0.5), 1.0, convert_energy(-0.5), 0.6, 2.0
+        0.5 * EV_TO_INV_NM2, 1.0, -0.5 * EV_TO_INV_NM2, 0.6, 2.0
     )
     assert a == b
     assert a.v1 == pytest.approx(1.31232)

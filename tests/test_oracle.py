@@ -1,5 +1,6 @@
 """Independent direct-integration checks of the closed-form layer."""
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -8,11 +9,10 @@ import numpy as np
 import pytest
 
 import bilayer1d
-from bilayer1d import DoubleLayerSpec, matrix_entries
+from bilayer1d import DoubleLayerSpec, matrix_entries, oracle
 from bilayer1d.bound import _count, _params, _phase
 from bilayer1d.oracle import (
     integrate_bound,
-    integrate_scatter,
     level_count,
     oracle_entries,
     scatter_grid,
@@ -46,16 +46,16 @@ def test_rk4_stepping_converges_to_closed_form_entries():
         assert np.max(np.abs(got - want)) < 1e-6 * max(1.0, np.max(np.abs(want)))
 
 
-def test_integrate_scatter_matches_scattering_data():
+def test_scatter_grid_matches_scattering_data():
     rng = np.random.default_rng(31)
     for _ in range(10):
         spec = random_spec(rng)
         k = rng.uniform(0.2, 3.0)
         closed = scattering_data(spec, k)
-        direct = integrate_scatter(spec, k)
-        assert abs(direct.a - closed.a) < 1e-6 * abs(closed.a)
-        assert abs(direct.b - closed.b) < 1e-6 * max(1.0, abs(closed.b))
-        assert abs(abs(direct.a) ** 2 - abs(direct.b) ** 2 - 1.0) < 1e-6
+        (a,), (b,) = scatter_grid(spec, [k])
+        assert abs(a - closed.a) < 1e-6 * abs(closed.a)
+        assert abs(b - closed.b) < 1e-6 * max(1.0, abs(closed.b))
+        assert abs(abs(a) ** 2 - abs(b) ** 2 - 1.0) < 1e-6
 
 
 def test_scatter_grid_matches_pointwise_calls():
@@ -63,10 +63,10 @@ def test_scatter_grid_matches_pointwise_calls():
     ks = np.linspace(0.2, 2.8, 15)
     a_arr, b_arr = scatter_grid(spec, ks)
     for i, k in enumerate(ks):
-        one = integrate_scatter(spec, float(k))
+        (a,), (b,) = scatter_grid(spec, [float(k)])
         # the grid runner may pick its own step, so allow integrator-level slack
-        assert abs(a_arr[i] - one.a) < 1e-8 * abs(one.a)
-        assert abs(b_arr[i] - one.b) < 1e-8 * max(1.0, abs(one.b))
+        assert abs(a_arr[i] - a) < 1e-8 * abs(a)
+        assert abs(b_arr[i] - b) < 1e-8 * max(1.0, abs(b))
 
 
 def test_integrate_bound_matches_root_solver():
@@ -126,7 +126,7 @@ def test_unknown_method_is_rejected():
 def test_scatter_requires_positive_wavenumber():
     spec = SPECS[0]
     with pytest.raises(ValueError):
-        integrate_scatter(spec, 0.0)
+        scatter_grid(spec, [0.0])
     with pytest.raises(ValueError):
         scatter_grid(spec, np.array([0.5, -1.0]))
 
@@ -200,3 +200,15 @@ def test_importing_the_library_loads_no_oracle_dependency():
             " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_the_oracle_imports_nothing_from_the_package():
+    # the cross-check is independent only while the oracle shares no code
+    # with the routes it checks
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            assert not (node.module or "").startswith("bilayer1d"), ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "bilayer1d" for a in node.names), ast.unparse(node)

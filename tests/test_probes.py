@@ -86,3 +86,22 @@ def test_a_width_or_sigma_that_is_not_finite_and_positive_is_refused(build, valu
     # and a zero width divided by zero only when the probe was evaluated
     with pytest.raises(ValueError, match="must be finite and positive"):
         build(value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda s: probes.gaussian(sigma=s), lambda s: probes.gaussian_bump(sigma=s, width=3.0)],
+    ids=["gaussian", "gaussian_bump"],
+)
+def test_a_sigma_whose_square_underflows_is_refused(build):
+    # sigma**2 = 0 once divided by zero only when the probe was evaluated
+    with pytest.raises(ValueError, match="sigma = 1e-200 is too small"):
+        build(1e-200)
+    # 1e-160 squared is subnormal, not 0, so the probe still evaluates
+    assert build(1e-160).df(0.0) == 0.0
+
+
+def test_a_gaussian_wider_than_the_float_range_of_its_square_evaluates():
+    probe = probes.gaussian(sigma=1e200)
+    assert probe.f(1.0) == 1.0
+    assert probe.df(1.0) == 0.0

@@ -11,7 +11,6 @@ from bilayer1d import (
     SqueezeFamily,
     classify_first_angle,
     classify_region,
-    classify_second_angle,
     delta_prime_pairing,
     eps_log_grid,
     forced_branch,
@@ -81,11 +80,17 @@ SECOND_ANGLE_EXAMPLES = {
 }
 
 
+def _second_angle(mu, nu, tau):
+    """The second-angle label, or None: classify_region ranks that angle first."""
+    label = classify_region(mu, nu, tau)
+    return label if label.endswith("2") else None
+
+
 @pytest.mark.parametrize(
     "classify, examples",
     [
         (classify_first_angle, FIRST_ANGLE_EXAMPLES),
-        (classify_second_angle, SECOND_ANGLE_EXAMPLES),
+        (_second_angle, SECOND_ANGLE_EXAMPLES),
     ],
     ids=["first", "second"],
 )
@@ -204,6 +209,25 @@ def test_unbalanced_thin_sweep_is_separated():
     result = sweep_ladder(UNBALANCED_THIN, grid, tol=1e-6)
     assert result.scenario == "separated"
     assert result.kappa_limit is None
+
+
+# sqrt(h1 d1^2) = 1000: the thick slab's cosh overflows the float range
+OVERFLOWING = SqueezeFamily(2.0, 2.0, 2.0, 1e6, -2.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("analyse", [interaction_limit, resonance_residual_of, sweep_ladder])
+def test_an_overflowed_expansion_is_refused(analyse):
+    # its residual was NaN, which failed the resonance test and so read as
+    # the verdict "separated"
+    with np.errstate(all="ignore"), pytest.raises(OverflowError, match="overflows"):
+        analyse(OVERFLOWING)
+
+
+def test_a_thick_barrier_inside_the_float_range_stays_separated():
+    # sqrt(h1 d1^2) = 316: cosh is near 1e137, finite
+    report = interaction_limit(dataclasses.replace(OVERFLOWING, h1=1e5))
+    assert report.verdict == "separated"
+    assert report.residual == pytest.approx(5.19316e138, rel=1e-5)
 
 
 def test_forced_branch_prefers_the_well_layer():
