@@ -50,7 +50,7 @@ def main():
 
     # sketch the most deeply bound eigenfunction
     kappa = ladder.kappas[-1]
-    wave = scattering_wavefunction(spec, Wavenumber.bound(kappa), mode="bound")
+    wave = scattering_wavefunction(spec, Wavenumber.bound(kappa))
     xs = np.linspace(-3.0, spec.extent + 3.0, 61)
     values = np.abs(wave(xs))
     top = values.max()

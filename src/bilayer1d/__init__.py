@@ -16,7 +16,6 @@ from .core import (
 from .kernels import cos_sqrt, sinc_sqrt, tanc_sqrt
 from .xfer import (
     NotAnEigenvalueError,
-    PiecewiseWave,
     RTCoefficients,
     ScatteringData,
     amplitude_grid,
@@ -72,7 +71,6 @@ __all__ = [
     "LadderReport",
     "NotAnEigenvalueError",
     "PairingResult",
-    "PiecewiseWave",
     "RTCoefficients",
     "ScatteringData",
     "SqueezeFamily",

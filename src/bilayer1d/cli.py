@@ -147,7 +147,7 @@ def _k_grid(cfg):
     else:
         raise ConfigError('provide "k_grid" (nm^-1) or "k2_grid" (energy)')
     if np.any(ks <= 0.0):
-        raise ConfigError("k values must be positive")
+        raise ConfigError("k_grid values must be positive")
     return ks
 
 
@@ -222,8 +222,17 @@ def _integer(value):
     return value
 
 
+def _nonnegative(cfg, key, default=None, strict=False):
+    """_number(cfg, key, default), refused below 0 (a tolerance), or at 0
+    too when strict (a wavenumber)."""
+    value = _number(cfg, key, default)
+    if value < 0.0 or strict and value == 0.0:
+        raise ConfigError(f"{key} must be {'positive' if strict else '>= 0'}, got {value!r}")
+    return value
+
+
 def _tol(args, cfg):
-    return _number(cfg if args.tol is None else {"tol": args.tol}, "tol", 1e-9)
+    return _nonnegative(cfg if args.tol is None else {"tol": args.tol}, "tol", 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +395,19 @@ def _cmd_boundstates(args, cfg):
 def _cmd_resonance(args, cfg):
     family = _section(cfg, "family")
     tol = _tol(args, cfg)
-    spread_tol = _number(cfg, "spread_tol", tol)
-    k_probe = _number(cfg, "k", 1.0)
+    spread_tol = _nonnegative(cfg, "spread_tol", tol)
+    k_probe = _nonnegative(cfg, "k", 1.0, strict=True)
     eps_samples = _number(cfg, "eps_samples", [], lambda v: [_real(e) for e in v])
     report = interaction_limit(family, res_tol=tol, spread_tol=spread_tol)
     samples = []
     for eps in eps_samples:
-        a = scattering_data(realize(family, eps), k_probe).a
-        transmission = 1.0 / abs(a) ** 2
-        _refuse_overflow(np.array([[a], [transmission]]), [eps], "eps")
+        a = abs(scattering_data(realize(family, eps), k_probe).a)
+        try:
+            a2 = a ** 2
+        except OverflowError:  # a square beyond the float range, refused next
+            a2 = math.inf
+        _refuse_overflow(np.array([[a2]]), [eps], "eps")
+        transmission = 1.0 / a2
         samples.append(
             {
                 "eps": eps,
@@ -424,10 +437,10 @@ def _cmd_wavefunction(args, cfg):
     if mode == "scatter":
         if "k" not in cfg:
             raise ConfigError('scatter mode needs a real "k" (nm^-1)')
-        wave = scattering_wavefunction(spec, _number(cfg, "k", None), mode="scatter")
+        k = _nonnegative(cfg, "k", strict=True)
     elif mode == "bound":
         if "kappa" in cfg:
-            kappa = _number(cfg, "kappa", None)
+            kappa = _nonnegative(cfg, "kappa", strict=True)
         else:
             level = _number(cfg, "level", 1, _integer)
             ladder = find_roots(build_chi_problem(spec))
@@ -437,9 +450,10 @@ def _cmd_wavefunction(args, cfg):
                     f"level {level} does not exist"
                 )
             kappa = ladder.kappas[level - 1]
-        wave = scattering_wavefunction(spec, Wavenumber.bound(kappa), mode="bound")
+        k = Wavenumber.bound(kappa)
     else:
         raise ConfigError(f'mode must be "scatter" or "bound", got {mode!r}')
+    wave = scattering_wavefunction(spec, k)
     if "x_grid" in cfg:
         xs = _linear_grid(cfg["x_grid"], "x_grid")
     else:

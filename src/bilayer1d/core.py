@@ -75,10 +75,11 @@ class Wavenumber:
                 f"got {k!r}"
             )
         k2 = k * k
+        shown = k.real if real_ok else k  # a real k as the float it is
         if k2 == 0.0:
-            raise ValueError(f"wavenumber {k!r} is too small: its square underflows to 0")
+            raise ValueError(f"wavenumber {shown!r} is too small: its square underflows to 0")
         if math.isinf(k2.real):
-            raise ValueError(f"wavenumber {k!r} is too large: its square overflows")
+            raise ValueError(f"wavenumber {shown!r} is too large: its square overflows")
         object.__setattr__(self, "k", k)
 
     @classmethod

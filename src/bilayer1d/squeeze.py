@@ -84,10 +84,6 @@ class SqueezeFamily:
                 "need 1 - mu + nu > 0 so the second layer width shrinks"
             )
 
-    @property
-    def region(self):
-        return classify_region(self.mu, self.nu, self.tau)
-
 
 def realize(family, eps):
     """Concrete double-layer geometry of the family at squeeze value eps."""
@@ -268,8 +264,11 @@ def interaction_limit(family, res_tol=1e-9, spread_tol=1e-9):
     eps**0, the defect of det M = 1, must stay within spread_tol.  A
     family on resonance whose M keeps another negative power with a
     coefficient above res_tol raises DivergentLimitError naming that
-    power.
+    power.  Both tolerances must be >= 0; otherwise ValueError.
     """
+    if not (res_tol >= 0.0 and spread_tol >= 0.0):
+        raise ValueError(f"tolerances must be >= 0, got res_tol={res_tol!r}, "
+                         f"spread_tol={spread_tol!r}")
     region, way, m = _expansion(family)
     residual_power = 1.0 - family.mu
     residual = coefficient(m, M21, residual_power)

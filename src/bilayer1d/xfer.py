@@ -25,7 +25,7 @@ from .kernels import cos_sqrt, sinc_sqrt
 
 
 class NotAnEigenvalueError(ValueError):
-    """Raised when a bound-mode wavefunction is requested off eigenvalue."""
+    """Raised when a wavefunction at k = i*kappa is requested off eigenvalue."""
 
 
 def _layer_parts(v, l, k2):
@@ -144,18 +144,15 @@ def scattering_data(spec, k, method="closed"):
 def amplitude_grid(spec, ks, method="closed"):
     """Amplitudes over an array of real wavenumbers, as (a, b) arrays.
 
-    Vectorized counterpart of scattering_data with the same two routes,
-    evaluated elementwise over the whole k-grid.
+    Vectorized counterpart of scattering_data with the same two routes;
+    the first k that Wavenumber refuses is refused by its rule and message.
     """
     kc = np.asarray(ks, dtype=float)
-    if kc.size and not np.all(kc > 0.0):
-        raise ValueError("amplitude_grid expects positive real wavenumbers")
     with np.errstate(over="ignore"):
         k2 = kc * kc
-    if np.any(k2 == 0.0):
-        raise ValueError(f"wavenumber {kc[k2 == 0.0][0]} is too small: its square underflows to 0")
-    if np.any(k2 == np.inf):
-        raise ValueError(f"wavenumber {kc[k2 == np.inf][0]} is too large: its square overflows")
+    bad = ~((kc > 0.0) & (k2 > 0.0) & (k2 < np.inf))
+    if np.any(bad):
+        as_wavenumber(kc[bad][0])  # raises the ValueError of the Wavenumber rule
     return _amplitudes(spec, kc, k2, method)
 
 
@@ -188,22 +185,14 @@ def reflection_transmission(spec, k):
 class PiecewiseWave:
     """Wavefunction of the structure, evaluable on all five regions.
 
-    Scattering mode describes a unit wave incident from the right
-    (exp(-ikx) on the left half line); bound mode describes the decaying
+    Real k gives the scattering state, a unit wave incident from the right
+    (exp(-ikx) on the left half line); k = i*kappa gives the decaying
     eigenfunction, normalised to psi(0) = 1.
     """
 
-    def __init__(self, spec, k, mode="scatter"):
-        if mode not in ("scatter", "bound"):
-            raise ValueError(f"unknown mode {mode!r}")
-        wn = as_wavenumber(k)
-        if mode == "scatter" and not wn.is_real:
-            raise ValueError("scatter mode requires real k")
-        if mode == "bound" and wn.is_real:
-            raise ValueError("bound mode requires k = i*kappa")
+    def __init__(self, spec, k):
         self.spec = spec
-        self.wavenumber = wn
-        self.mode = mode
+        self.wavenumber = wn = as_wavenumber(k)
         self.data = scattering_data(spec, wn)
         self.breaks = [0.0, spec.l1, spec.l1 + spec.r, spec.extent]
         # per interior region: (left edge, potential, boundary value,
@@ -221,7 +210,7 @@ class PiecewiseWave:
         kc = self.wavenumber.k
         a, b = self.data.a, self.data.b
         up = np.exp(1j * kc * x)
-        if self.mode == "bound":
+        if not self.wavenumber.is_real:
             # only the decaying piece survives; a(i*kappa) ~ 0
             return b * up, 1j * kc * b * up
         down = np.exp(-1j * kc * x)
@@ -253,8 +242,8 @@ class PiecewiseWave:
         """Relative mismatch of psi and psi' at the right edge.
 
         The interior seams match by construction; the right edge measures
-        the consistency of a, b with the propagated interior solution (in
-        bound mode it is the eigenvalue residual |a|).  NaN amplitudes
+        the consistency of a, b with the propagated interior solution (at
+        k = i*kappa it is the eigenvalue residual |a|).  NaN amplitudes
         give NaN.
         """
         scale = max(1.0, abs(self.data.a), abs(self.data.b))
@@ -263,23 +252,23 @@ class PiecewiseWave:
         return max(abs(psi - pr) / scale, abs(dpsi - dpr) / dscale)
 
 
-# largest |a(i*kappa)|, relative to max(1, |b|), of a bound-mode wavefunction
+# largest |a(i*kappa)|, relative to max(1, |b|), of a bound-state wavefunction
 EIGEN_TOL = 1e-6
 
 
-def scattering_wavefunction(spec, k, mode="scatter"):
-    """Build the piecewise wavefunction; bound mode checks the eigenvalue.
+def scattering_wavefunction(spec, k):
+    """The piecewise wavefunction at k: real k scatters, i*kappa binds.
 
-    In bound mode |a(i*kappa)| must be below EIGEN_TOL (relative to the
+    At k = i*kappa |a| must be below EIGEN_TOL (relative to the
     connection coefficient b), otherwise there is no decaying solution at
     this kappa and NotAnEigenvalueError is raised.
     """
-    wave = PiecewiseWave(spec, k, mode=mode)
-    if mode == "bound":
+    wave = PiecewiseWave(spec, k)
+    if not wave.wavenumber.is_real:
         a, b = wave.data.a, wave.data.b
         if abs(a) > EIGEN_TOL * max(1.0, abs(b)):
             raise NotAnEigenvalueError(
-                f"kappa={as_wavenumber(k).kappa!r} is not a bound level: "
+                f"kappa={wave.wavenumber.kappa!r} is not a bound level: "
                 f"|a| = {abs(a):.3e}"
             )
     return wave

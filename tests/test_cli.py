@@ -392,6 +392,44 @@ def test_overflowing_resonance_sample_is_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_resonance_sample_whose_square_overflows_is_numerical_failure(tmp_path, capsys):
+    # |a| is finite but above 1.3e154, so abs(a) ** 2 once raised a bare
+    # OverflowError, reported as "(34, 'Numerical result out of range')"
+    family = {"mu": 1.5, "nu": 1.0, "tau": 1.0, "h1": 1.4e5, "h2": -2.0,
+              "d1": 1.0, "d2": 1.0, "c": 2.0}
+    cfg = _write_config(tmp_path, {"units": "nm^-2", "family": family, "eps_samples": [1.0]})
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert _run(["resonance", "--config", cfg, "--out", out]) == 4
+    assert "numerical failure: this structure overflows at eps=1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_deltaprime_with_a_gaussian_bump_wider_than_the_float_range_is_its_window(tmp_path):
+    # sigma ** 2 once raised a bare OverflowError, so this exited 4
+    runs = {}
+    for name, probe in (("wide", {"kind": "gaussian_bump", "sigma": 1e200, "width": 3.0}),
+                        ("window", {"kind": "bump", "width": 3.0})):
+        cfg = _write_config(tmp_path, {"units": "nm^-2", "family": FAMILY_SECTION,
+                                       "eps_grid": [0.1, 0.01], "test_function": probe},
+                            name=f"{name}.json")
+        assert _run(["deltaprime", "--config", cfg, "--out", tmp_path / name]) == 0
+        runs[name] = _outputs(tmp_path / name)
+    assert runs["wide"] == runs["window"]
+
+
+@pytest.mark.parametrize("command", ["deltaprime", "boundstates"])
+def test_a_sweep_without_eps_grid_runs_on_the_default_grid(tmp_path, command):
+    defaults = {"start": 1.0, "stop": 1e-3, "per_decade": 8, "floor": 1e-8}
+    runs = []
+    for extra in ({}, {"eps_grid": defaults}):
+        cfg = _write_config(tmp_path, {"units": "nm^-2", "family": FAMILY_SECTION, **extra})
+        out = tmp_path / f"out{len(runs)}"
+        assert _run([command, "--config", cfg, "--out", out]) == 0
+        runs.append(_outputs(out))
+    assert runs[0] == runs[1]
+
+
 def test_scatter_unitarity_defect_is_relative(tmp_path):
     # |a|^2 runs from 3e304 to 1e287 on this grid; an absolute defect
     # |(|a|^2 - |b|^2 - 1)| would read the rounding of |a|^2 as 4.9e288
@@ -512,6 +550,16 @@ HUGE = 10**400
         ("scatter", {"spec": SPEC_SECTION, "k_grid": [1.0, HUGE]}),
         ("resonance", {"tol": HUGE}),
         ("scatter", {"spec": SPEC_SECTION, "ev_to_inv_nm2": HUGE, "k_grid": [1.0]}),
+        # a negative tolerance once turned an on-resonance family "separated"
+        ("resonance", {"tol": -1.0}),
+        ("resonance", {"spread_tol": -1.0}),
+        ("boundstates", {"tol": -1.0, "eps_grid": [1.0, 0.1]}),
+        # a k that is not positive once exited 0 (unused) or 3
+        ("resonance", {"k": -1.0}),
+        ("resonance", {"k": -1.0, "eps_samples": [0.5]}),
+        ("wavefunction", {**WAVE_SCATTER, "k": -1.0}),
+        ("wavefunction", {**WAVE_SCATTER, "k": 0.0}),
+        ("wavefunction", {"spec": SPEC_SECTION, "mode": "bound", "kappa": -1.0}),
     ],
     ids=[
         "resonance-k",
@@ -548,6 +596,14 @@ HUGE = 10**400
         "k_grid-list-huge-int",
         "resonance-tol-huge-int",
         "ev_to_inv_nm2-huge-int",
+        "resonance-tol-negative",
+        "resonance-spread_tol-negative",
+        "boundstates-sweep-tol-negative",
+        "resonance-k-negative",
+        "resonance-k-negative-with-samples",
+        "wavefunction-k-negative",
+        "wavefunction-k-zero",
+        "wavefunction-kappa-negative",
     ],
 )
 def test_malformed_config_value_is_config_error(tmp_path, command, extra):
@@ -588,6 +644,28 @@ def test_wavenumber_whose_square_overflows_is_domain_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, payload)
     assert _run(["scatter", "--config", cfg, "--out", tmp_path / "o"]) == 3
     assert "wavenumber 1e+200 is too large" in capsys.readouterr().err
+
+
+# on resonance, verdict Y at the default tol (the K2 family)
+K2_SECTION = {"mu": 1.5, "nu": 1.0, "tau": 1.0, "h1": 2.5296155177944195, "h2": -1.31232,
+              "d1": 1.0, "d2": 1.0, "c": 2.0}
+
+
+@pytest.mark.parametrize("command", ["resonance", "boundstates"])
+def test_negative_tol_flag_is_config_error(tmp_path, capsys, command):
+    # --tol -1 once reported K2 "separated" with exit code 0
+    cfg = _write_config(tmp_path, {"units": "nm^-2", "family": K2_SECTION,
+                                   "eps_grid": [0.1]})
+    out = tmp_path / "o"
+    assert _run([command, "--config", cfg, "--out", out, "--tol", "-1"]) == 2
+    assert "config error: tol must be >= 0, got -1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_tolerance_of_zero_is_valid(tmp_path):
+    cfg = _write_config(tmp_path, {"units": "nm^-2", "family": K2_SECTION,
+                                   "tol": 0.0, "spread_tol": 0.0})
+    assert _run(["resonance", "--config", cfg, "--out", tmp_path / "o"]) == 0
 
 
 def test_non_finite_tol_flag_is_config_error(tmp_path):
@@ -716,7 +794,7 @@ SPEC_WITHOUT_R = {key: value for key, value in SPEC_SECTION.items() if key != "r
         ("scatter", {"spec": SPEC_SECTION, "k2_grid": [1.0, 0.0]},
          "k2_grid values must be positive energies"),
         ("scatter", {"spec": SPEC_SECTION}, 'provide "k_grid" (nm^-1) or "k2_grid" (energy)'),
-        ("scatter", {"spec": SPEC_SECTION, "k_grid": [1.0, -0.5]}, "k values must be positive"),
+        ("scatter", {"spec": SPEC_SECTION, "k_grid": [1.0, -0.5]}, "k_grid values must be positive"),
         ("boundstates", {"family": FAMILY_SECTION, "eps_grid": 0.1},
          "eps_grid must be a list or a start/stop/per_decade object"),
         ("deltaprime", {"family": FAMILY_SECTION, "test_function": [1.0]},
@@ -725,6 +803,17 @@ SPEC_WITHOUT_R = {key: value for key, value in SPEC_SECTION.items() if key != "r
          "test_function 'gaussian' is missing 'sigma'"),
         ("deltaprime", {"family": FAMILY_SECTION, "test_function": {"kind": "triangle"}},
          "unknown test_function kind 'triangle'"),
+        ("wavefunction", {"spec": SPEC_SECTION, "mode": "scatter"},
+         'scatter mode needs a real "k" (nm^-1)'),
+        ("wavefunction", {"spec": SPEC_SECTION, "mode": "Bound", "k": 1.0},
+         """mode must be "scatter" or "bound", got 'Bound'"""),
+        ("wavefunction", {"spec": SPEC_SECTION, "k": -1.0}, "k must be positive, got -1.0"),
+        ("wavefunction", {"spec": SPEC_SECTION, "mode": "bound", "kappa": 0.0},
+         "kappa must be positive, got 0.0"),
+        ("resonance", {"family": FAMILY_SECTION, "k": 0.0}, "k must be positive, got 0.0"),
+        ("resonance", {"family": FAMILY_SECTION, "tol": -1.0}, "tol must be >= 0, got -1.0"),
+        ("resonance", {"family": FAMILY_SECTION, "spread_tol": -1e-12},
+         "spread_tol must be >= 0, got -1e-12"),
     ],
     ids=[
         "root-not-object",
@@ -741,6 +830,13 @@ SPEC_WITHOUT_R = {key: value for key, value in SPEC_SECTION.items() if key != "r
         "test_function-not-object",
         "test_function-missing-key",
         "test_function-unknown-kind",
+        "wavefunction-scatter-without-k",
+        "wavefunction-unknown-mode",
+        "wavefunction-k-not-positive",
+        "wavefunction-kappa-not-positive",
+        "resonance-k-not-positive",
+        "tol-negative",
+        "spread_tol-negative",
     ],
 )
 def test_config_refusal_names_its_cause(tmp_path, capsys, command, payload, message):

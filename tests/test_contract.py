@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from bilayer1d import (
     DoubleLayerSpec,
-    PiecewiseWave,
     SqueezedInteraction,
     SqueezeFamily,
     Wavenumber,
@@ -22,6 +21,7 @@ from bilayer1d import (
     eps_log_grid,
     find_roots,
     forced_branch,
+    interaction_limit,
     matrix_entries,
     probes,
     realize,
@@ -228,6 +228,8 @@ def test_scattering_of_opaque_barriers_is_finite(spec, ks):
 WELL = DoubleLayerSpec(-2.0, 1.0, 1.0, 0.5, 0.3)
 FAMILY = SqueezeFamily(2.0, 2.0, 2.0, 1.3, -1.3, 1.0, 0.6, 2.0)
 NO_WELL = SqueezeFamily(2.0, 2.0, 2.0, 1.3, 1.3, 1.0, 0.6, 2.0)
+# on resonance, verdict Y at the default tolerances
+K2 = SqueezeFamily(1.5, 1.0, 1.0, 2.5296155177944195, -1.31232, 1.0, 1.0, 2.0)
 SEPARATED = SqueezedInteraction("separated")
 
 REFUSALS = {
@@ -239,14 +241,9 @@ REFUSALS = {
     "branch-3": (lambda: build_chi_problem(WELL, branch=3), "branch must be 1 or 2, got 3"),
     "kappa-at-real-k": (lambda: Wavenumber(1.0).kappa, "kappa is defined only for imaginary"),
     "reflection-at-imaginary-k": (lambda: reflection_transmission(WELL, 1j), "requires real k"),
-    "scatter-wave-at-imaginary-k": (lambda: PiecewiseWave(WELL, 1j), "scatter mode requires real k"),
-    "bound-wave-at-real-k": (lambda: PiecewiseWave(WELL, 1.0, mode="bound"),
-                             "bound mode requires k = i[*]kappa"),
-    # once taken as scatter mode, with no error
-    "wave-in-an-unknown-mode": (lambda: PiecewiseWave(WELL, 2j, mode="bond"),
-                                "unknown mode 'bond'"),
-    "wavefunction-in-an-unknown-mode": (lambda: scattering_wavefunction(WELL, 1.0, mode="Bound"),
-                                        "unknown mode 'Bound'"),
+    # i*kappa picks the bound state, and kappa = 1 is no level of WELL
+    "scatter-wave-at-imaginary-k": (lambda: scattering_wavefunction(WELL, 1j),
+                                    "kappa=1.0 is not a bound level"),
     "realize-at-eps-0": (lambda: realize(FAMILY, 0.0), "eps must lie in"),
     "realize-above-eps-1": (lambda: realize(FAMILY, 1.5), "eps must lie in"),
     "realize-at-eps-nan": (lambda: realize(FAMILY, math.nan), "eps must lie in"),
@@ -254,6 +251,17 @@ REFUSALS = {
     "eps-grid-stop-above-start": (lambda: eps_log_grid(1e-3, 1e-2), "need 0 < stop < start"),
     "forced-branch-without-a-well": (lambda: forced_branch(NO_WELL), "neither layer is attractive"),
     "sweep-on-an-empty-grid": (lambda: sweep_ladder(FAMILY, []), "eps_grid must be a nonempty"),
+    # a negative or NaN tolerance once turned K2 "separated"
+    "limit-at-negative-res_tol": (lambda: interaction_limit(K2, res_tol=-1.0),
+                                  "tolerances must be >= 0"),
+    "limit-at-negative-spread_tol": (lambda: interaction_limit(K2, spread_tol=-1.0),
+                                     "tolerances must be >= 0"),
+    "limit-at-nan-res_tol": (lambda: interaction_limit(K2, res_tol=math.nan),
+                             "tolerances must be >= 0"),
+    "limit-at-nan-spread_tol": (lambda: interaction_limit(K2, spread_tol=math.nan),
+                                "tolerances must be >= 0"),
+    "sweep-at-negative-tol": (lambda: sweep_ladder(K2, [0.1], tol=-1.0),
+                              "tolerances must be >= 0"),
     "separated-amplitudes": (lambda: SEPARATED.amplitudes(1.0), "no finite amplitudes"),
     "separated-connection-matrix": (lambda: SEPARATED.connection_matrix(),
                                     "no finite connection matrix"),
@@ -304,7 +312,7 @@ def test_wave_derivative_is_the_slope_of_the_wave(mode):
     # one point inside each of the five regions: left of 0, layer 1, the
     # gap, layer 2 and right of the structure
     k = 1.3 if mode == "scatter" else 1j * find_roots(build_chi_problem(WELL)).kappas[0]
-    wave = PiecewiseWave(WELL, k, mode=mode)
+    wave = scattering_wavefunction(WELL, k)
     xs = np.array([-0.7, 0.5, 1.15, 1.55, 2.6])
     h = 1e-6
     slope = (wave(xs + h) - wave(xs - h)) / (2.0 * h)

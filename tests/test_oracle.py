@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bilayer1d
-from bilayer1d import DoubleLayerSpec, matrix_entries, oracle
+from bilayer1d import DoubleLayerSpec, amplitude_grid, matrix_entries, oracle
 from bilayer1d.bound import _count, _params, _phase
 from bilayer1d.oracle import (
     integrate_bound,
@@ -212,3 +212,16 @@ def test_the_oracle_imports_nothing_from_the_package():
             assert not (node.module or "").startswith("bilayer1d"), ast.unparse(node)
         elif isinstance(node, ast.Import):
             assert all(a.name.split(".")[0] != "bilayer1d" for a in node.names), ast.unparse(node)
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact"])
+def test_a_structure_of_zero_width_is_the_identity(method):
+    # no piece to integrate: the identity propagator, a = 1 and b = 0
+    spec = DoubleLayerSpec(0.0, 0.0, 0.0, 0.0, 0.0)
+    ks = np.array([0.3, 1.0, 4.0])
+    one, zero = np.ones(3), np.zeros(3)
+    for entries in (oracle_entries(spec, ks * ks, method), matrix_entries(spec, ks * ks)):
+        for got, want in zip(entries, (one, zero, zero, one)):
+            assert np.array_equal(got, want)
+    for a, b in (scatter_grid(spec, ks, method), amplitude_grid(spec, ks)):
+        assert np.array_equal(a, one) and np.array_equal(b, zero)

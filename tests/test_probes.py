@@ -42,7 +42,8 @@ def test_gaussian_matches_formula():
         want = np.exp(-((x - 0.5) ** 2) / (2.0 * 2.0**2))
         assert probe.f(x) == pytest.approx(want, rel=1e-12)
     _check_derivative(probe, xs)
-    assert probe.note
+    # truncated at 8 sigma
+    assert probe.support == (0.5 - 16.0, 0.5 + 16.0)
 
 
 def test_gaussian_bump_vanishes_outside_window():
@@ -105,3 +106,12 @@ def test_a_gaussian_wider_than_the_float_range_of_its_square_evaluates():
     probe = probes.gaussian(sigma=1e200)
     assert probe.f(1.0) == 1.0
     assert probe.df(1.0) == 0.0
+
+
+def test_a_gaussian_bump_wider_than_the_float_range_of_its_square_is_its_window():
+    # sigma ** 2 once raised a bare OverflowError here
+    probe, window = probes.gaussian_bump(sigma=1e200, width=3.0), probes.bump(width=3.0)
+    assert probe.support == window.support
+    for x in (-2.0, 0.0, 0.7, 2.9):
+        assert probe.f(x) == window.f(x)
+        assert probe.df(x) == window.df(x)

@@ -1,5 +1,7 @@
 """Transfer matrices, scattering data, wavefunctions and trig identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,7 @@ def test_closed_form_amplitudes_match_matrix_route():
         via_matrix = scattering_data(spec, k, method="matrix")
         assert abs(closed.a - via_matrix.a) < 1e-10 * abs(closed.a)
         assert abs(closed.b - via_matrix.b) < 1e-10 * max(1.0, abs(closed.b))
-        # k = i*kappa, as PiecewiseWave uses in bound mode; a may vanish there
+        # k = i*kappa, as the bound-state wavefunction uses; a may vanish there
         k = 1j * rng.uniform(0.05, 2.0)
         closed = scattering_data(spec, k, method="closed")
         via_matrix = scattering_data(spec, k, method="matrix")
@@ -81,6 +83,22 @@ def test_amplitude_grid_matches_pointwise_routes():
                 one = scattering_data(spec, float(k), method=method)
                 assert abs(a_arr[i] - one.a) < 1e-12 * abs(one.a)
                 assert abs(b_arr[i] - one.b) < 1e-12 * max(1.0, abs(one.b))
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, -0.0, math.nan, 1e-300, 1e200, math.inf])
+def test_amplitude_grid_refuses_by_the_wavenumber_rule(bad):
+    # the grid once had its own checks and messages
+    spec = DoubleLayerSpec.make(1.0, 0.8, -2.0, 0.5, 0.4)
+    with pytest.raises(ValueError) as rule:
+        Wavenumber(bad)
+    with pytest.raises(ValueError) as grid:
+        amplitude_grid(spec, [0.5, bad, -2.0])
+    assert str(grid.value) == str(rule.value)
+
+
+def test_amplitude_grid_of_an_empty_grid_is_empty():
+    a, b = amplitude_grid(DoubleLayerSpec.make(1.0, 0.8, -2.0, 0.5, 0.4), [])
+    assert a.shape == b.shape == (0,)
 
 
 def test_amplitude_grid_rejects_bad_input():
@@ -170,16 +188,14 @@ def test_bound_wavefunction_decays_and_validates_kappa():
     ladder = find_roots(build_chi_problem(spec))
     assert ladder.chis.size >= 1
     kappa = ladder.kappas[0]
-    wave = scattering_wavefunction(spec, Wavenumber.bound(kappa), mode="bound")
+    wave = scattering_wavefunction(spec, Wavenumber.bound(kappa))
     assert wave.continuity_defect() < 1e-8
     tail_near = abs(wave(spec.extent + 1.0))
     tail_far = abs(wave(spec.extent + 3.0))
     assert tail_far < tail_near * np.exp(-1.5 * kappa)
     above_ladder = ladder.kappas[-1] * 1.5 + 0.2
     with pytest.raises(NotAnEigenvalueError):
-        scattering_wavefunction(
-            spec, Wavenumber.bound(above_ladder), mode="bound"
-        )
+        scattering_wavefunction(spec, Wavenumber.bound(above_ladder))
 
 
 def _level_residual(spec, kappa):
