@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema
 # ---------------------------------------------------------------------------
 
 
@@ -52,152 +53,17 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
+    # no such file, bad JSON or UTF-8, an int too long to parse, nesting too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    # bad JSON, bytes that are not UTF-8, an int too long to parse, or nesting too deep
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
 
 
-def _scale(cfg):
-    """The factor that takes the config's energies to nm^-2."""
-    units = cfg.get("units", "eV")
-    if units not in ("eV", "nm^-2"):
-        raise ConfigError(f'units must be "eV" or "nm^-2", got {units!r}')
-    factor = _number(cfg, "ev_to_inv_nm2", EV_TO_INV_NM2)
-    if factor <= 0.0:
-        raise ConfigError(f"ev_to_inv_nm2 must be positive, got {factor!r}")
-    return factor if units == "eV" else 1.0
-
-
-# section: (constructor, its keys in argument order)
-_SECTIONS = {
-    "spec": (DoubleLayerSpec, ("v1", "l1", "v2", "l2", "r")),
-    "family": (SqueezeFamily, ("mu", "nu", "tau", "h1", "h2", "d1", "d2", "c")),
-}
-_ENERGIES = ("v1", "v2", "h1", "h2")
-
-
-def _section(cfg, name):
-    """The "spec" or "family" section of the config, energies in nm^-2."""
-    scale = _scale(cfg)
-    build, keys = _SECTIONS[name]
-    raw = cfg.get(name)
-    if raw is None:
-        raise ConfigError(f'this command needs a "{name}" section')
-    try:
-        values = [_real(raw[key]) for key in keys]
-        return build(*(v * scale if k in _ENERGIES else v for k, v in zip(keys, values)))
-    except KeyError as exc:
-        raise ConfigError(f"{name} section is missing {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {name} section: {exc}") from exc
-
-
-def _spec_of(cfg):
-    """The config's "spec", or its "family" realized at "eps"."""
-    if (cfg.get("spec") is None) == (cfg.get("family") is None):
-        raise ConfigError('provide exactly one of "spec" or "family"')
-    if cfg.get("spec") is not None:
-        return _section(cfg, "spec")
-    family = _section(cfg, "family")
-    if "eps" not in cfg:
-        raise ConfigError('a "family" config needs "eps" to realize it')
-    return realize(family, _number(cfg, "eps", None))
-
-
-def _real_list(raw, name):
-    """A nonempty list of JSON numbers as a float array."""
-    try:
-        grid = np.array([_real(v) for v in raw])
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be a nonempty list of numbers: {exc}") from exc
-    if grid.size == 0:
-        raise ConfigError(f"{name} must be a nonempty list of numbers")
-    return grid
-
-
-def _linear_grid(raw, name):
-    if isinstance(raw, (list, tuple)):
-        return _real_list(raw, name)
-    if isinstance(raw, dict):
-        try:
-            start = _real(raw["start"])
-            stop = _real(raw["stop"])
-            count = _integer(raw.get("count", 200))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad {name}: {exc}") from exc
-        if count < 1:
-            raise ConfigError(f"{name} count must be >= 1")
-        return np.linspace(start, stop, count)
-    raise ConfigError(f"{name} must be a list or a start/stop/count object")
-
-
-def _k_grid(cfg):
-    if "k_grid" in cfg:
-        ks = _linear_grid(cfg["k_grid"], "k_grid")
-    elif "k2_grid" in cfg:
-        k2 = _linear_grid(cfg["k2_grid"], "k2_grid") * _scale(cfg)
-        if np.any(k2 <= 0.0):
-            raise ConfigError("k2_grid values must be positive energies")
-        ks = np.sqrt(k2)
-    else:
-        raise ConfigError('provide "k_grid" (nm^-1) or "k2_grid" (energy)')
-    if np.any(ks <= 0.0):
-        raise ConfigError("k_grid values must be positive")
-    return ks
-
-
-def _eps_grid_of(cfg):
-    raw = cfg.get("eps_grid")
-    if raw is None:
-        return eps_log_grid()
-    if isinstance(raw, (list, tuple)):
-        return _real_list(raw, "eps_grid")
-    if isinstance(raw, dict):
-        try:
-            return eps_log_grid(
-                _real(raw.get("start", 1.0)),
-                _real(raw.get("stop", 1e-3)),
-                _integer(raw.get("per_decade", 8)),
-                _real(raw.get("floor", 1e-8)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad eps_grid: {exc}") from exc
-    raise ConfigError("eps_grid must be a list or a start/stop/per_decade object")
-
-
-def _probe_of(cfg):
-    raw = cfg.get("test_function", {"kind": "bump", "width": 1.0})
-    if not isinstance(raw, dict):
-        raise ConfigError("test_function must be an object")
-    kind = raw.get("kind", "bump")
-    try:
-        center = _real(raw.get("center", 0.0))
-        if kind == "bump":
-            return probes.bump(_real(raw.get("width", 1.0)), center)
-        if kind == "gaussian_bump":
-            return probes.gaussian_bump(_real(raw["sigma"]), _real(raw["width"]), center)
-        if kind == "gaussian":
-            return probes.gaussian(_real(raw["sigma"]), center)
-        if kind == "tabulated":
-            return probes.tabulated(_real_list(raw["xs"], "xs"), _real_list(raw["ys"], "ys"))
-    except KeyError as exc:
-        raise ConfigError(
-            f"test_function {kind!r} is missing {exc.args[0]!r}"
-        ) from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad test_function: {exc}") from exc
-    raise ConfigError(f"unknown test_function kind {kind!r}")
-
-
 def _real(value):
-    """float(value) for a finite JSON number; booleans, strings, NaN,
-    infinities and integers beyond the float range are refused rather
-    than converted."""
+    """float(value) for a finite JSON number; booleans, strings, NaN, infinities
+    and integers beyond the float range are refused rather than converted."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{value!r} is not a number")
     # compared exactly: math.isfinite overflows on an int beyond the float range
@@ -206,33 +72,202 @@ def _real(value):
     return float(value)
 
 
-def _number(cfg, key, default, cast=_real):
-    """cast(cfg[key]), or cast(default) when the key is absent."""
-    try:
-        return cast(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key}: {exc}") from exc
-
-
 def _integer(value):
-    """int(value) for an integer; fractions, booleans and strings are
-    refused rather than truncated."""
+    """int(value) for an integer; fractions, booleans and strings are refused, not cut."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{value!r} is not an integer")
     return value
 
 
-def _nonnegative(cfg, key, default=None, strict=False):
-    """_number(cfg, key, default), refused below 0 (a tolerance), or at 0
-    too when strict (a wavenumber)."""
-    value = _number(cfg, key, default)
-    if value < 0.0 or strict and value == 0.0:
-        raise ConfigError(f"{key} must be {'positive' if strict else '>= 0'}, got {value!r}")
+def _reals(value):
+    """A JSON list of numbers as a tuple of floats."""
+    if not isinstance(value, list):
+        raise ValueError(f"{value!r} is not a list")
+    return tuple([_real(v) for v in value])
+
+
+def _check(name, value, check):
+    """value, refused when it, or an entry of a tuple or array, lies outside
+    check = (what the value must be, its test); a JSON list is one value."""
+    text, test = check
+    if isinstance(value, np.ndarray):
+        name, bad = f"{name} values", value[~test(value)].tolist()
+    elif isinstance(value, tuple):
+        name, bad = f"{name} values", [v for v in value if not test(v)]
+    else:
+        bad = [] if test(value) else [value]
+    if bad:
+        raise ConfigError(f"{name} must be {text}, got {bad[0]!r}")
     return value
 
 
-def _tol(args, cfg):
-    return _nonnegative(cfg if args.tol is None else {"tol": args.tol}, "tol", 1e-9)
+def _refuse_unknown(what, names, known):
+    for name in names:
+        if name not in known:
+            raise ConfigError(f"unknown {what} {name!r}")
+
+
+def _object(name, raw, fields, required=(), form="an object"):
+    """The keys given in the JSON object raw, read by their (reader, range) in fields."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be {form}")
+    _refuse_unknown(f"{name} key", raw, fields)
+    values = {}
+    for key, (read, check) in fields.items():
+        if key in raw:
+            value = read(raw[key])
+            values[key] = value if check is None else _check(f"{name} {key}", value, check)
+        elif key in required:
+            raise ConfigError(f"{name} is missing {key!r}")
+    return values
+
+
+_POSITIVE = ("positive", lambda v: v > 0.0)
+_NONNEGATIVE = (">= 0", lambda v: v >= 0.0)
+_EPS = ("in (0, 1]", lambda v: (v > 0.0) & (v <= 1.0))
+_COUNT = (">= 1", lambda v: v >= 1)
+_SAME, _REAL, _REALS = (lambda v: v, None), (_real, None), (_reals, None)
+
+
+def _scalar(read):
+    """The reader of a config key that holds one JSON value."""
+    return lambda key, raw: read(raw)
+
+
+_NUMBER, _AS_IS = _scalar(_real), _scalar(lambda v: v)
+
+
+def _layers(build, names, energies):
+    """The reader of a "spec" or "family" section: build's arguments, energies in nm^-2."""
+    fields, energies = dict.fromkeys(names.split(), _REAL), energies.split()
+
+    def read(key, raw, scale):
+        values = _object(f"{key} section", raw, fields, fields)
+        for name in energies:
+            values[name] *= scale
+        return build(**values)
+
+    return read
+
+
+def _grid(build, required, **fields):
+    """The reader of a grid: a nonempty list of numbers, or build's keyword arguments."""
+    form = f"a list or a {'/'.join(fields)} object"
+
+    def read(key, raw):
+        if not isinstance(raw, list):
+            return build(**_object(key, raw, fields, required, form))
+        if not raw:
+            raise ConfigError(f"{key} must be a nonempty list of numbers")
+        return np.array(_reals(raw))
+
+    return read
+
+
+_LINEAR = _grid(lambda start, stop, count=200: np.linspace(start, stop, count),
+                ("start", "stop"), start=_REAL, stop=_REAL, count=(_integer, _COUNT))
+
+# kind: (probe function, its keys, the keys it needs)
+_PROBES = {
+    "bump": (probes.bump, ("width", "center"), ()),
+    "gaussian_bump": (probes.gaussian_bump, ("sigma", "width", "center"), ("sigma", "width")),
+    "gaussian": (probes.gaussian, ("sigma", "center"), ("sigma",)),
+    "tabulated": (probes.tabulated, ("xs", "ys"), ("xs", "ys")),
+}
+_PROBE_KEYS = dict(kind=_SAME, width=_REAL, center=_REAL, sigma=_REAL, xs=_REALS, ys=_REALS)
+
+
+def _probe(key, raw):
+    """The reader of "test_function": the probe its "kind" names, or a bump."""
+    values = _object(key, raw, _PROBE_KEYS)
+    kind = values.pop("kind", "bump")
+    _refuse_unknown(f"{key} kind", [kind], _PROBES)
+    build, names, required = _PROBES[kind]
+    return build(**_object(f"{key} {kind!r}", values, dict.fromkeys(names, _SAME), required))
+
+
+class _Key(NamedTuple):
+    commands: tuple  # the subcommands that read the key
+    read: Callable  # (key, JSON value, and the nm^-2 scale for an energy) -> value
+    check: tuple = None  # the range: (what the value must be, its test)
+    default: object = None  # the JSON value of an absent key, ...
+    needed: str = None  # ... or the refusal when a subcommand needs it
+    energy: bool = False
+    excludes: str = None  # a key that cannot be given beside this one
+
+
+_ALL = ("scatter", "boundstates", "resonance", "wavefunction", "deltaprime")
+_REALIZED = ("scatter", "wavefunction")  # a spec, or a family realized at eps
+
+# the config schema; units and their factor first, to read the energies after them
+_KEYS = {
+    "units": _Key(_ALL, _AS_IS, ('"eV" or "nm^-2"', ("eV", "nm^-2").__contains__), "eV"),
+    "ev_to_inv_nm2": _Key(_ALL, _NUMBER, _POSITIVE, EV_TO_INV_NM2),
+    "spec": _Key(_REALIZED + ("boundstates",), _layers(DoubleLayerSpec, "v1 l1 v2 l2 r", "v1 v2"),
+                 needed='provide a "spec" or a "family" section', energy=True),
+    "family": _Key(_ALL, _layers(SqueezeFamily, "mu nu tau h1 h2 d1 d2 c", "h1 h2"),
+                   needed='this command needs a "family" section', energy=True, excludes="spec"),
+    "eps": _Key(_REALIZED, _NUMBER, _EPS, needed='a "family" config needs "eps" to realize it'),
+    "k_grid": _Key(("scatter",), _LINEAR, _POSITIVE,
+                   needed='provide "k_grid" (nm^-1) or "k2_grid" (energy)'),
+    "k2_grid": _Key(("scatter",), lambda key, raw, scale: _LINEAR(key, raw) * scale,
+                    ("positive energies in nm^-2", _POSITIVE[1]), energy=True, excludes="k_grid"),
+    "tol": _Key(("boundstates", "resonance"), _NUMBER, _NONNEGATIVE, 1e-9),
+    "spread_tol": _Key(("resonance",), _NUMBER, _NONNEGATIVE),  # default: tol
+    "k": _Key(("resonance", "wavefunction"), _NUMBER, _POSITIVE,  # resonance's default: 1.0
+              needed='scatter mode needs a real "k" (nm^-1)'),
+    "eps_samples": _Key(("resonance",), _scalar(_reals), _EPS, []),
+    "eps_grid": _Key(("boundstates", "deltaprime"), _grid(eps_log_grid, (), start=_REAL,
+                     stop=_REAL, per_decade=(_integer, _COUNT), floor=_REAL), _EPS, {}),
+    "mode": _Key(("wavefunction",), _AS_IS,
+                 ('"scatter" or "bound"', ("scatter", "bound").__contains__), "scatter"),
+    "kappa": _Key(("wavefunction",), _NUMBER, _POSITIVE),
+    "level": _Key(("wavefunction",), _scalar(_integer), _COUNT, 1),
+    "x_grid": _Key(("wavefunction",), _LINEAR),
+    "test_function": _Key(("deltaprime",), _probe, default={"kind": "bump"}),
+}
+
+
+class _Checked(dict):
+    """One subcommand's checked keys: an absent key reads as its default, or is refused."""
+
+    def __missing__(self, key):
+        row = _KEYS[key]
+        if row.default is None:
+            raise ConfigError(row.needed)
+        return row.read(key, row.default)
+
+
+def _checked(args, cfg):
+    """The keys of cfg that args.command reads, each checked before anything is
+    computed, with --tol for "tol" and null as absent; an unknown key is refused."""
+    _refuse_unknown("config key", cfg, _KEYS)
+    if getattr(args, "tol", None) is not None:
+        cfg = {**cfg, "tol": args.tol}
+    checked = _Checked()
+    for key, row in _KEYS.items():
+        raw = cfg.get(key)
+        if raw is None or args.command not in row.commands:
+            continue
+        if row.excludes in checked:
+            raise ConfigError(f'give "{row.excludes}" or "{key}", not both')
+        try:
+            if not row.energy:
+                value = row.read(key, raw)
+            else:  # read after "units" and "ev_to_inv_nm2", which come first
+                scale = checked["ev_to_inv_nm2"] if checked["units"] == "eV" else 1.0
+                value = row.read(key, raw, scale)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {key}: {exc}") from exc
+        checked[key] = value if row.check is None else _check(key, value, row.check)
+    return checked
+
+
+def _spec_of(cfg):
+    """The config's "spec", or its "family" realized at "eps"."""
+    if "family" in cfg:
+        return realize(cfg["family"], cfg["eps"])
+    return cfg["spec"]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +370,7 @@ def _refuse_overflow(table, grid, name):
 
 def _cmd_scatter(args, cfg):
     spec = _spec_of(cfg)
-    ks = _k_grid(cfg)
+    ks = np.sqrt(cfg["k2_grid"]) if "k2_grid" in cfg else cfg["k_grid"]
     a, b = amplitude_grid(spec, ks)
     a2 = np.abs(a) ** 2
     columns = {
@@ -355,24 +390,15 @@ def _cmd_scatter(args, cfg):
 
 
 def _cmd_boundstates(args, cfg):
-    tol = _tol(args, cfg)
-    if cfg.get("family") is not None and cfg.get("spec") is None:
-        family = _section(cfg, "family")
-        result = sweep_ladder(family, _eps_grid_of(cfg), tol=tol)
+    if "family" in cfg:
+        result = sweep_ladder(cfg["family"], cfg["eps_grid"], tol=cfg["tol"])
         ladders = zip(result.eps, result.ladders)
-        summary = {
-            "scenario": result.scenario,
-            "branch": result.branch,
-            "region": result.report.region,
-            "kappa_limit": result.kappa_limit,
-            "eps": result.eps,
-            "counts": result.counts,
-            "survivor": result.survivor,
-        }
+        names = ("scenario", "branch", "kappa_limit", "eps", "counts", "survivor")
+        summary = {name: getattr(result, name) for name in names}
+        summary["region"] = result.report.region
     else:
-        spec = _spec_of(cfg)
-        problem = build_chi_problem(spec)
-        ladder = find_roots(problem)
+        spec = cfg["spec"]
+        ladder = find_roots(build_chi_problem(spec))
         report = verify_ladder(spec, ladder)
         ladders = [(1.0, ladder)]
         summary = {
@@ -393,72 +419,42 @@ def _cmd_boundstates(args, cfg):
 
 
 def _cmd_resonance(args, cfg):
-    family = _section(cfg, "family")
-    tol = _tol(args, cfg)
-    spread_tol = _nonnegative(cfg, "spread_tol", tol)
-    k_probe = _nonnegative(cfg, "k", 1.0, strict=True)
-    eps_samples = _number(cfg, "eps_samples", [], lambda v: [_real(e) for e in v])
-    report = interaction_limit(family, res_tol=tol, spread_tol=spread_tol)
+    family, tol, k_probe = cfg["family"], cfg["tol"], cfg.get("k", 1.0)
+    report = interaction_limit(family, res_tol=tol, spread_tol=cfg.get("spread_tol", tol))
     samples = []
-    for eps in eps_samples:
+    for eps in cfg["eps_samples"]:
         a = abs(scattering_data(realize(family, eps), k_probe).a)
         try:
             a2 = a ** 2
         except OverflowError:  # a square beyond the float range, refused next
             a2 = math.inf
         _refuse_overflow(np.array([[a2]]), [eps], "eps")
-        transmission = 1.0 / a2
-        samples.append(
-            {
-                "eps": eps,
-                "k": k_probe,
-                "transmission": transmission,
-                "limit_transmission": report.interaction.transmission(k_probe),
-            }
-        )
-    payload = {
-        "region": report.region,
-        "way": report.way,
-        "verdict": report.verdict,
-        "residual": report.residual,
-        "spread": report.spread,
-        "theta": report.theta,
-        "alpha": report.alpha,
-        "kappa_limit": report.kappa_limit,
-        "samples": samples,
-    }
-    _write(args, "resonance.json", _json_text(payload))
+        samples.append({"eps": eps, "k": k_probe, "transmission": 1.0 / a2,
+                        "limit_transmission": report.interaction.transmission(k_probe)})
+    names = ("region", "way", "verdict", "residual", "spread", "theta", "alpha", "kappa_limit")
+    payload = {name: getattr(report, name) for name in names}
+    _write(args, "resonance.json", _json_text({**payload, "samples": samples}))
     print(f"wrote resonance.json (verdict {report.verdict})")
 
 
 def _cmd_wavefunction(args, cfg):
     spec = _spec_of(cfg)
-    mode = cfg.get("mode", "scatter")
+    mode = cfg["mode"]
     if mode == "scatter":
-        if "k" not in cfg:
-            raise ConfigError('scatter mode needs a real "k" (nm^-1)')
-        k = _nonnegative(cfg, "k", strict=True)
-    elif mode == "bound":
-        if "kappa" in cfg:
-            kappa = _nonnegative(cfg, "kappa", strict=True)
-        else:
-            level = _number(cfg, "level", 1, _integer)
-            ladder = find_roots(build_chi_problem(spec))
-            if not 1 <= level <= ladder.n:
-                raise NotAnEigenvalueError(
-                    f"structure has {ladder.n} bound levels; "
-                    f"level {level} does not exist"
-                )
-            kappa = ladder.kappas[level - 1]
-        k = Wavenumber.bound(kappa)
+        k = cfg["k"]
+    elif "kappa" in cfg:
+        k = Wavenumber.bound(cfg["kappa"])
     else:
-        raise ConfigError(f'mode must be "scatter" or "bound", got {mode!r}')
+        level = cfg["level"]
+        ladder = find_roots(build_chi_problem(spec))
+        if level > ladder.n:
+            raise NotAnEigenvalueError(
+                f"structure has {ladder.n} bound levels; level {level} does not exist"
+            )
+        k = Wavenumber.bound(ladder.kappas[level - 1])
     wave = scattering_wavefunction(spec, k)
-    if "x_grid" in cfg:
-        xs = _linear_grid(cfg["x_grid"], "x_grid")
-    else:
-        pad = 0.25 * spec.extent if spec.extent > 0 else 1.0
-        xs = np.linspace(-pad, spec.extent + pad, 400)
+    pad = 0.25 * spec.extent if spec.extent > 0 else 1.0
+    xs = cfg["x_grid"] if "x_grid" in cfg else np.linspace(-pad, spec.extent + pad, 400)
     rows = [(x, v.real, v.imag, abs(v)) for x, v in zip(xs.tolist(), wave(xs).tolist())]
     _refuse_overflow(np.array(rows).T, xs, "x")
     header = ("x", "re_psi", "im_psi", "abs_psi")
@@ -467,20 +463,14 @@ def _cmd_wavefunction(args, cfg):
 
 
 def _cmd_deltaprime(args, cfg):
-    family = _section(cfg, "family")
-    probe = _probe_of(cfg)
-    eps_grid = _eps_grid_of(cfg)
+    family, probe = cfg["family"], cfg["test_function"]
     results = [
-        delta_prime_pairing(family, float(eps), probe) for eps in eps_grid
+        delta_prime_pairing(family, float(eps), probe) for eps in cfg["eps_grid"]
     ]
     companion = results[0].companion
-    rows = []
-    prev = None
+    rows, prev = [], None
     for res in results:
-        if companion is not None:
-            gap = res.value - companion
-        else:
-            gap = res.value
+        gap = res.value if companion is None else res.value - companion
         slope = None
         # no slope across a zero gap or a repeated eps
         if prev is not None and gap != 0.0 and prev[1] != 0.0 and res.eps != prev[0]:
@@ -537,7 +527,7 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = _checked(args, _load_config(args.config))
         _COMMANDS[args.command][1](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -560,6 +562,9 @@ HUGE = 10**400
         ("wavefunction", {**WAVE_SCATTER, "k": -1.0}),
         ("wavefunction", {**WAVE_SCATTER, "k": 0.0}),
         ("wavefunction", {"spec": SPEC_SECTION, "mode": "bound", "kappa": -1.0}),
+        # a JSON list is one value, not a list of values to check one by one
+        ("scatter", {"units": ["eV"], "spec": SPEC_SECTION, "k_grid": [1.0]}),
+        ("wavefunction", {**WAVE_SCATTER, "mode": ["scatter"], "k": 1.0}),
     ],
     ids=[
         "resonance-k",
@@ -604,6 +609,8 @@ HUGE = 10**400
         "wavefunction-k-negative",
         "wavefunction-k-zero",
         "wavefunction-kappa-negative",
+        "units-list",
+        "mode-list",
     ],
 )
 def test_malformed_config_value_is_config_error(tmp_path, command, extra):
@@ -775,6 +782,9 @@ def test_json_format_holds_the_csv_table_and_summary(tmp_path, command, cfg, det
 
 
 SPEC_WITHOUT_R = {key: value for key, value in SPEC_SECTION.items() if key != "r"}
+# no finite squeezing limit: resonance exits 3 once it has computed
+DIVERGENT_FAMILY = {"mu": 1.5, "nu": 1.0, "tau": 0.75, "h1": 1.31232, "h2": -1.31232,
+                    "d1": 1.0, "d2": 1.0, "c": 2.0}
 
 
 @pytest.mark.parametrize(
@@ -796,7 +806,7 @@ SPEC_WITHOUT_R = {key: value for key, value in SPEC_SECTION.items() if key != "r
         ("scatter", {"spec": SPEC_SECTION}, 'provide "k_grid" (nm^-1) or "k2_grid" (energy)'),
         ("scatter", {"spec": SPEC_SECTION, "k_grid": [1.0, -0.5]}, "k_grid values must be positive"),
         ("boundstates", {"family": FAMILY_SECTION, "eps_grid": 0.1},
-         "eps_grid must be a list or a start/stop/per_decade object"),
+         "eps_grid must be a list or a start/stop/per_decade/floor object"),
         ("deltaprime", {"family": FAMILY_SECTION, "test_function": [1.0]},
          "test_function must be an object"),
         ("deltaprime", {"family": FAMILY_SECTION, "test_function": {"kind": "gaussian"}},
@@ -814,6 +824,39 @@ SPEC_WITHOUT_R = {key: value for key, value in SPEC_SECTION.items() if key != "r
         ("resonance", {"family": FAMILY_SECTION, "tol": -1.0}, "tol must be >= 0, got -1.0"),
         ("resonance", {"family": FAMILY_SECTION, "spread_tol": -1e-12},
          "spread_tol must be >= 0, got -1e-12"),
+        # an eps outside (0, 1] once exited 3 from realize, after any work
+        ("boundstates", {"family": FAMILY_SECTION, "eps_grid": [2.0, 0.5]},
+         "eps_grid values must be in (0, 1], got 2.0"),
+        ("deltaprime", {"family": FAMILY_SECTION, "eps_grid": [2.0, 0.5]},
+         "eps_grid values must be in (0, 1], got 2.0"),
+        ("resonance", {"family": FAMILY_SECTION, "eps_samples": [1.5]},
+         "eps_samples values must be in (0, 1], got 1.5"),
+        ("scatter", {"family": FAMILY_SECTION, "eps": 0.0, "k_grid": [1.0]},
+         "eps must be in (0, 1], got 0.0"),
+        ("resonance", {"family": DIVERGENT_FAMILY, "eps_samples": [1.5]},
+         "eps_samples values must be in (0, 1], got 1.5"),
+        # unknown keys and fields were once ignored, and the run exited 0
+        ("scatter", {"unit": "nm^-2", "spec": SPEC_SECTION, "k_grid": [1.0]},
+         "unknown config key 'unit'"),
+        ("resonance", {"family": FAMILY_SECTION, "tolerance": 1e-3},
+         "unknown config key 'tolerance'"),
+        ("boundstates", {"family": FAMILY_SECTION, "eps_gird": [0.1]},
+         "unknown config key 'eps_gird'"),
+        ("deltaprime", {"family": FAMILY_SECTION,
+                        "test_function": {"kind": "gaussian", "sigma": 3.0, "centre": 1.0}},
+         "unknown test_function key 'centre'"),
+        ("scatter", {"spec": SPEC_SECTION, "k_grid": {"start": 0.5, "stop": 1.0, "step": 0.1}},
+         "unknown k_grid key 'step'"),
+        ("scatter", {"spec": {**SPEC_SECTION, "R": 2.0}, "k_grid": [1.0]},
+         "unknown spec section key 'R'"),
+        # k2_grid was once dropped without a word
+        ("scatter", {"spec": SPEC_SECTION, "k_grid": [1.0], "k2_grid": [1.0]},
+         'give "k_grid" or "k2_grid", not both'),
+        # once exit 3, "level 0 does not exist"
+        ("wavefunction", {"spec": SPEC_SECTION, "mode": "bound", "level": 0},
+         "level must be >= 1, got 0"),
+        ("wavefunction", {"spec": SPEC_SECTION, "mode": "bound", "level": -1},
+         "level must be >= 1, got -1"),
     ],
     ids=[
         "root-not-object",
@@ -837,6 +880,20 @@ SPEC_WITHOUT_R = {key: value for key, value in SPEC_SECTION.items() if key != "r
         "resonance-k-not-positive",
         "tol-negative",
         "spread_tol-negative",
+        "boundstates-eps_grid-above-1",
+        "deltaprime-eps_grid-above-1",
+        "resonance-eps_samples-above-1",
+        "scatter-eps-zero",
+        "resonance-eps_samples-before-divergence",
+        "unknown-key-unit",
+        "unknown-key-tolerance",
+        "unknown-key-eps_gird",
+        "test_function-unknown-key",
+        "k_grid-unknown-key",
+        "spec-unknown-key",
+        "k_grid-and-k2_grid",
+        "level-zero",
+        "level-negative",
     ],
 )
 def test_config_refusal_names_its_cause(tmp_path, capsys, command, payload, message):
@@ -845,6 +902,29 @@ def test_config_refusal_names_its_cause(tmp_path, capsys, command, payload, mess
     cfg = _write_config(tmp_path, payload)
     assert _run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_key_that_another_subcommand_reads_is_left_alone(tmp_path, command):
+    # one config serves every subcommand; each reads its own keys only
+    shared = {"units": "nm^-2", "family": DIPOLE_FAMILY, "eps": 0.1, "k_grid": [1.0],
+              "k": 1.0, "eps_samples": [0.1], "eps_grid": [0.1, 0.01],
+              "test_function": {"kind": "gaussian", "sigma": 3.0}, "mode": "scatter"}
+    cfg = _write_config(tmp_path, shared)
+    assert _run([command, "--config", cfg, "--out", tmp_path / "o"]) == 0
+
+
+def test_readme_config_schema_names_every_declared_key():
+    # the key table of README.md's "Config schema" section, and the top-level
+    # keys of its example, against the keys the CLI declares
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config schema\n", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"```.*?```", "", section, flags=re.DOTALL)
+    assert set(cli._KEYS) <= set(re.findall(r"`([^`\n]+)`", prose))
+    table = set(re.findall(r"^\| `(\w+)` ", section, re.MULTILINE))
+    example = set(re.findall(r'^  "(\w+)":', section.split("```")[1], re.MULTILINE))
+    assert table == set(cli._KEYS)
+    assert example and example <= set(cli._KEYS)
 
 
 @pytest.mark.parametrize(
