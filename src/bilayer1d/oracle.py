@@ -1,32 +1,22 @@
-"""Slow, independent integrators that cross-check the closed forms.
+"""Slow, independent checks of the closed forms.
 
-Everything here walks the stationary wave equation numerically, by the
-method that oracle_entries and scatter_grid take:
-"rk4" (the default) steps the fundamental matrix by RK4 at a step that
-resolves the narrowest piece, "exact" multiplies per-piece propagators
-built from complex square roots and hyperbolic functions.  Neither path
-shares code with the branch-free kernels used by the fast routines, so
-a bug cannot cancel between the two.  The bound levels come from a
-level count in mpmath, bisected to the float spacing; mpmath is imported
-only when it runs, so importing the library does not load it, and the
-oracle needs no scipy.
+oracle_entries and scatter_grid step the wave equation by RK4 in floats.
+The rest runs in mpmath through one exact slab propagator and one product
+step: exact_amplitudes, level_count (a Sturm count, which integrate_bound
+bisects to the float spacing) and squeezed_matrix.  None of it shares code
+with the branch-free kernels of the fast routines, so a bug cannot cancel
+between the two.  mpmath is imported only when it runs, so importing the
+library does not load it, and the oracle needs no scipy.
 """
 
 import math
 
 import numpy as np
-from numpy.lib import scimath
 
 
 def _pieces(spec):
-    out = []
-    if spec.l1 > 0.0:
-        out.append((spec.l1, spec.v1))
-    if spec.r > 0.0:
-        out.append((spec.r, 0.0))
-    if spec.l2 > 0.0:
-        out.append((spec.l2, spec.v2))
-    return out
+    """(length, v) of each piece of nonzero width, left to right."""
+    return [p for p in ((spec.l1, spec.v1), (spec.r, 0.0), (spec.l2, spec.v2)) if p[0] > 0.0]
 
 
 def _auto_step(pieces, k2):
@@ -38,10 +28,7 @@ def _auto_step(pieces, k2):
 
 
 def _rk4_matrix(spec, k2, step):
-    n = k2.shape[0]
-    m = np.zeros((2, 2, n))
-    m[0, 0] = 1.0
-    m[1, 1] = 1.0
+    m = np.repeat(np.eye(2)[:, :, None], k2.shape[0], axis=2)
     for length, v in _pieces(spec):
         q = v - k2
         steps = max(1, int(math.ceil(length / step)))
@@ -59,72 +46,105 @@ def _rk4_matrix(spec, k2, step):
     return m
 
 
-def _exact_matrix(spec, k2):
-    n = k2.shape[0]
-    m = np.zeros((2, 2, n), dtype=complex)
-    m[0, 0] = 1.0
-    m[1, 1] = 1.0
-    for length, v in _pieces(spec):
-        q = v - k2
-        kloc = scimath.sqrt(q.astype(complex))
-        z = kloc * length
-        # sinh(z)/kloc tends to length as kloc -> 0; kloc*sinh(z) is exact there
-        zero = kloc == 0.0
-        sh = np.sinh(z)
-        p11 = np.cosh(z)
-        p12 = np.where(zero, length, sh / np.where(zero, 1.0, kloc))
-        p21 = kloc * sh
-        m = np.stack(
-            [
-                np.stack([p11 * m[0, 0] + p12 * m[1, 0], p11 * m[0, 1] + p12 * m[1, 1]]),
-                np.stack([p21 * m[0, 0] + p11 * m[1, 0], p21 * m[0, 1] + p11 * m[1, 1]]),
-            ]
-        )
-    return m
+def oracle_entries(spec, k2):
+    """Fundamental-matrix entries across the structure, by RK4 stepping.
 
-
-def oracle_entries(spec, k2, method="rk4"):
-    """Fundamental-matrix entries across the structure, by integration.
-
-    k2 may be any real array (negative values reach the bound sector),
-    method "rk4" or "exact".  Returns four real arrays (l11, l12, l21, l22).
+    k2 may be any real array (negative values reach the bound sector).
+    Returns four real arrays (l11, l12, l21, l22).
     """
     k2 = np.atleast_1d(np.asarray(k2, dtype=float))
     pieces = _pieces(spec)
     if not pieces:
-        one = np.ones_like(k2)
-        zero = np.zeros_like(k2)
-        return one, zero, zero, one.copy()
-    if method == "rk4":
-        m = _rk4_matrix(spec, k2, _auto_step(pieces, k2))
-        return m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    if method == "exact":
-        m = _exact_matrix(spec, k2)
-        scale = np.max(np.abs(m))
-        drift = np.max(np.abs(m.imag))
-        if drift > 1e-9 * max(1.0, scale):
-            raise ArithmeticError(
-                f"propagator entries drifted off the real axis by {drift:g}"
-            )
-        mr = m.real
-        return mr[0, 0], mr[0, 1], mr[1, 0], mr[1, 1]
-    raise ValueError(f"unknown oracle method {method!r}")
+        return np.ones_like(k2), np.zeros_like(k2), np.zeros_like(k2), np.ones_like(k2)
+    m = _rk4_matrix(spec, k2, _auto_step(pieces, k2))
+    return m[0, 0], m[0, 1], m[1, 0], m[1, 1]
 
 
-def _amplitudes(l11, l12, l21, l22, k, extent):
-    d = (l11 + l22) - 1j * (k * l12 - l21 / k)
-    a = 0.5 * d * np.exp(1j * k * extent)
-    b = 0.5 * ((l11 - l22) - 1j * (k * l12 + l21 / k)) * np.exp(-1j * k * extent)
-    return a, b
-
-
-def scatter_grid(spec, ks, method="rk4"):
-    """Amplitude pair (a, b) on a real-k grid, by numerical integration."""
+def _wavenumbers(ks):
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
-    if np.any(ks <= 0.0):
+    if not np.all(np.isfinite(ks) & (ks > 0.0)):
         raise ValueError("scattering oracle needs k > 0")
-    l11, l12, l21, l22 = oracle_entries(spec, ks * ks, method)
-    return _amplitudes(l11, l12, l21, l22, ks, spec.extent)
+    return ks
+
+
+def _combinations(l11, l12, l21, l22, k):
+    """2a and 2b from the entries, without their phases exp(+-i k extent)."""
+    return (l11 + l22) - 1j * (k * l12 - l21 / k), (l11 - l22) - 1j * (k * l12 + l21 / k)
+
+
+def scatter_grid(spec, ks):
+    """Amplitude pair (a, b) on a real-k grid, by RK4 integration."""
+    ks = _wavenumbers(ks)
+    d, e = _combinations(*oracle_entries(spec, ks * ks), ks)
+    return 0.5 * d * np.exp(1j * ks * spec.extent), 0.5 * e * np.exp(-1j * ks * spec.extent)
+
+
+def _slab(length, q):
+    """(c, s) of the exact slab propagator [[c, s], [q s, c]] of psi'' = q psi."""
+    import mpmath as mp
+
+    if q > 0:
+        w = mp.sqrt(q)
+        return mp.cosh(w * length), mp.sinh(w * length) / w
+    if q < 0:
+        w = mp.sqrt(-q)
+        return mp.cos(w * length), mp.sin(w * length) / w
+    return mp.mpf(1), length
+
+
+def _step(c, s, q, psi, dpsi):
+    """The slab [[c, s], [q s, c]] applied to the column (psi, psi')."""
+    return c * psi + s * dpsi, q * s * psi + c * dpsi
+
+
+def _product(pieces, k2):
+    """Columns ((l11, l21), (l12, l22)) of the propagator across the pieces
+    (length, v) at k2 in the working mpmath precision, and the same product
+    of the entries' magnitudes, which bounds every term they sum."""
+    import mpmath as mp
+
+    cols = mags = [(mp.mpf(1), mp.mpf(0)), (mp.mpf(0), mp.mpf(1))]
+    for length, v in pieces:
+        q = mp.mpf(v) - k2
+        c, s = _slab(mp.mpf(length), q)
+        cols = [_step(c, s, q, *col) for col in cols]
+        mags = [_step(abs(c), abs(s), abs(q), *col) for col in mags]
+    return cols, mags
+
+
+def exact_amplitudes(spec, ks):
+    """a and b on a real-k grid in mpmath, as arrays (log|a|, arg a, b/a).
+
+    These stay finite where a overflows a float.  Each k is first taken at
+    30 digits.  Where the terms that 2a sums, bounded by the product of
+    the entries' magnitudes, cancel to 10**-L of their size, it is taken
+    again at 30 + L digits, so that a and b/a keep about 30 digits.
+    """
+    import mpmath as mp
+
+    pieces, points = _pieces(spec), []
+    for k in _wavenumbers(ks):
+        dps, lost = 0, 0
+        while dps < 30 + lost:
+            dps = 30 + lost
+            with mp.workdps(dps):
+                point, lost = _amplitudes_at(pieces, k)
+        points.append(point)
+    return tuple(np.array([p[i] for p in points], dtype=t)
+                 for i, t in enumerate((float, float, complex)))
+
+
+def _amplitudes_at(pieces, k):
+    """(log|a|, arg a, b/a) at the working mpmath precision, and the number
+    of digits L lost where the terms of 2a cancel to 10**-L of their size."""
+    import mpmath as mp
+
+    k = mp.mpf(k)
+    cols, ((m11, m21), (m12, m22)) = _product(pieces, k * k)
+    d, e = _combinations(cols[0][0], cols[1][0], cols[0][1], cols[1][1], k)
+    phase = mp.expj(k * mp.fsum(length for length, _ in pieces))
+    lost = int(mp.ceil(mp.log10((m11 + m22 + k * m12 + m21 / k) / abs(d))))
+    return (float(mp.log(abs(d) / 2)), float(mp.arg(d * phase)), complex(e / (d * phase**2))), lost
 
 
 def integrate_bound(spec):
@@ -161,38 +181,29 @@ def level_count(spec, kappa):
 
     By Sturm's oscillation theorem this is the number of zeros of the
     solution that decays on the left, e^{kappa x} for x < 0.  It is
-    followed in 40-digit arithmetic through each piece with unscaled
-    trigonometric and hyperbolic propagators.  A piece where it
-    oscillates adds the zeros its Pruefer angle passes, a piece where it
-    does not adds one zero when the sign changes, and the tail to the
-    right adds one zero when its decaying part outweighs a growing part of
-    the other sign.
+    followed in 40-digit arithmetic through each piece by the exact slab
+    propagator.  A piece where it oscillates adds the zeros its Pruefer
+    angle passes, a piece where it does not adds one zero when the sign
+    changes, and the tail to the right adds one zero when its decaying
+    part outweighs a growing part of the other sign.
     """
     import mpmath as mp
 
-    if kappa < 0:
+    if not kappa >= 0:
         raise ValueError("kappa must be >= 0")
     with mp.workdps(40):
         kappa = mp.mpf(kappa)
         psi, dpsi = mp.mpf(1), kappa
         zeros = 0
         for length, v in _pieces(spec):
-            length = mp.mpf(length)
             q = mp.mpf(v) + kappa * kappa
+            new = _step(*_slab(length, q), q, psi, dpsi)
             if q < 0:
                 w = mp.sqrt(-q)
                 angle = mp.atan2(psi, dpsi / w)
                 zeros += int(mp.floor((angle + w * length) / mp.pi) - mp.floor(angle / mp.pi))
-                c, s = mp.cos(w * length), mp.sin(w * length)
-                psi, dpsi = psi * c + dpsi * s / w, dpsi * c - psi * w * s
-                continue
-            if q > 0:
-                w = mp.sqrt(q)
-                c, s = mp.cosh(w * length), mp.sinh(w * length)
-                new = psi * c + dpsi * s / w, dpsi * c + psi * w * s
             else:
-                new = psi + dpsi * length, dpsi
-            zeros += new[0] * psi < 0
+                zeros += new[0] * psi < 0
             psi, dpsi = new
         if kappa == 0:
             return zeros + int(psi * dpsi < 0)
@@ -203,31 +214,20 @@ def level_count(spec, kappa):
 def squeezed_matrix(family, j):
     """Zero-energy transfer matrix of a squeeze family at eps = 10**-j.
 
-    The product M2 G M1 of the exact slab matrices
-    [[cosh(k l), sinh(k l)/k], [k sinh(k l), cosh(k l)]], k = sqrt(v),
-    and the gap [[1, r], [0, 1]], with v, l and r realized from the
-    family's exponents in mpmath.  M21 is a difference of terms that grow
-    like eps**(1 - mu), so the working precision grows with j: 40 + 4j
-    digits.  As j grows, the result tends to the limiting connection
-    matrix [[theta, 0], [alpha, 1/theta]], or grows where there is none.
+    The product of the exact slab propagators of layer 1, the gap and
+    layer 2, with v, l and r realized from the family's exponents in
+    mpmath.  M21 is a difference of terms that grow like eps**(1 - mu),
+    so the working precision grows with j: 40 + 4j digits.  As j grows,
+    the result tends to the limiting connection matrix
+    [[theta, 0], [alpha, 1/theta]], or grows where there is none.
     Returns a real 2x2 float array.
     """
     import mpmath as mp
 
+    f = family
     with mp.workdps(40 + 4 * j):
         eps = mp.mpf(10) ** -j
-
-        def slab(h, d, p_v, p_l):
-            v = mp.mpf(h) * eps ** -mp.mpf(p_v)
-            length = mp.mpf(d) * eps ** mp.mpf(p_l)
-            kl = mp.sqrt(mp.mpc(v)) * length
-            shc = mp.sinh(kl) / kl if kl != 0 else mp.mpf(1)
-            return mp.matrix(
-                [[mp.cosh(kl), length * shc], [v * length * shc, mp.cosh(kl)]]
-            )
-
-        mu, nu = family.mu, family.nu
-        gap = mp.matrix([[1, mp.mpf(family.c) * eps ** mp.mpf(family.tau)], [0, 1]])
-        m = (slab(family.h2, family.d2, nu, 1.0 - mu + nu) * gap
-             * slab(family.h1, family.d1, mu, 1.0))
-        return np.array([[float(mp.re(m[i, k])) for k in (0, 1)] for i in (0, 1)])
+        pieces = [(f.d1 * eps, f.h1 * eps**-f.mu), (f.c * eps**f.tau, 0),
+                  (f.d2 * eps ** (1.0 - f.mu + f.nu), f.h2 * eps**-f.nu)]
+        (m11, m21), (m12, m22) = _product(pieces, 0)[0]
+        return np.array([[float(m11), float(m12)], [float(m21), float(m22)]])

@@ -1,9 +1,10 @@
 """Shared draw helpers and an independent single-well reference solver."""
 
+import mpmath as mp
 import numpy as np
 from scipy.optimize import brentq
 
-from bilayer1d import DoubleLayerSpec, SqueezeFamily, cancellation_gap, realize
+from bilayer1d import DoubleLayerSpec, SqueezeFamily, cancellation_gap, oracle, realize
 from bilayer1d.core import EV_TO_INV_NM2 as EV
 
 
@@ -171,3 +172,9 @@ def array_certificate(spec, kappas):
                            if not np.any(np.abs(kappas - k) <= 1e-8 * max(1.0, k))])
     ok = complete and bool(not residuals.size or residuals.max() < 1e-8)
     return ok, residuals, missed
+
+
+def fixed_digit_amplitudes(spec, k, dps):
+    """(log|a|, arg a, b/a) of the oracle's slab product at a fixed precision."""
+    with mp.workdps(dps):
+        return oracle._amplitudes_at(oracle._pieces(spec), k)[0]

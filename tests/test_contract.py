@@ -31,7 +31,7 @@ from bilayer1d import (
     sweep_ladder,
     verify_ladder,
 )
-from bilayer1d.oracle import integrate_bound, level_count
+from bilayer1d.oracle import exact_amplitudes, integrate_bound, level_count
 
 # |V| up to 1e4 and widths up to 14, so sqrt|V| * l reaches 1400 (about
 # 450 levels in one layer); zero widths, zero depths and a zero gap are
@@ -220,6 +220,17 @@ def test_scattering_of_opaque_barriers_is_finite(spec, ks):
         assert np.all(np.isfinite(value)), (spec, ks)
 
 
+@drawn
+@given(opaque_specs(), wavenumbers)
+def test_exact_amplitudes_of_opaque_barriers_are_finite(spec, ks):
+    # the mpmath oracle is the reference where the float amplitudes overflow
+    log_a, arg_a, ratio = exact_amplitudes(spec, np.array(ks))
+    for value in (log_a, arg_a, ratio):
+        assert np.all(np.isfinite(value)), (spec, ks)
+    # |b/a| < 1, and rounding each part of b/a to a float can add an ulp
+    assert np.all(np.abs(ratio) <= 1.0 + 2.0**-52), (spec, ks)
+
+
 # ---------------------------------------------------------------------------
 # refusals and edge values of single calls
 
@@ -266,6 +277,8 @@ REFUSALS = {
     "separated-connection-matrix": (lambda: SEPARATED.connection_matrix(),
                                     "no finite connection matrix"),
     "level-count-below-0": (lambda: level_count(WELL, -1e-3), "kappa must be >= 0"),
+    # a NaN kappa once counted 0 levels
+    "level-count-at-nan": (lambda: level_count(WELL, math.nan), "kappa must be >= 0"),
 }
 
 

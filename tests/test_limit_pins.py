@@ -11,6 +11,7 @@ with the four that were once pinned as on resonance on a faulty residual,
 are checked against oracle.squeezed_matrix.
 """
 
+import numpy as np
 import pytest
 
 from bilayer1d import (
@@ -18,10 +19,11 @@ from bilayer1d import (
     SqueezeFamily,
     gamma_strength,
     interaction_limit,
+    realize,
 )
-from bilayer1d.oracle import squeezed_matrix
+from bilayer1d.oracle import exact_amplitudes, squeezed_matrix
 
-from helpers import REGION_EXAMPLES
+from helpers import REGION_EXAMPLES, fixed_digit_amplitudes
 
 H = 1.31232  # 0.5 eV in 1/nm^2
 
@@ -203,3 +205,17 @@ def test_limit_matches_the_oracle(label, key):
     if report is not None:
         scaled = m[1, 0] * 1e-10 ** (family.mu - 1.0)
         assert scaled == pytest.approx(report.residual, rel=1e-4)
+
+
+@pytest.mark.parametrize("label", list(ON))
+def test_exact_amplitudes_keep_their_digits_on_resonance(label):
+    """On resonance the terms of a cancel like eps**(1 - mu); the precision
+    that exact_amplitudes picks still gives the 120-digit result to 1e-15."""
+    ks = np.array([0.5, 1.0, 3.0])
+    for j in range(2, 13):
+        spec = realize(_family(label, "on"), 10.0**-j)
+        for k, log_a, arg_a, ratio in zip(ks, *exact_amplitudes(spec, ks)):
+            want = fixed_digit_amplitudes(spec, k, 120)
+            assert abs(log_a - want[0]) <= 1e-15 * max(1.0, abs(want[0])), (j, k)
+            assert abs(np.angle(np.exp(1j * (arg_a - want[1])))) <= 1e-15, (j, k)
+            assert abs(ratio - want[2]) <= 1e-15, (j, k)

@@ -1,10 +1,12 @@
 """Independent direct-integration checks of the closed-form layer."""
 
 import ast
+import math
 import pathlib
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ import bilayer1d
 from bilayer1d import DoubleLayerSpec, amplitude_grid, matrix_entries, oracle
 from bilayer1d.bound import _count, _params, _phase
 from bilayer1d.oracle import (
+    exact_amplitudes,
     integrate_bound,
     level_count,
     oracle_entries,
@@ -19,7 +22,7 @@ from bilayer1d.oracle import (
 )
 from bilayer1d import build_chi_problem, find_roots, scattering_data
 
-from helpers import fault_specs, random_spec
+from helpers import fault_specs, fixed_digit_amplitudes, random_spec
 
 
 SPECS = [
@@ -30,12 +33,70 @@ SPECS = [
 ]
 
 
+def _exact_entries(spec, k2):
+    """(l11, l12, l21, l22) of the mpmath slab product at 30 digits."""
+    with mp.workdps(30):
+        ((l11, l21), (l12, l22)), _ = oracle._product(oracle._pieces(spec), mp.mpf(k2))
+        return [float(x) for x in (l11, l12, l21, l22)]
+
+
 def test_exact_stepping_reproduces_closed_form_entries():
+    # negative k2 keeps the bound sector covered
     k2 = np.linspace(-3.0, 3.0, 13)
     for spec in SPECS:
         want = np.array(matrix_entries(spec, k2))
-        got = np.array([oracle_entries(spec, float(e), method="exact") for e in k2]).T
+        got = np.array([_exact_entries(spec, float(e)) for e in k2]).T
         assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+def test_exact_amplitudes_match_both_library_routes():
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        spec = random_spec(rng, v_lo=-20.0, v_hi=20.0)
+        ks = rng.uniform(0.05, 5.0, 3)
+        log_a, arg_a, ratio = exact_amplitudes(spec, ks)
+        a = np.exp(log_a + 1j * arg_a)
+        for route in ("closed", "matrix"):
+            a_lib, b_lib = amplitude_grid(spec, ks, route)
+            assert np.all(np.abs(a_lib - a) <= 1e-12 * np.abs(a)), (spec, route)
+            assert np.all(np.abs(b_lib - ratio * a) <= 1e-12 * np.abs(a)), (spec, route)
+
+
+def test_exact_amplitudes_take_more_digits_where_a_cancels():
+    # two barriers with sqrt(V) * l = 30, at the float nearest a transmission
+    # resonance: the terms of a are ~1e16 times a, so a 30-digit product
+    # alone is off in the last bits; the added digits give the 120-digit result
+    spec = DoubleLayerSpec(100.0, 3.0, 100.0, 3.0, 1.0)
+    k = 2.612880016739022
+    got = tuple(x[0] for x in exact_amplitudes(spec, [k]))
+    want = fixed_digit_amplitudes(spec, k, 120)
+    assert got == want
+    assert fixed_digit_amplitudes(spec, k, 30) != want
+
+
+def _barrier_log_a(v, length, k):
+    """log|a| of one barrier, from |a|^2 = 1 + (rho sinh(w l))^2 with
+    rho = (w^2 + k^2) / (2 k w), written so that it does not overflow."""
+    w = math.sqrt(v - k * k)
+    rho = (w * w + k * k) / (2.0 * k * w)
+    scaled = rho * -math.expm1(-2.0 * w * length) / 2.0  # rho sinh(w l) e^{-w l}
+    return w * length + math.log(scaled) + 0.5 * math.log1p((math.exp(-w * length) / scaled) ** 2)
+
+
+@pytest.mark.parametrize("opacity", [1.0, 10.0, 100.0, 700.0, 720.0, 1400.0])
+def test_exact_amplitudes_of_a_barrier_match_the_formula(opacity):
+    # sqrt(V) * l from 1 to 1400, past the float overflow of cosh at 710
+    rng = np.random.default_rng(int(opacity))
+    for v in (3.0, 300.0, 1e4):
+        length = opacity / math.sqrt(v)
+        ks = math.sqrt(v) * rng.uniform(0.05, 0.95, 3)
+        for spec in (DoubleLayerSpec(v, length, 0.0, 0.0, 0.0),
+                     DoubleLayerSpec(0.0, 0.0, v, length, 0.0)):
+            log_a, arg_a, ratio = exact_amplitudes(spec, ks)
+            assert np.all(np.isfinite(log_a) & np.isfinite(arg_a) & np.isfinite(ratio))
+            assert np.all(np.abs(ratio) <= 1.0 + 2.0**-52)  # |b/a| < 1, up to an ulp
+            want = np.array([_barrier_log_a(v, length, k) for k in ks])
+            assert np.all(np.abs(log_a - want) <= 1e-14 * want), (v, length, ks)
 
 
 def test_rk4_stepping_converges_to_closed_form_entries():
@@ -117,18 +178,13 @@ def test_integrate_bound_needs_no_scipy():
     assert out.stdout.strip() == "6"
 
 
-def test_unknown_method_is_rejected():
-    spec = SPECS[0]
-    with pytest.raises(ValueError):
-        oracle_entries(spec, 1.0, method="euler")
-
-
 def test_scatter_requires_positive_wavenumber():
+    # a NaN k once gave NaN amplitudes, and an infinite k a ZeroDivisionError
     spec = SPECS[0]
-    with pytest.raises(ValueError):
-        scatter_grid(spec, [0.0])
-    with pytest.raises(ValueError):
-        scatter_grid(spec, np.array([0.5, -1.0]))
+    for route in (scatter_grid, exact_amplitudes):
+        for ks in ([0.0], np.array([0.5, -1.0]), [math.nan], [1.0, math.inf]):
+            with pytest.raises(ValueError, match="scattering oracle needs k > 0"):
+                route(spec, ks)
 
 
 def _kmax(spec):
@@ -214,14 +270,18 @@ def test_the_oracle_imports_nothing_from_the_package():
             assert all(a.name.split(".")[0] != "bilayer1d" for a in node.names), ast.unparse(node)
 
 
-@pytest.mark.parametrize("method", ["rk4", "exact"])
-def test_a_structure_of_zero_width_is_the_identity(method):
+@pytest.mark.parametrize("route", ["rk4", "exact"])
+def test_a_structure_of_zero_width_is_the_identity(route):
     # no piece to integrate: the identity propagator, a = 1 and b = 0
     spec = DoubleLayerSpec(0.0, 0.0, 0.0, 0.0, 0.0)
     ks = np.array([0.3, 1.0, 4.0])
     one, zero = np.ones(3), np.zeros(3)
-    for entries in (oracle_entries(spec, ks * ks, method), matrix_entries(spec, ks * ks)):
+    if route == "exact":
+        for got in exact_amplitudes(spec, ks):
+            assert np.array_equal(got, zero)
+        return
+    for entries in (oracle_entries(spec, ks * ks), matrix_entries(spec, ks * ks)):
         for got, want in zip(entries, (one, zero, zero, one)):
             assert np.array_equal(got, want)
-    for a, b in (scatter_grid(spec, ks, method), amplitude_grid(spec, ks)):
+    for a, b in (scatter_grid(spec, ks), amplitude_grid(spec, ks)):
         assert np.array_equal(a, one) and np.array_equal(b, zero)
