@@ -306,25 +306,27 @@ def _write(args, name, text):
         raise ConfigError(f"cannot write {name} into --out {args.out!r}: {exc}") from exc
 
 
-def _write_table(args, stem, header, rows, summary=None, details=None):
-    """Write a table as <stem>.csv and <stem>.gp, plus <stem>.json holding
-    the summary when there is one; under --format json, write one
-    <stem>.json of the summary, the details, the columns and the rows.
-    Cells are plain Python floats and ints, written as their repr, or
-    None for an empty cell."""
+def _write_table(args, stem, columns, summary=None, details=None):
+    """Write columns, an ordered dict from header name to a float array or a
+    list of Python floats, ints and None, as <stem>.csv and <stem>.gp, plus
+    <stem>.json holding the summary when there is one; under --format json,
+    one <stem>.json of the summary, the details, the columns and the rows.
+    A CSV cell is its value's repr, or empty for None, made column by column."""
     if args.format == "json":
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
         payload = {**(summary or {}), **(details or {})}
-        payload.update(columns=list(header), rows=[list(r) for r in rows])
+        payload.update(columns=list(columns), rows=[list(r) for r in zip(*cells)])
         _write(args, f"{stem}.json", _json_text(payload))
         print(f"wrote {stem}.json")
         return
-    lines = [",".join(header)]
-    lines.extend(",".join(["" if c is None else repr(c) for c in row]) for row in rows)
+    texts = [list(map(repr, c.tolist())) if isinstance(c, np.ndarray)
+             else ["" if v is None else repr(v) for v in c] for c in columns.values()]
+    lines = [",".join(columns), *map(",".join, zip(*texts))]
     _write(args, f"{stem}.csv", "\n".join(lines) + "\n")
     _write(args, f"{stem}.gp", _GNUPLOT_HEAD + _GNUPLOT[stem])
     if summary is not None:
         _write(args, f"{stem}.json", _json_text(summary))
-    print(f"wrote {stem}.csv ({len(rows)} rows)")
+    print(f"wrote {stem}.csv ({len(lines) - 1} rows)")
 
 
 _GNUPLOT_HEAD = """set datafile separator ','
@@ -359,10 +361,10 @@ plot 'deltaprime.csv' using 1:(abs($4)) with linespoints
 # ---------------------------------------------------------------------------
 
 
-def _refuse_overflow(table, grid, name):
-    """OverflowError at the first grid value whose column of table (one row
-    per output quantity) is not finite, raised before anything is written."""
-    finite = np.isfinite(table).all(axis=0)
+def _refuse_overflow(columns, grid, name):
+    """OverflowError at the first grid value where a column (one per output
+    quantity) is not finite, raised before anything is written."""
+    finite = np.isfinite(columns).all(axis=0)
     if not finite.all():
         value = float(grid[np.argmin(finite)])
         raise OverflowError(f"this structure overflows at {name}={value!r}")
@@ -384,9 +386,8 @@ def _cmd_scatter(args, cfg):
         # relative to |a|^2, so an opaque row shows its rounding as such
         "unitarity_defect": np.abs(a2 - np.abs(b) ** 2 - 1.0) / a2,
     }
-    table = np.array(list(columns.values()))
-    _refuse_overflow(table, ks, "k")
-    _write_table(args, "scatter", tuple(columns), table.T.tolist())
+    _refuse_overflow(list(columns.values()), ks, "k")
+    _write_table(args, "scatter", columns)
 
 
 def _cmd_boundstates(args, cfg):
@@ -409,13 +410,12 @@ def _cmd_boundstates(args, cfg):
             "verified": bool(report),
             "max_residual": max((abs(r) for r in report.residuals), default=0.0),
         }
-    rows = [
-        (float(eps), index, float(kappa))
-        for eps, ladder in ladders
-        for index, kappa in enumerate(ladder.kappas, start=1)
-    ]
-    header = ("eps", "level_index", "kappa")
-    _write_table(args, "boundstates", header, rows, summary)
+    columns = {"eps": [], "level_index": [], "kappa": []}
+    for eps, ladder in ladders:
+        columns["eps"] += [float(eps)] * ladder.n
+        columns["level_index"] += range(1, ladder.n + 1)
+        columns["kappa"] += ladder.kappas.tolist()
+    _write_table(args, "boundstates", columns, summary)
 
 
 def _cmd_resonance(args, cfg):
@@ -428,7 +428,7 @@ def _cmd_resonance(args, cfg):
             a2 = a ** 2
         except OverflowError:  # a square beyond the float range, refused next
             a2 = math.inf
-        _refuse_overflow(np.array([[a2]]), [eps], "eps")
+        _refuse_overflow([[a2]], [eps], "eps")
         samples.append({"eps": eps, "k": k_probe, "transmission": 1.0 / a2,
                         "limit_transmission": report.interaction.transmission(k_probe)})
     names = ("region", "way", "verdict", "residual", "spread", "theta", "alpha", "kappa_limit")
@@ -455,28 +455,25 @@ def _cmd_wavefunction(args, cfg):
     wave = scattering_wavefunction(spec, k)
     pad = 0.25 * spec.extent if spec.extent > 0 else 1.0
     xs = cfg["x_grid"] if "x_grid" in cfg else np.linspace(-pad, spec.extent + pad, 400)
-    rows = [(x, v.real, v.imag, abs(v)) for x, v in zip(xs.tolist(), wave(xs).tolist())]
-    _refuse_overflow(np.array(rows).T, xs, "x")
-    header = ("x", "re_psi", "im_psi", "abs_psi")
+    psi = wave(xs)
+    # Python's abs of each value: np.abs differs from it in the last bit
+    columns = {"x": xs, "re_psi": psi.real, "im_psi": psi.imag,
+               "abs_psi": list(map(abs, psi.tolist()))}
+    _refuse_overflow(list(columns.values()), xs, "x")
     details = {"mode": mode, "continuity_defect": wave.continuity_defect()}
-    _write_table(args, "wavefunction", header, rows, details=details)
+    _write_table(args, "wavefunction", columns, details=details)
 
 
 def _cmd_deltaprime(args, cfg):
     family, probe = cfg["family"], cfg["test_function"]
-    results = [
-        delta_prime_pairing(family, float(eps), probe) for eps in cfg["eps_grid"]
-    ]
+    results = [delta_prime_pairing(family, float(eps), probe) for eps in cfg["eps_grid"]]
     companion = results[0].companion
-    rows, prev = [], None
-    for res in results:
-        gap = res.value if companion is None else res.value - companion
-        slope = None
-        # no slope across a zero gap or a repeated eps
-        if prev is not None and gap != 0.0 and prev[1] != 0.0 and res.eps != prev[0]:
-            slope = math.log(abs(gap) / abs(prev[1])) / math.log(res.eps / prev[0])
-        rows.append((res.eps, res.value, companion, gap, slope))
-        prev = (res.eps, gap)
+    eps, pairing = [res.eps for res in results], [res.value for res in results]
+    gap = pairing if companion is None else [value - companion for value in pairing]
+    # no slope across a zero gap or a repeated eps
+    slope = [None] + [math.log(abs(g) / abs(g0)) / math.log(e / e0)
+                      if g != 0.0 and g0 != 0.0 and e != e0 else None
+                      for e0, e, g0, g in zip(eps, eps[1:], gap, gap[1:])]
     summary = {
         "region": classify_first_angle(family.mu, family.nu, family.tau),
         "gamma": results[0].gamma,
@@ -484,8 +481,9 @@ def _cmd_deltaprime(args, cfg):
         "divergence_power": results[0].divergence_power,
         "note": results[0].note,
     }
-    header = ("eps", "pairing", "companion", "gap", "slope")
-    _write_table(args, "deltaprime", header, rows, summary)
+    columns = {"eps": eps, "pairing": pairing, "companion": [companion] * len(eps),
+               "gap": gap, "slope": slope}
+    _write_table(args, "deltaprime", columns, summary)
 
 
 # ---------------------------------------------------------------------------

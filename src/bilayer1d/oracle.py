@@ -49,12 +49,14 @@ def _rk4_matrix(spec, k2, step):
 def oracle_entries(spec, k2):
     """Fundamental-matrix entries across the structure, by RK4 stepping.
 
-    k2 may be any real array (negative values reach the bound sector).
+    k2 may be any finite real array (negative values reach the bound sector).
     Returns four real arrays (l11, l12, l21, l22).
     """
     k2 = np.atleast_1d(np.asarray(k2, dtype=float))
+    if not np.all(np.isfinite(k2)):
+        raise ValueError("RK4 oracle needs finite k2")
     pieces = _pieces(spec)
-    if not pieces:
+    if not pieces or not k2.size:
         return np.ones_like(k2), np.zeros_like(k2), np.zeros_like(k2), np.ones_like(k2)
     m = _rk4_matrix(spec, k2, _auto_step(pieces, k2))
     return m[0, 0], m[0, 1], m[1, 0], m[1, 1]

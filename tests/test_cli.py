@@ -4,9 +4,11 @@ import argparse
 import json
 import pathlib
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bilayer1d import (
     DoubleLayerSpec,
@@ -490,17 +492,63 @@ def test_cached_parser_carries_no_state_between_calls(tmp_path):
 
 def test_table_writer_bytes(tmp_path):
     args = argparse.Namespace(format="csv", out=str(tmp_path))
-    header = ("eps", "pairing", "companion", "gap", "slope")
-    rows = [
-        (-0.0, 1, 1e-300, None, 0.1 + 0.2),
-        (1.2345678901234567, -7, 12345678901234567.0, 2.5e-08, None),
-    ]
-    cli._write_table(args, "deltaprime", header, rows)
+    columns = {
+        "eps": np.array([-0.0, 1.2345678901234567]),
+        "pairing": [1, -7],
+        "companion": np.array([1e-300, 12345678901234567.0]),
+        "gap": [None, 2.5e-08],
+        "slope": [0.1 + 0.2, None],
+    }
+    cli._write_table(args, "deltaprime", columns)
     assert (tmp_path / "deltaprime.csv").read_bytes() == (
         b"eps,pairing,companion,gap,slope\n"
         b"-0.0,1,1e-300,,0.30000000000000004\n"
         b"1.2345678901234567,-7,1.2345678901234568e+16,2.5e-08,\n"
     )
+
+
+# finite doubles, with subnormals, +-0.0 and the ranges around 1e16 and
+# 1e-5 where repr switches between plain and exponent notation
+_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-307, 1e-307),
+    st.floats(1e15, 1e17) | st.floats(-1e17, -1e15),
+    st.floats(1e-6, 1e-3) | st.floats(-1e-3, -1e-6),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e-4]),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_DOUBLES, st.none() | _DOUBLES), min_size=1, max_size=12))
+def test_table_cells_are_the_repr_of_their_values(rows):
+    # an array column and a list column with empty cells; the JSON rows
+    # hold the same values
+    arrays, lists = np.array([a for a, _ in rows]), [b for _, b in rows]
+    want = [[a, b] for a, b in rows]
+    with tempfile.TemporaryDirectory() as out:
+        for fmt in ("csv", "json"):
+            args = argparse.Namespace(format=fmt, out=out)
+            cli._write_table(args, "scatter", {"a": arrays, "b": lists})
+        lines = pathlib.Path(out, "scatter.csv").read_text().split("\n")
+        payload = json.loads(pathlib.Path(out, "scatter.json").read_text())
+    assert lines[0] == "a,b" and lines[-1] == ""
+    assert lines[1:-1] == [",".join("" if v is None else repr(v) for v in row) for row in want]
+    assert payload["columns"] == ["a", "b"]
+    assert [list(map(repr, r)) for r in payload["rows"]] == [list(map(repr, r)) for r in want]
+
+
+@pytest.mark.parametrize("extra", [{"mode": "scatter", "k": 1.3}, {"mode": "bound", "level": 1}])
+def test_abs_psi_is_pythons_abs_of_each_row(tmp_path, extra):
+    # np.abs differs from abs(complex) in the last bit on about a third of
+    # the values, and would change the file
+    spec = {"v1": -0.9, "l1": 1.4, "v2": -0.4, "l2": 0.9, "r": 0.5}
+    cfg = _write_config(tmp_path, {"units": "eV", "spec": spec, **extra})
+    assert _run(["wavefunction", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    lines = (tmp_path / "out" / "wavefunction.csv").read_text().split("\n")[1:-1]
+    assert len(lines) == 400
+    for line in lines:
+        _, re_psi, im_psi, abs_psi = line.split(",")
+        assert abs_psi == repr(abs(complex(float(re_psi), float(im_psi))))
 
 
 FAMILY_SECTION = {

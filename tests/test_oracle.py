@@ -187,6 +187,20 @@ def test_scatter_requires_positive_wavenumber():
                 route(spec, ks)
 
 
+@pytest.mark.parametrize("k2", [[math.nan], [math.inf], [1.0, -math.inf]])
+def test_rk4_entries_refuse_a_non_finite_k2(k2):
+    # NaN once gave four NaN arrays, and an infinity a ZeroDivisionError
+    with pytest.raises(ValueError, match="RK4 oracle needs finite k2"):
+        oracle_entries(SPECS[0], k2)
+
+
+def test_an_empty_grid_gives_empty_amplitudes():
+    # the RK4 route once raised NumPy's zero-size reduction error
+    a, b = scatter_grid(SPECS[0], [])
+    assert a.shape == b.shape == (0,) and a.dtype == b.dtype == complex
+    assert all(got.shape == (0,) for got in exact_amplitudes(SPECS[0], []))
+
+
 def _kmax(spec):
     return float(np.sqrt(max(-spec.v1, -spec.v2, 0.0)))
 
