@@ -6,8 +6,10 @@
 Times cli.main in process on a 1500-point scatter config, the size of the
 benchmark's cli workload, and on a boundstates sweep of 37 eps values
 (1 down to 1e-6, six a decade) of a family that keeps one level; and the
-table writer _write_table alone on a 1500 x 8 table of floats, the CSV
-body of that scatter call.  Needs pytest-benchmark; the Tier-1 suite,
+table writer _write_table alone on two 1500 x 8 tables of floats, the
+CSV body of that scatter call: one of magnitudes from 1e-20 to 1e20, most
+of whose cells repr writes, and one of magnitudes in [1e-4, 1e16), every
+cell of which orjson writes.  Needs pytest-benchmark; the Tier-1 suite,
 whose testpaths are tests/, does not collect this folder.
 """
 
@@ -45,11 +47,22 @@ def test_boundstates_sweep(benchmark, tmp_path, capsys):
     assert len({line.split(",")[0] for line in lines[1:]}) == 37
 
 
-def test_write_table(benchmark, tmp_path, capsys):
-    rng = np.random.default_rng(5)
-    columns = {f"c{i}": rng.standard_normal(ROWS) * 10.0 ** rng.integers(-20, 20, ROWS)
-               for i in range(COLUMNS)}
+def _write_table(benchmark, tmp_path, columns):
     args = argparse.Namespace(format="csv", out=str(tmp_path))
     benchmark(cli._write_table, args, "scatter", columns)
     lines = (tmp_path / "scatter.csv").read_text().splitlines()
     assert lines[1].split(",") == [repr(float(c[0])) for c in columns.values()]
+
+
+def test_write_table(benchmark, tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    columns = {f"c{i}": rng.standard_normal(ROWS) * 10.0 ** rng.integers(-20, 20, ROWS)
+               for i in range(COLUMNS)}
+    _write_table(benchmark, tmp_path, columns)
+
+
+def test_write_table_plain(benchmark, tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    columns = {f"c{i}": rng.choice([-1.0, 1.0], ROWS) * 10.0 ** rng.uniform(-4, 15.9, ROWS)
+               for i in range(COLUMNS)}
+    _write_table(benchmark, tmp_path, columns)

@@ -306,12 +306,28 @@ def _write(args, name, text):
         raise ConfigError(f"cannot write {name} into --out {args.out!r}: {exc}") from exc
 
 
+def _float_texts(col):
+    """repr of each value of the float array col.  orjson prints a double's
+    shortest round-trip digits, as repr does, and in repr's plain layout for
+    zero and for magnitudes in [1e-4, 1e16); repr writes every other value,
+    where it switches to exponent notation or is not finite."""
+    import orjson
+
+    values = col.tolist()
+    texts = orjson.dumps(values)[1:-1].decode().split(",") if values else []
+    mag = np.abs(col)
+    for i in np.flatnonzero((col != 0.0) & ~((mag >= 1e-4) & (mag < 1e16))).tolist():
+        texts[i] = repr(values[i])
+    return texts
+
+
 def _write_table(args, stem, columns, summary=None, details=None):
     """Write columns, an ordered dict from header name to a float array or a
     list of Python floats, ints and None, as <stem>.csv and <stem>.gp, plus
     <stem>.json holding the summary when there is one; under --format json,
     one <stem>.json of the summary, the details, the columns and the rows.
-    A CSV cell is its value's repr, or empty for None, made column by column."""
+    A CSV cell is its value's repr, or empty for None, made column by column:
+    a float array's cells by _float_texts, a list's by repr of each value."""
     if args.format == "json":
         cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
         payload = {**(summary or {}), **(details or {})}
@@ -319,7 +335,7 @@ def _write_table(args, stem, columns, summary=None, details=None):
         _write(args, f"{stem}.json", _json_text(payload))
         print(f"wrote {stem}.json")
         return
-    texts = [list(map(repr, c.tolist())) if isinstance(c, np.ndarray)
+    texts = [_float_texts(c) if isinstance(c, np.ndarray)
              else ["" if v is None else repr(v) for v in c] for c in columns.values()]
     lines = [",".join(columns), *map(",".join, zip(*texts))]
     _write(args, f"{stem}.csv", "\n".join(lines) + "\n")
@@ -424,10 +440,7 @@ def _cmd_resonance(args, cfg):
     samples = []
     for eps in cfg["eps_samples"]:
         a = abs(scattering_data(realize(family, eps), k_probe).a)
-        try:
-            a2 = a ** 2
-        except OverflowError:  # a square beyond the float range, refused next
-            a2 = math.inf
+        a2 = a * a  # inf beyond the float range, refused next
         _refuse_overflow([[a2]], [eps], "eps")
         samples.append({"eps": eps, "k": k_probe, "transmission": 1.0 / a2,
                         "limit_transmission": report.interaction.transmission(k_probe)})

@@ -507,6 +507,20 @@ def test_table_writer_bytes(tmp_path):
     )
 
 
+def test_float_texts_are_the_repr_of_each_value():
+    # orjson writes the cells whose magnitude lies in [1e-4, 1e16), and
+    # repr the rest, where repr turns to exponent notation
+    edges = [x for edge in (1e-4, 1e16) for x in (np.nextafter(edge, 0.0), edge,
+                                                   np.nextafter(edge, np.inf))]
+    decades = [5e-324, *(10.0 ** e for e in range(-323, 309)), 1.7976931348623157e308]
+    dense = np.geomspace(1e-4, 1e16, 20_001)[:-1]
+    special = [0.0, 5e-324, 2.2250738585072009e-308, 1e-310, np.nan, np.inf, 100000000000.00002]
+    values = np.concatenate([edges, decades, dense, np.round(dense[dense >= 1.0]), special])
+    col = np.concatenate([values, -values, [-0.0]])
+    assert cli._float_texts(col) == list(map(repr, col.tolist()))
+    assert cli._float_texts(np.array([])) == []
+
+
 # finite doubles, with subnormals, +-0.0 and the ranges around 1e16 and
 # 1e-5 where repr switches between plain and exponent notation
 _DOUBLES = st.one_of(

@@ -194,6 +194,15 @@ def test_rk4_entries_refuse_a_non_finite_k2(k2):
         oracle_entries(SPECS[0], k2)
 
 
+@pytest.mark.parametrize("k", [1e6, 1e150])
+def test_rk4_refuses_a_step_count_above_its_cap(k):
+    # about 1.1e8 and 1e152 steps, which once ran without end
+    with pytest.raises(ValueError, match=r"RK4 oracle would take \S+ steps"):
+        oracle_entries(SPECS[0], [k * k])
+    with pytest.raises(ValueError, match=r"RK4 oracle would take \S+ steps"):
+        scatter_grid(SPECS[0], [0.5, k])
+
+
 def test_an_empty_grid_gives_empty_amplitudes():
     # the RK4 route once raised NumPy's zero-size reduction error
     a, b = scatter_grid(SPECS[0], [])
@@ -263,11 +272,11 @@ def test_phase_count_matches_the_mpmath_count_on_fault_inputs(name):
 
 def test_importing_the_library_loads_no_oracle_dependency():
     # scipy.optimize was imported with the oracle module, so every import
-    # of bilayer1d paid for it
+    # of bilayer1d paid for it; orjson is the CLI's, loaded by its first table
     src = str(pathlib.Path(bilayer1d.__file__).parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r}); import bilayer1d, bilayer1d.cli; "
-            "print(sorted({'scipy.optimize', 'scipy.integrate', 'scipy.interpolate', 'mpmath'}"
-            " & set(sys.modules)))")
+            "print(sorted({'scipy.optimize', 'scipy.integrate', 'scipy.interpolate', 'mpmath',"
+            " 'orjson'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
