@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -257,7 +258,8 @@ def _checked(args, cfg):
             else:  # read after "units" and "ev_to_inv_nm2", which come first
                 scale = checked["ev_to_inv_nm2"] if checked["units"] == "eV" else 1.0
                 value = row.read(key, raw, scale)
-        except (TypeError, ValueError) as exc:
+        # MemoryError: a grid too large to allocate, refused at once by NumPy
+        except (TypeError, ValueError, MemoryError) as exc:
             raise ConfigError(f"bad {key}: {exc}") from exc
         checked[key] = value if row.check is None else _check(key, value, row.check)
     return checked
@@ -306,17 +308,29 @@ def _write(args, name, text):
         raise ConfigError(f"cannot write {name} into --out {args.out!r}: {exc}") from exc
 
 
+# orjson's exponent layout made repr's: a sign on a positive exponent, and a
+# zero before a one-digit negative one, found by the delimiter that follows
+_EXPONENT_SIGN = re.compile(rb"e(?=\d)")
+_EXPONENT_PAD = re.compile(rb"e-(?=\d,)")
+
+
 def _float_texts(col):
     """repr of each value of the float array col.  orjson prints a double's
-    shortest round-trip digits, as repr does, and in repr's plain layout for
-    zero and for magnitudes in [1e-4, 1e16); repr writes every other value,
-    where it switches to exponent notation or is not finite."""
+    shortest round-trip digits, as repr does: zero and magnitudes in
+    [1e-5, 1e16) plainly, the rest in an exponent layout ("1e16", "1.5e-6")
+    that two literal substitutions make repr's ("1e+16", "1.5e-06").  repr
+    writes the cells where the layouts differ otherwise: magnitudes in
+    [1e-5, 1e-4), which it writes in exponent form and orjson plainly
+    ("1e-05", "0.00001"), and the values that are not finite ("null")."""
     import orjson
 
     values = col.tolist()
-    texts = orjson.dumps(values)[1:-1].decode().split(",") if values else []
+    text = orjson.dumps(values)[1:-1] + b","  # every cell ends in a delimiter
+    if b"e" in text:
+        text = _EXPONENT_PAD.sub(b"e-0", _EXPONENT_SIGN.sub(b"e+", text))
+    texts = text.decode().split(",")[:len(values)]  # not the empty text after the last ","
     mag = np.abs(col)
-    for i in np.flatnonzero((col != 0.0) & ~((mag >= 1e-4) & (mag < 1e16))).tolist():
+    for i in np.flatnonzero(~np.isfinite(col) | ((mag >= 1e-5) & (mag < 1e-4))).tolist():
         texts[i] = repr(values[i])
     return texts
 
@@ -471,7 +485,7 @@ def _cmd_wavefunction(args, cfg):
     psi = wave(xs)
     # Python's abs of each value: np.abs differs from it in the last bit
     columns = {"x": xs, "re_psi": psi.real, "im_psi": psi.imag,
-               "abs_psi": list(map(abs, psi.tolist()))}
+               "abs_psi": np.array(list(map(abs, psi.tolist())))}
     _refuse_overflow(list(columns.values()), xs, "x")
     details = {"mode": mode, "continuity_defect": wave.continuity_defect()}
     _write_table(args, "wavefunction", columns, details=details)

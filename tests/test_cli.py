@@ -507,27 +507,51 @@ def test_table_writer_bytes(tmp_path):
     )
 
 
+def _neighbours(edge, n=3):
+    """edge and its n nearest doubles on each side."""
+    below, above = [edge], [edge]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
 def test_float_texts_are_the_repr_of_each_value():
-    # orjson writes the cells whose magnitude lies in [1e-4, 1e16), and
-    # repr the rest, where repr turns to exponent notation
-    edges = [x for edge in (1e-4, 1e16) for x in (np.nextafter(edge, 0.0), edge,
-                                                   np.nextafter(edge, np.inf))]
+    # orjson writes every finite cell outside [1e-5, 1e-4): plainly on
+    # [1e-4, 1e16) and at zero, as repr does, and elsewhere in an exponent
+    # layout that two substitutions make repr's ("1e16" to "1e+16", "1.5e-6"
+    # to "1.5e-06"); repr writes [1e-5, 1e-4), where orjson stays plain, and
+    # the values that are not finite.  A newer orjson that moves its switch
+    # between plain and exponent layout fails here
+    edges = [x for edge in (1e-5, 1e-4, 1e16) for x in _neighbours(edge)]
     decades = [5e-324, *(10.0 ** e for e in range(-323, 309)), 1.7976931348623157e308]
     dense = np.geomspace(1e-4, 1e16, 20_001)[:-1]
+    rng = np.random.default_rng(30)
+    exponents = np.arange(-1074, 1024)
+    binades = np.ldexp(1.0 + rng.random(exponents.size) * (exponents >= -1022), exponents)
+    patterns = rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
     special = [0.0, 5e-324, 2.2250738585072009e-308, 1e-310, np.nan, np.inf, 100000000000.00002]
-    values = np.concatenate([edges, decades, dense, np.round(dense[dense >= 1.0]), special])
-    col = np.concatenate([values, -values, [-0.0]])
+    values = np.concatenate([edges, decades, dense, np.round(dense[dense >= 1.0]), binades,
+                             special])
+    col = np.concatenate([values, -values, [-0.0], patterns])
     assert cli._float_texts(col) == list(map(repr, col.tolist()))
     assert cli._float_texts(np.array([])) == []
+    # only exponent-form cells; a last cell with a one-digit negative exponent
+    for col in (np.array([1e16, -2.5e-7, 1e-300, 1.5e300, -5e-324, 3e-9]),
+                np.array([1.0, 1.5e-06])):
+        assert cli._float_texts(col) == list(map(repr, col.tolist()))
 
 
-# finite doubles, with subnormals, +-0.0 and the ranges around 1e16 and
-# 1e-5 where repr switches between plain and exponent notation
+# finite doubles, with subnormals, +-0.0, the ranges around 1e16, 1e-4 and
+# 1e-5 where repr or orjson switches between plain and exponent notation,
+# and ranges that orjson writes in its exponent layout
 _DOUBLES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(-1e-307, 1e-307),
     st.floats(1e15, 1e17) | st.floats(-1e17, -1e15),
     st.floats(1e-6, 1e-3) | st.floats(-1e-3, -1e-6),
+    st.floats(1e-10, 1e-6) | st.floats(-1e-6, -1e-10),
+    st.floats(1e16, 1e300) | st.floats(-1e300, -1e16),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e-4]),
 )
 
@@ -681,6 +705,25 @@ def test_malformed_config_value_is_config_error(tmp_path, command, extra):
         payload.setdefault("family", FAMILY_SECTION)
     cfg = _write_config(tmp_path, payload)
     assert _run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+# 10**14 doubles are 728 TiB, beyond the address space of a 64-bit process,
+# so NumPy refuses the allocation at once and no memory is touched
+@pytest.mark.parametrize(
+    "command, key, grid",
+    [
+        ("scatter", "k_grid", {"start": 0.1, "stop": 1.0, "count": 10**14}),
+        ("boundstates", "eps_grid", {"start": 1.0, "stop": 1e-3, "per_decade": 10**14}),
+    ],
+    ids=["k_grid", "eps_grid"],
+)
+def test_grid_too_large_to_allocate_is_config_error(tmp_path, capsys, command, key, grid):
+    # once a MemoryError traceback and exit 1
+    section = {"spec": SPEC_SECTION} if command == "scatter" else {"family": FAMILY_SECTION}
+    cfg = _write_config(tmp_path, {"units": "nm^-2", **section, key: grid})
+    assert _run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert f"config error: bad {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("field", ["l1", "l2", "r"])
