@@ -4,12 +4,15 @@
     python -m pytest benchmarks/ --benchmark-disable    # run each once, as a test
 
 Times cli.main in process on a 1500-point scatter config, the size of the
-benchmark's cli workload, and on a boundstates sweep of 37 eps values
-(1 down to 1e-6, six a decade) of a family that keeps one level.  Times
-the table writer _write_table alone on four 1500 x 8 tables of floats,
-the CSV body of that scatter call: one of magnitudes from 1e-20 to 1e20;
-one of magnitudes in [1e-4, 1e16), which orjson writes plainly; one of
-magnitudes below 1e-5 or at least 1e16, which orjson writes in its
+benchmark's cli workload, in CSV and under --format json; on boundstates
+of one structure, and on a boundstates sweep of 37 eps values (1 down to
+1e-6, six a decade) of a family that keeps one level; on resonance of
+that family with six eps samples; on wavefunction in bound mode at level
+2; and on deltaprime of the dipole family below at seven eps values with
+its tabulated probe.  Times the table writer _write_table alone on four
+1500 x 8 tables of floats, the CSV body of that scatter call: one of
+magnitudes from 1e-20 to 1e20; one of magnitudes in [1e-4, 1e16), which
+orjson writes plainly; one of magnitudes below 1e-5 or at least 1e16, which orjson writes in its
 exponent layout and two substitutions make repr's; and the control, one
 of magnitudes in [1e-5, 1e-4), every cell of which repr writes.  Times
 the library calls under the subcommands on the four squeeze families of
@@ -35,18 +38,31 @@ FAMILY = {"mu": 1.5, "nu": 1.0, "tau": 1.0, "h1": 2.5296155177944195, "h2": -1.3
 ROWS, COLUMNS = 1500, 8
 
 
-def _main(benchmark, tmp_path, command, cfg):
+def _main(benchmark, tmp_path, command, cfg, *flags, suffix=".csv"):
+    """The text of the file command writes, one line a list entry."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"units": "nm^-2", **cfg}), encoding="utf-8")
-    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), *flags]
     assert benchmark(cli.main, argv) == 0
-    return (tmp_path / "out" / f"{command}.csv").read_text().splitlines()
+    return (tmp_path / "out" / f"{command}{suffix}").read_text().splitlines()
 
 
 def test_scatter(benchmark, tmp_path, capsys):
     grid = {"start": 0.05, "stop": 6.0, "count": ROWS}
     lines = _main(benchmark, tmp_path, "scatter", {"spec": SPEC, "k_grid": grid})
     assert len(lines) == ROWS + 1 and len(lines[-1].split(",")) == COLUMNS
+
+
+def test_scatter_json(benchmark, tmp_path, capsys):
+    grid = {"start": 0.05, "stop": 6.0, "count": ROWS}
+    lines = _main(benchmark, tmp_path, "scatter", {"spec": SPEC, "k_grid": grid},
+                  "--format", "json", suffix=".json")
+    assert len(json.loads("\n".join(lines))["rows"]) == ROWS
+
+
+def test_boundstates_single(benchmark, tmp_path, capsys):
+    lines = _main(benchmark, tmp_path, "boundstates", {"spec": SPEC})
+    assert len(lines) == 2  # the header and the one level of the -6 well
 
 
 def test_boundstates_sweep(benchmark, tmp_path, capsys):
@@ -110,7 +126,8 @@ FAMILIES = {
     "balanced-thin": (1.5, 1.5, 1.0, 0.5 * EV, -0.5 * EV, 12.0, 12.0, 20.0),
     "unbalanced-thin": (1.5, 1.5, 1.0, 0.5 * EV, -0.5 * EV, 8.0, 12.0, 20.0),
 }
-DIPOLE = SqueezeFamily(1.5, 1.0, 1.0, 0.5 * EV, -0.5 * EV, 12.0, 12.0, 20.0)
+DIPOLE_FAMILY = (1.5, 1.0, 1.0, 0.5 * EV, -0.5 * EV, 12.0, 12.0, 20.0)
+DIPOLE = SqueezeFamily(*DIPOLE_FAMILY)
 PAIRING_EPS = [10 ** (-0.5 * i) for i in range(2, 9)]
 _XS = np.linspace(-6.0, 6.0, 61)
 _YS = (_XS + 2.0) * np.exp(-(((_XS - 0.8423292192132454) / 3.0) ** 2))
@@ -120,6 +137,28 @@ PROBES = {
     "gaussian": probes.gaussian(sigma=3.0, center=-3.0),
     "tabulated": probes.tabulated(_XS, _YS),
 }
+
+
+def test_resonance(benchmark, tmp_path, capsys):
+    cfg = {"family": FAMILY, "eps_samples": [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6], "k": 1.3}
+    report = json.loads("\n".join(_main(benchmark, tmp_path, "resonance", cfg,
+                                         suffix=".json")))
+    assert report["verdict"] == "Y" and len(report["samples"]) == 6
+
+
+def test_wavefunction_bound(benchmark, tmp_path, capsys):
+    # sqrt(20) * 1.8 > 3 pi / 2: a second level beside the barrier
+    spec = {"v1": -20.0, "l1": 1.8, "v2": 4.0, "l2": 0.5, "r": 0.3}
+    lines = _main(benchmark, tmp_path, "wavefunction", {"spec": spec, "mode": "bound", "level": 2})
+    assert len(lines) == 401
+
+
+def test_deltaprime_tabulated(benchmark, tmp_path, capsys):
+    probe = {"kind": "tabulated", "xs": _XS.tolist(), "ys": _YS.tolist()}
+    family = dict(zip(("mu", "nu", "tau", "h1", "h2", "d1", "d2", "c"), DIPOLE_FAMILY))
+    cfg = {"family": family, "eps_grid": PAIRING_EPS, "test_function": probe}
+    lines = _main(benchmark, tmp_path, "deltaprime", cfg)
+    assert len(lines) == len(PAIRING_EPS) + 1
 
 
 @pytest.mark.parametrize("name", FAMILIES)

@@ -50,6 +50,10 @@ from .kernels import tanc_sqrt
 _atan2, _copysign, _cos, _exp = math.atan2, math.copysign, math.cos, math.exp
 _floor, _sin, _sqrt, _tanh, _PI = math.floor, math.sin, math.sqrt, math.tanh, math.pi
 
+#: most levels that one ladder search may hold; a deeper or wider well,
+#: whose search takes about eight phase evaluations a level, is refused
+MAX_LEVELS = 10_000
+
 
 @dataclass(frozen=True)
 class ChiProblem:
@@ -301,10 +305,15 @@ def _levels(p, lo, hi):
     in the interval while G - j * pi rounds to the wrong sign; that end
     value is taken as zero, and Brent returns the end.  Levels closer than
     the float spacing of their decay rate are returned as equal values.
+    More than MAX_LEVELS levels in [lo, hi) raise ValueError.
     """
     levels = []
     glo, ghi = _phase(p, lo), _phase(p, hi)
-    stack = [(lo, glo, _count(lo, glo), hi, ghi, _count(hi, ghi))]
+    nlo, nhi = _count(lo, glo), _count(hi, ghi)
+    if nlo - nhi > MAX_LEVELS:
+        raise ValueError(f"the structure has {nlo - nhi} bound levels, more than "
+                         f"MAX_LEVELS = {MAX_LEVELS}")
+    stack = [(lo, glo, nlo, hi, ghi, nhi)]
     while stack:
         a, ga, na, b, gb, nb = stack.pop()
         if na - nb == 1:

@@ -277,61 +277,59 @@ def _spec_of(cfg):
 # ---------------------------------------------------------------------------
 
 
-def _json_safe(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if math.isfinite(v) else None
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    return value
+# orjson's exponent layout made repr's: a sign on a positive exponent, and a
+# zero before a one-digit negative one, found by the "," or newline after it;
+# and a number in [1e-5, 1e-4), plain in orjson, found by its leading "0.0000"
+_EXPONENT_SIGN = re.compile(rb"e(?=\d)")
+_EXPONENT_PAD = re.compile(rb"e-(?=\d[,\n])")
+_TEN_THOUSANDTHS = re.compile(rb"0\.0000(?<![\d.]0\.0000)\d+")
+
+
+def _reprs(text):
+    """orjson's text with its exponent layout made repr's."""
+    return _EXPONENT_PAD.sub(b"e-0", _EXPONENT_SIGN.sub(b"e+", text)) if b"e" in text else text
 
 
 def _json_text(payload):
+    """payload as indented JSON with sorted keys, every number as repr writes
+    it and NaN and infinities as null, as json.dumps would, from orjson."""
+    import orjson
+
     payload = {**payload, "spec_version": SPEC_VERSION}
-    return json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
+    options = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+    text = _reprs(orjson.dumps(payload, option=options))
+    return _TEN_THOUSANDTHS.sub(lambda m: repr(float(m[0])).encode(), text).decode() + "\n"
 
 
-def _write(args, name, text):
-    """Write text to the file name in the --out folder, made when missing."""
-    path = os.path.join(args.out, name)
+def _write(args, files):
+    """Write each text of files, a dict from file name to text, into the
+    --out folder, made when missing."""
     try:
         os.makedirs(args.out, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        for name, text in files.items():
+            with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {name} into --out {args.out!r}: {exc}") from exc
-
-
-# orjson's exponent layout made repr's: a sign on a positive exponent, and a
-# zero before a one-digit negative one, found by the delimiter that follows
-_EXPONENT_SIGN = re.compile(rb"e(?=\d)")
-_EXPONENT_PAD = re.compile(rb"e-(?=\d,)")
+        raise ConfigError(f"cannot write into --out {args.out!r}: {exc}") from exc
 
 
 def _float_texts(col):
     """repr of each value of the float array col.  orjson prints a double's
     shortest round-trip digits, as repr does: zero and magnitudes in
     [1e-5, 1e16) plainly, the rest in an exponent layout ("1e16", "1.5e-6")
-    that two literal substitutions make repr's ("1e+16", "1.5e-06").  repr
-    writes the cells where the layouts differ otherwise: magnitudes in
-    [1e-5, 1e-4), which it writes in exponent form and orjson plainly
-    ("1e-05", "0.00001"), and the values that are not finite ("null")."""
+    that _reprs makes repr's ("1e+16", "1.5e-06").  repr writes the cells
+    where the layouts differ otherwise: magnitudes in [1e-5, 1e-4), which it
+    writes in exponent form and orjson plainly ("1e-05", "0.00001"), and the
+    values that are not finite ("null").  orjson reads the array's buffer,
+    which must be contiguous, so a strided view such as a.real is copied."""
     import orjson
 
-    values = col.tolist()
-    text = orjson.dumps(values)[1:-1] + b","  # every cell ends in a delimiter
-    if b"e" in text:
-        text = _EXPONENT_PAD.sub(b"e-0", _EXPONENT_SIGN.sub(b"e+", text))
-    texts = text.decode().split(",")[:len(values)]  # not the empty text after the last ","
+    text = orjson.dumps(np.ascontiguousarray(col), option=orjson.OPT_SERIALIZE_NUMPY)
+    texts = _reprs(text[1:-1] + b",").decode().split(",")[:len(col)]  # every cell ends in ","
     mag = np.abs(col)
-    for i in np.flatnonzero(~np.isfinite(col) | ((mag >= 1e-5) & (mag < 1e-4))).tolist():
-        texts[i] = repr(values[i])
+    idx = np.flatnonzero(~np.isfinite(col) | ((mag >= 1e-5) & (mag < 1e-4)))
+    for i, value in zip(idx.tolist(), col[idx].tolist()):
+        texts[i] = repr(value)
     return texts
 
 
@@ -341,21 +339,30 @@ def _write_table(args, stem, columns, summary=None, details=None):
     <stem>.json holding the summary when there is one; under --format json,
     one <stem>.json of the summary, the details, the columns and the rows.
     A CSV cell is its value's repr, or empty for None, made column by column:
-    a float array's cells by _float_texts, a list's by repr of each value."""
+    a float array's cells by _float_texts, a list's by repr of each value.
+    A row with a cell that is not finite raises OverflowError, naming the
+    first column's value there, before anything is written."""
+    finite = np.logical_and.reduce([np.isfinite(c) if isinstance(c, np.ndarray) else
+                                    [v is None or math.isfinite(v) for v in c]
+                                    for c in columns.values()])
+    if not finite.all():
+        name, first = next(iter(columns.items()))
+        raise OverflowError(f"this structure overflows at {name}={float(first[finite.argmin()])!r}")
     if args.format == "json":
         cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
         payload = {**(summary or {}), **(details or {})}
         payload.update(columns=list(columns), rows=[list(r) for r in zip(*cells)])
-        _write(args, f"{stem}.json", _json_text(payload))
+        _write(args, {f"{stem}.json": _json_text(payload)})
         print(f"wrote {stem}.json")
         return
     texts = [_float_texts(c) if isinstance(c, np.ndarray)
              else ["" if v is None else repr(v) for v in c] for c in columns.values()]
     lines = [",".join(columns), *map(",".join, zip(*texts))]
-    _write(args, f"{stem}.csv", "\n".join(lines) + "\n")
-    _write(args, f"{stem}.gp", _GNUPLOT_HEAD + _GNUPLOT[stem])
+    files = {f"{stem}.csv": "\n".join(lines) + "\n",
+             f"{stem}.gp": _GNUPLOT_HEAD + _GNUPLOT[stem]}
     if summary is not None:
-        _write(args, f"{stem}.json", _json_text(summary))
+        files[f"{stem}.json"] = _json_text(summary)
+    _write(args, files)
     print(f"wrote {stem}.csv ({len(lines) - 1} rows)")
 
 
@@ -391,15 +398,6 @@ plot 'deltaprime.csv' using 1:(abs($4)) with linespoints
 # ---------------------------------------------------------------------------
 
 
-def _refuse_overflow(columns, grid, name):
-    """OverflowError at the first grid value where a column (one per output
-    quantity) is not finite, raised before anything is written."""
-    finite = np.isfinite(columns).all(axis=0)
-    if not finite.all():
-        value = float(grid[np.argmin(finite)])
-        raise OverflowError(f"this structure overflows at {name}={value!r}")
-
-
 def _cmd_scatter(args, cfg):
     spec = _spec_of(cfg)
     ks = np.sqrt(cfg["k2_grid"]) if "k2_grid" in cfg else cfg["k_grid"]
@@ -416,7 +414,6 @@ def _cmd_scatter(args, cfg):
         # relative to |a|^2, so an opaque row shows its rounding as such
         "unitarity_defect": np.abs(a2 - np.abs(b) ** 2 - 1.0) / a2,
     }
-    _refuse_overflow(list(columns.values()), ks, "k")
     _write_table(args, "scatter", columns)
 
 
@@ -454,13 +451,14 @@ def _cmd_resonance(args, cfg):
     samples = []
     for eps in cfg["eps_samples"]:
         a = abs(scattering_data(realize(family, eps), k_probe).a)
-        a2 = a * a  # inf beyond the float range, refused next
-        _refuse_overflow([[a2]], [eps], "eps")
+        a2 = a * a  # inf beyond the float range
+        if not math.isfinite(a2):
+            raise OverflowError(f"this structure overflows at eps={eps!r}")
         samples.append({"eps": eps, "k": k_probe, "transmission": 1.0 / a2,
                         "limit_transmission": report.interaction.transmission(k_probe)})
     names = ("region", "way", "verdict", "residual", "spread", "theta", "alpha", "kappa_limit")
     payload = {name: getattr(report, name) for name in names}
-    _write(args, "resonance.json", _json_text({**payload, "samples": samples}))
+    _write(args, {"resonance.json": _json_text({**payload, "samples": samples})})
     print(f"wrote resonance.json (verdict {report.verdict})")
 
 
@@ -486,7 +484,6 @@ def _cmd_wavefunction(args, cfg):
     # Python's abs of each value: np.abs differs from it in the last bit
     columns = {"x": xs, "re_psi": psi.real, "im_psi": psi.imag,
                "abs_psi": np.array(list(map(abs, psi.tolist())))}
-    _refuse_overflow(list(columns.values()), xs, "x")
     details = {"mode": mode, "continuity_defect": wave.continuity_defect()}
     _write_table(args, "wavefunction", columns, details=details)
 

@@ -1,6 +1,7 @@
 """Bound-state ladders via the compact transcendental root problem."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -639,3 +640,35 @@ def test_certificate_matches_its_array_form(spec):
         assert report.ok == ok
         np.testing.assert_array_equal(report.missed, missed)
         np.testing.assert_allclose(report.residuals, residuals, rtol=0.0, atol=1e-14)
+
+
+# the realized ladder of this family at eps = 1e-6 holds 3 924 763 levels;
+# find_roots once took about 34 s on it
+MANY_LEVELS = SqueezeFamily(2.941, 3.587, 2.0, -5.235 * EV, 1e-8 * EV, 5000.0, 0.030, 1.044)
+
+
+@pytest.mark.parametrize("search", ["find_roots", "verify_ladder"])
+def test_a_ladder_above_max_levels_is_refused_at_once(search):
+    # from the counts at the window's ends: find_roots' window, and the
+    # missed-level search of verify_ladder on a ladder that is incomplete
+    spec = realize(MANY_LEVELS, 1e-6)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"3924763 bound levels, more than MAX_LEVELS = "
+                                         f"{bound.MAX_LEVELS}"):
+        if search == "find_roots":
+            find_roots(build_chi_problem(spec))
+        else:
+            ladder = find_roots(build_chi_problem(DoubleLayerSpec(-2.0, 1.0, 0.0, 0.0, 0.0)))
+            verify_ladder(spec, ladder)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_max_levels_caps_the_count_of_the_window(monkeypatch):
+    # a single well with sqrt(40) * 2 / pi = 4.03 holds five levels, which
+    # pass a cap of five and not one of four
+    spec = DoubleLayerSpec(-40.0, 2.0, 0.0, 0.0, 0.0)
+    monkeypatch.setattr(bound, "MAX_LEVELS", 5)
+    assert find_roots(build_chi_problem(spec)).n == 5
+    monkeypatch.setattr(bound, "MAX_LEVELS", 4)
+    with pytest.raises(ValueError, match="5 bound levels, more than MAX_LEVELS = 4"):
+        find_roots(build_chi_problem(spec))

@@ -2,9 +2,11 @@
 
 import argparse
 import json
+import math
 import pathlib
 import re
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from bilayer1d import (
     DoubleLayerSpec,
     SqueezeFamily,
+    bound,
     build_chi_problem,
     cli,
     delta_prime_pairing,
@@ -540,6 +543,13 @@ def test_float_texts_are_the_repr_of_each_value():
     for col in (np.array([1e16, -2.5e-7, 1e-300, 1.5e300, -5e-324, 3e-9]),
                 np.array([1.0, 1.5e-06])):
         assert cli._float_texts(col) == list(map(repr, col.tolist()))
+    # strided views, which orjson reads only once copied: the real and
+    # imaginary parts of a complex array, as scatter and wavefunction pass
+    z = values.astype(complex)
+    z.imag = -values[::-1]
+    for part in (z.real, z.imag, patterns[::3]):
+        assert not part.flags.c_contiguous
+        assert cli._float_texts(part) == list(map(repr, part.tolist()))
 
 
 # finite doubles, with subnormals, +-0.0, the ranges around 1e16, 1e-4 and
@@ -573,6 +583,71 @@ def test_table_cells_are_the_repr_of_their_values(rows):
     assert lines[1:-1] == [",".join("" if v is None else repr(v) for v in row) for row in want]
     assert payload["columns"] == ["a", "b"]
     assert [list(map(repr, r)) for r in payload["rows"]] == [list(map(repr, r)) for r in want]
+
+
+def _json_safe(value):
+    """The JSON form of value that json.dumps wrote before orjson did: NaN and
+    infinities as None, NumPy scalars and arrays as Python values."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (np.floating, float)):
+        v = float(value)
+        return v if math.isfinite(v) else None
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    return value
+
+
+# printable ASCII without digits.  Every string the CLI writes is a library
+# constant (a region, verdict, scenario or mode) or a note that formats a
+# number with {:g}, such as "eps**(1e-05)": {:g} writes [1e-5, 1e-4) in
+# exponent form and pads a one-digit exponent, so no text of the CLI holds
+# a "0.0000", an "e" before a digit or an "e-" before one digit and a
+# delimiter, which are what the three substitutions of _json_text look for
+_NO_DIGITS = "".join(c for c in map(chr, range(32, 127)) if not c.isdigit())
+# and plain numbers whose digits hold a "0.0000" that is not a number's start
+_FLOATS = _DOUBLES | st.sampled_from([math.nan, math.inf, -math.inf, 10.00001, -100.0000234])
+_LEAVES = st.one_of(
+    _FLOATS, _FLOATS.map(np.float64),
+    st.integers(-2**63, 2**63 - 1), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(), st.booleans().map(np.bool_), st.none(), st.text(_NO_DIGITS, max_size=12),
+    st.lists(_FLOATS, max_size=6).map(lambda v: np.array(v, dtype=float)),
+)
+_PAYLOADS = st.dictionaries(st.text(_NO_DIGITS, max_size=8), st.recursive(
+    _LEAVES, lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                            | st.dictionaries(st.text(_NO_DIGITS, max_size=8), inner, max_size=4)),
+    max_leaves=16), max_size=6)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_PAYLOADS)
+def test_json_documents_are_json_dumps_of_their_payload(payload):
+    # orjson writes the summaries and --format json documents; the bytes are
+    # those of json.dumps of the payload made JSON-safe, as the CLI wrote
+    # them before: repr of each number, NaN and infinities as null
+    want = json.dumps(_json_safe({**payload, "spec_version": cli.SPEC_VERSION}),
+                      indent=2, sort_keys=True) + "\n"
+    assert cli._json_text(payload) == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad, row", [(math.nan, 2), (-math.inf, 1)])
+def test_table_with_a_cell_that_is_not_finite_writes_nothing(tmp_path, fmt, bad, row):
+    # an array cell or a list cell; None, an empty cell, is not refused
+    args = argparse.Namespace(format=fmt, out=str(tmp_path / "out"))
+    columns = {"eps": [1.0, 0.1, 0.01], "pairing": np.array([1.0, 2.0, 3.0]),
+               "companion": [None] * 3, "gap": [1.0, 2.0, 3.0], "slope": [None, 0.5, 0.5]}
+    if row == 2:
+        columns["pairing"][row] = bad
+    else:
+        columns["slope"][row] = bad
+    with pytest.raises(OverflowError, match=re.escape(f"overflows at eps={columns['eps'][row]!r}")):
+        cli._write_table(args, "deltaprime", columns, {"note": ""})
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("extra", [{"mode": "scatter", "k": 1.3}, {"mode": "bound", "level": 1}])
@@ -1127,3 +1202,39 @@ def test_deltaprime_leaves_the_slope_at_a_repeated_eps_empty(tmp_path):
     assert rows[0][:4] == rows[1][:4]
     assert [row[4] for row in rows[:2]] == ["", ""]
     assert float(rows[2][4]) != 0.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_deltaprime_slope_that_overflows_is_numerical_failure(tmp_path, capsys, fmt):
+    # the first pairing is the subnormal h1, so the ratio of the next gap to
+    # it overflows: the slope was written as -inf (null in JSON) with exit 0
+    family = {"mu": 0.5, "nu": 1.0, "tau": 3.0, "h1": 5e-324, "h2": 2.513,
+              "d1": 1.478, "d2": 3.71e-5, "c": 59.85}
+    probe = {"kind": "gaussian_bump", "sigma": 4.0, "width": 40.0, "center": 2.0}
+    cfg = _write_config(tmp_path, {"units": "eV", "family": family, "test_function": probe,
+                                   "eps_grid": {"start": 1.0, "stop": 1e-3, "per_decade": 1}})
+    out = tmp_path / "out"
+    assert _run(["deltaprime", "--format", fmt, "--config", cfg, "--out", out]) == 4
+    assert "numerical failure: this structure overflows at eps=0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a family whose realized ladder at eps = 1e-6 holds 3 924 763 levels, which
+# once took find_roots about 34 s; and a plain well of about 3.2 million
+MANY_LEVELS = {"mu": 2.941, "nu": 3.587, "tau": 2.0, "h1": -5.235, "h2": 1e-8,
+               "d1": 5000.0, "d2": 0.030, "c": 1.044}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("boundstates", {"units": "nm^-2",
+                     "spec": {"v1": -1e14, "l1": 1.0, "v2": 0.0, "l2": 0.0, "r": 0.0}}),
+    ("wavefunction", {"units": "eV", "family": MANY_LEVELS, "eps": 1e-6,
+                      "mode": "bound", "level": 3}),
+])
+def test_a_ladder_above_max_levels_is_domain_error(tmp_path, capsys, command, cfg):
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert _run([command, "--config", _write_config(tmp_path, cfg), "--out", out]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"more than MAX_LEVELS = {bound.MAX_LEVELS}" in capsys.readouterr().err
+    assert not out.exists()
