@@ -20,8 +20,6 @@ from .xfer import (
     ScatteringData,
     amplitude_grid,
     amplitude_ratio_expressions,
-    cancellation_gap,
-    divergence_residual,
     matrix_entries,
     reflection_transmission,
     scattering_data,
@@ -81,12 +79,10 @@ __all__ = [
     "amplitude_ratio_expressions",
     "as_wavenumber",
     "build_chi_problem",
-    "cancellation_gap",
     "classify_first_angle",
     "classify_region",
     "cos_sqrt",
     "delta_prime_pairing",
-    "divergence_residual",
     "eps_log_grid",
     "find_roots",
     "forced_branch",

@@ -395,15 +395,17 @@ LEVEL_TOL = 1e-8
 def verify_ladder(spec, ladder):
     """Check a ladder against the direct level condition and the count.
 
-    Each kappa_i must zero the direct condition to LEVEL_TOL (scaled).  The
-    ladder is complete when N(0) equals its length and N steps by exactly
-    one across the window kappa_i -+ h_i of each entry, h_i being
-    5e-9 * kappa_i or a third of the gap to a neighbouring entry if less.
-    The windows are disjoint, so every level then lies in the window of
-    exactly one kappa_i, and a close doublet can be certified.
-    A ladder that fails this is compared with all the levels, found as
-    find_roots finds them, and a level with no kappa_i within
-    1e-8 * max(1, kappa) of it is reported as missed.  Each level is
+    The ladder covers the levels with kappa in (0, rho / l), the window
+    find_roots searched, or the whole half line when it has no reference
+    width l.  Each kappa_i must zero the direct condition to LEVEL_TOL
+    (scaled).  The ladder is complete when N(0) - N(rho / l) equals its
+    length and N steps by exactly one across the window kappa_i -+ h_i of
+    each entry, h_i being 5e-9 * kappa_i or a third of the gap to a
+    neighbouring entry if less.  The windows are disjoint, so every level
+    then lies in the window of exactly one kappa_i, and a close doublet can
+    be certified.  A ladder that fails this is compared with the levels of
+    its window, found as find_roots finds them, and a level with no kappa_i
+    within 1e-8 * max(1, kappa) of it is reported as missed.  Each level is
     checked in plain floats, as find_roots works, and no kernel is called;
     the report's two arrays are built at the end.
     """
@@ -412,8 +414,12 @@ def verify_ladder(spec, ladder):
     # no level lies at kappa = 0, where q / kappa is undefined
     residuals = [_direct_condition(p, k) if k else math.nan for k in kappas]
 
+    deepest = math.sqrt(max(-spec.v1, -spec.v2, 0.0))
+    top = ladder.rho / ladder.l if ladder.l > 0.0 else deepest
+    # no level lies below the deepest well, where N is 0
+    beyond = _count(top, _phase(p, top)) if top < deepest else 0
     levels = sorted(kappas)
-    complete = _count(0.0, _phase(p, 0.0)) == len(levels)
+    complete = _count(0.0, _phase(p, 0.0)) - beyond == len(levels)
     if complete:
         # N steps by one across each window, up to the first that fails
         ends = [-math.inf, *levels, math.inf]
@@ -425,7 +431,7 @@ def verify_ladder(spec, ladder):
                 break
     missed = []
     if not complete:
-        found = _levels(p, 0.0, math.sqrt(max(-spec.v1, -spec.v2, 0.0)))
+        found = _levels(p, 0.0, top)
         missed = [k for k in found
                   if not any(abs(x - k) <= 1e-8 * max(1.0, k) for x in kappas)]
     ok = complete and all(r < LEVEL_TOL for r in residuals)

@@ -219,7 +219,7 @@ _KEYS = {
               needed='scatter mode needs a real "k" (nm^-1)'),
     "eps_samples": _Key(("resonance",), _scalar(_reals), _EPS, []),
     "eps_grid": _Key(("boundstates", "deltaprime"), _grid(eps_log_grid, (), start=_REAL,
-                     stop=_REAL, per_decade=(_integer, _COUNT), floor=_REAL), _EPS, {}),
+                     stop=_REAL, per_decade=(_integer, _COUNT)), _EPS, {}),
     "mode": _Key(("wavefunction",), _AS_IS,
                  ('"scatter" or "bound"', ("scatter", "bound").__contains__), "scatter"),
     "kappa": _Key(("wavefunction",), _NUMBER, _POSITIVE),
@@ -494,9 +494,10 @@ def _cmd_deltaprime(args, cfg):
     companion = results[0].companion
     eps, pairing = [res.eps for res in results], [res.value for res in results]
     gap = pairing if companion is None else [value - companion for value in pairing]
-    # no slope across a zero gap or a repeated eps
-    slope = [None] + [math.log(abs(g) / abs(g0)) / math.log(e / e0)
-                      if g != 0.0 and g0 != 0.0 and e != e0 else None
+    # no slope across a zero gap or a repeated eps; a gap ratio that
+    # underflows to 0 gives an infinite slope, refused as an overflowing one
+    slope = [None] + [(math.log(ratio) if (ratio := abs(g) / abs(g0)) else -math.inf)
+                      / math.log(e / e0) if g != 0.0 and g0 != 0.0 and e != e0 else None
                       for e0, e, g0, g in zip(eps, eps[1:], gap, gap[1:])]
     summary = {
         "region": classify_first_angle(family.mu, family.nu, family.tau),

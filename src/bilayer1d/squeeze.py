@@ -28,7 +28,6 @@ not depending on eps, when its power is 0, and thin otherwise.
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,15 +313,18 @@ def interaction_limit(family, res_tol=1e-9, spread_tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
-def eps_log_grid(start=1.0, stop=1e-3, per_decade=8, floor=1e-8):
-    """Logarithmically spaced squeeze values from start down to stop."""
+#: the lowest eps that eps_log_grid reaches; a listed eps grid may go lower
+EPS_FLOOR = 1e-8
+
+
+def eps_log_grid(start=1.0, stop=1e-3, per_decade=8):
+    """Logarithmically spaced squeeze values from start down to stop, which
+    may not lie below EPS_FLOOR."""
     if not 0.0 < stop < start <= 1.0:
         raise ValueError("need 0 < stop < start <= 1")
-    if stop < floor:
-        raise ValueError(
-            f"stop = {stop:g} lies below the floor {floor:g} guarding "
-            "against overflow of the realized potentials"
-        )
+    if stop < EPS_FLOOR:
+        raise ValueError(f"stop = {stop:g} lies below {EPS_FLOOR:g}, the lowest eps "
+                         "a generated grid reaches")
     if per_decade < 1:
         raise ValueError(f"per_decade must be at least 1, got {per_decade!r}")
     n = int(math.ceil(math.log10(start / stop) * per_decade)) + 1
@@ -423,6 +425,9 @@ def sweep_ladder(
         return find_roots(problem)
 
     if workers is not None and workers > 1:
+        # imported here: no other path of the library needs concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             ladders = tuple(pool.map(ladder_at, eps))
     else:

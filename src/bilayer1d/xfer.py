@@ -275,40 +275,16 @@ def scattering_wavefunction(spec, k):
 
 
 # ---------------------------------------------------------------------------
-# finite-structure resonance helpers
-
-
-def _layer_tangents(spec, k):
-    """k_j tan(k_j l_j) of both layers, defined away from cos zeros."""
-    wn = as_wavenumber(k)
-    c1, _, ks1 = _layer_parts(spec.v1, spec.l1, wn.k2)
-    c2, _, ks2 = _layer_parts(spec.v2, spec.l2, wn.k2)
-    return ks1 / c1, ks2 / c2
-
-
-def divergence_residual(spec, k):
-    """k1 tan(k1 l1) + k2 tan(k2 l2) - k1 tan(k1 l1) k2 tan(k2 l2) r.
-
-    This combination controls which terms of the amplitudes survive when
-    the structure is squeezed; its zeros define the gap width at which
-    the leading divergence cancels.  Finite only away from cos zeros.
-    """
-    kt1, kt2 = _layer_tangents(spec, k)
-    return kt1 + kt2 - kt1 * kt2 * spec.r
-
-
-def cancellation_gap(spec, k):
-    """Gap width r* at which divergence_residual vanishes for this k."""
-    kt1, kt2 = _layer_tangents(spec, k)
-    return (kt1 + kt2) / (kt1 * kt2)
+# the finite-gap cancellation cross-check
 
 
 def amplitude_ratio_expressions(spec, k):
     """Equivalent forms of the boundary amplitude ratio, plus its inverse.
 
-    When divergence_residual(spec, k) = 0 the four returned expressions
-    coincide, and the fifth value equals their reciprocal.  Used as an
-    algebraic cross-check of the cancellation identities.
+    At the gap width where the leading divergence cancels,
+    k1 tan(k1 l1) + k2 tan(k2 l2) = k1 tan(k1 l1) k2 tan(k2 l2) r, the
+    four returned expressions coincide and the fifth value is their
+    reciprocal: an algebraic cross-check of the cancellation identities.
     """
     wn = as_wavenumber(k)
     c1, sl1, ks1 = _layer_parts(spec.v1, spec.l1, wn.k2)

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 from scipy.optimize import brentq
 
-from bilayer1d import DoubleLayerSpec, SqueezeFamily, cancellation_gap, oracle, realize
+from bilayer1d import DoubleLayerSpec, SqueezeFamily, oracle, realize
 from bilayer1d.core import EV_TO_INV_NM2 as EV
 
 
@@ -125,23 +125,28 @@ def draw_cancelling_spec(rng):
             continue
         if min(abs(np.sin(k1 * l1)), abs(np.sin(k2 * l2))) < 0.15:
             continue
-        trial = DoubleLayerSpec.make(v1, l1, v2, l2, 1.0)
-        r_star = cancellation_gap(trial, k)
+        # the gap width r* = (t1 + t2) / (t1 t2), tj = kj tan(kj lj), zeroes
+        # t1 + t2 - t1 t2 r, the coefficient of the leading divergence
+        t1, t2 = k1 * np.tan(k1 * l1), k2 * np.tan(k2 * l2)
+        r_star = (t1 + t2) / (t1 * t2)
         if not np.isfinite(r_star) or not 0.05 < r_star < 5.0:
             continue
         return DoubleLayerSpec.make(v1, l1, v2, l2, r_star), k
 
 
-def array_certificate(spec, kappas):
+def array_certificate(spec, ladder):
     """The certificate of verify_ladder written over arrays, as (ok,
     residuals, missed): the direct level condition through the tanc_sqrt
-    kernel, and the count windows through np.sort, np.diff and np.minimum.
-    A reference for the plain-float version in bound.py, which must give
-    the same flags and missed levels."""
+    kernel, and the count windows through np.sort, np.diff and np.minimum,
+    over the ladder's window (0, rho / l), or the half line without a
+    reference width.  A reference for the plain-float version in bound.py,
+    which must give the same flags and missed levels."""
     from bilayer1d import bound
     from bilayer1d.kernels import tanc_sqrt
 
-    kappas = np.asarray(kappas, dtype=float)
+    kappas = np.asarray(ladder.kappas, dtype=float)
+    deepest = np.sqrt(max(-spec.v1, -spec.v2, 0.0))
+    top = ladder.rho / ladder.l if ladder.l > 0.0 else deepest
     k2 = -kappas * kappas
     q1, q2 = k2 - spec.v1, k2 - spec.v2
     t1 = spec.l1 * tanc_sqrt(q1 * spec.l1 * spec.l1)  # tan(k1 l1)/k1
@@ -163,11 +168,11 @@ def array_certificate(spec, kappas):
     def count(k):
         return bound._count(k, bound._phase(p, k))
 
-    complete = count(0.0) == levels.size and all(
+    complete = count(0.0) - (count(top) if top < deepest else 0) == levels.size and all(
         count(k - h) - count(k + h) == 1 for k, h in zip(levels.tolist(), half.tolist()))
     missed = np.array([])
     if not complete:
-        found = bound._levels(p, 0.0, np.sqrt(max(-spec.v1, -spec.v2, 0.0)))
+        found = bound._levels(p, 0.0, top)
         missed = np.array([k for k in found
                            if not np.any(np.abs(kappas - k) <= 1e-8 * max(1.0, k))])
     ok = complete and bool(not residuals.size or residuals.max() < 1e-8)

@@ -169,6 +169,24 @@ def _with_kappas(ladder, kappas):
                        ladder.branch)
 
 
+def test_a_forced_branch_ladder_is_certified_on_its_window():
+    # branch 1 keeps the levels above -V1 = -2 alone, one level, where
+    # verify_ladder once counted the deeper well's 1.896, 5.198 and 6.638 as missed
+    spec = DoubleLayerSpec(-2.0, 1.0, -50.0, 1.0, 0.5)
+    ladder = find_roots(build_chi_problem(spec, 1))
+    assert ladder.kappas.tolist() == pytest.approx([0.33689406], abs=1e-8)
+    report = verify_ladder(spec, ladder)
+    assert report.ok and report.missed.size == 0
+    # the missed-level search reads the same window: a dropped level alone
+    broken = verify_ladder(spec, _with_kappas(ladder, []))
+    assert not broken.ok
+    np.testing.assert_array_equal(broken.missed, ladder.kappas)
+    for trial in (ladder, _with_kappas(ladder, [])):
+        ok, _, missed = array_certificate(spec, trial)
+        assert ok == verify_ladder(spec, trial).ok
+        np.testing.assert_array_equal(missed, verify_ladder(spec, trial).missed)
+
+
 def _counting(monkeypatch, name):
     calls = []
     original = getattr(bound, name)
@@ -636,7 +654,7 @@ def test_certificate_matches_its_array_form(spec):
             trials[-1][-1] *= 1.0 + shift
     for kappas in trials:
         report = verify_ladder(spec, _with_kappas(ladder, kappas))
-        ok, residuals, missed = array_certificate(spec, kappas)
+        ok, residuals, missed = array_certificate(spec, _with_kappas(ladder, kappas))
         assert report.ok == ok
         np.testing.assert_array_equal(report.missed, missed)
         np.testing.assert_allclose(report.residuals, residuals, rtol=0.0, atol=1e-14)
@@ -658,8 +676,10 @@ def test_a_ladder_above_max_levels_is_refused_at_once(search):
         if search == "find_roots":
             find_roots(build_chi_problem(spec))
         else:
-            ladder = find_roots(build_chi_problem(DoubleLayerSpec(-2.0, 1.0, 0.0, 0.0, 0.0)))
-            verify_ladder(spec, ladder)
+            # an empty ladder of the spec's own window, whose search finds it incomplete
+            problem = build_chi_problem(spec)
+            empty = np.array([])
+            verify_ladder(spec, BoundLadder(empty, empty, problem.rho, problem.l, problem.branch))
     assert time.perf_counter() - start < 1.0
 
 

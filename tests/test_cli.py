@@ -427,7 +427,7 @@ def test_deltaprime_with_a_gaussian_bump_wider_than_the_float_range_is_its_windo
 
 @pytest.mark.parametrize("command", ["deltaprime", "boundstates"])
 def test_a_sweep_without_eps_grid_runs_on_the_default_grid(tmp_path, command):
-    defaults = {"start": 1.0, "stop": 1e-3, "per_decade": 8, "floor": 1e-8}
+    defaults = {"start": 1.0, "stop": 1e-3, "per_decade": 8}
     runs = []
     for extra in ({}, {"eps_grid": defaults}):
         cfg = _write_config(tmp_path, {"units": "nm^-2", "family": FAMILY_SECTION, **extra})
@@ -986,7 +986,7 @@ DIVERGENT_FAMILY = {"mu": 1.5, "nu": 1.0, "tau": 0.75, "h1": 1.31232, "h2": -1.3
         ("scatter", {"spec": SPEC_SECTION}, 'provide "k_grid" (nm^-1) or "k2_grid" (energy)'),
         ("scatter", {"spec": SPEC_SECTION, "k_grid": [1.0, -0.5]}, "k_grid values must be positive"),
         ("boundstates", {"family": FAMILY_SECTION, "eps_grid": 0.1},
-         "eps_grid must be a list or a start/stop/per_decade/floor object"),
+         "eps_grid must be a list or a start/stop/per_decade object"),
         ("deltaprime", {"family": FAMILY_SECTION, "test_function": [1.0]},
          "test_function must be an object"),
         ("deltaprime", {"family": FAMILY_SECTION, "test_function": {"kind": "gaussian"}},
@@ -1027,6 +1027,10 @@ DIVERGENT_FAMILY = {"mu": 1.5, "nu": 1.0, "tau": 0.75, "h1": 1.31232, "h2": -1.3
          "unknown test_function key 'centre'"),
         ("scatter", {"spec": SPEC_SECTION, "k_grid": {"start": 0.5, "stop": 1.0, "step": 0.1}},
          "unknown k_grid key 'step'"),
+        # a generated eps grid stops at 1e-8; "floor" once moved that end
+        ("boundstates", {"family": FAMILY_SECTION,
+                         "eps_grid": {"start": 1.0, "stop": 1e-3, "floor": 1e-12}},
+         "unknown eps_grid key 'floor'"),
         ("scatter", {"spec": {**SPEC_SECTION, "R": 2.0}, "k_grid": [1.0]},
          "unknown spec section key 'R'"),
         # k2_grid was once dropped without a word
@@ -1070,6 +1074,7 @@ DIVERGENT_FAMILY = {"mu": 1.5, "nu": 1.0, "tau": 0.75, "h1": 1.31232, "h2": -1.3
         "unknown-key-eps_gird",
         "test_function-unknown-key",
         "k_grid-unknown-key",
+        "eps_grid-floor",
         "spec-unknown-key",
         "k_grid-and-k2_grid",
         "level-zero",
@@ -1216,6 +1221,27 @@ def test_deltaprime_slope_that_overflows_is_numerical_failure(tmp_path, capsys, 
     out = tmp_path / "out"
     assert _run(["deltaprime", "--format", fmt, "--config", cfg, "--out", out]) == 4
     assert "numerical failure: this structure overflows at eps=0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the mirror of the family above, with h2 = 2.513e6 eV and eps rising: the
+# ratio of the second gap to the first underflows to 0
+SLOPE_UNDERFLOW = {
+    "units": "eV",
+    "family": {"mu": 0.5, "nu": 1.0, "tau": 3.0, "h1": 5e-324, "h2": 2.513e6,
+               "d1": 1.478, "d2": 3.71e-5, "c": 59.85},
+    "eps_grid": [0.001, 0.01, 0.1, 1.0],
+    "test_function": {"kind": "gaussian_bump", "sigma": 4.0, "width": 40.0, "center": 2.0},
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_deltaprime_slope_that_underflows_is_numerical_failure(tmp_path, capsys, fmt):
+    # once exit 3, "domain error: math domain error", from math.log(0.0)
+    cfg = _write_config(tmp_path, SLOPE_UNDERFLOW)
+    out = tmp_path / "out"
+    assert _run(["deltaprime", "--format", fmt, "--config", cfg, "--out", out]) == 4
+    assert "numerical failure: this structure overflows at eps=" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -272,11 +272,12 @@ def test_phase_count_matches_the_mpmath_count_on_fault_inputs(name):
 
 def test_importing_the_library_loads_no_oracle_dependency():
     # scipy.optimize was imported with the oracle module, so every import
-    # of bilayer1d paid for it; orjson is the CLI's, loaded by its first written file
+    # of bilayer1d paid for it; orjson is the CLI's, loaded by its first written
+    # file, and concurrent.futures serves sweep_ladder(workers > 1) alone
     src = str(pathlib.Path(bilayer1d.__file__).parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r}); import bilayer1d, bilayer1d.cli; "
             "print(sorted({'scipy.optimize', 'scipy.integrate', 'scipy.interpolate', 'mpmath',"
-            " 'orjson'} & set(sys.modules)))")
+            " 'orjson', 'concurrent.futures'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

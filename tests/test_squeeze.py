@@ -172,8 +172,10 @@ def test_eps_log_grid_shape_and_floor():
     assert grid[-1] == pytest.approx(1e-3)
     assert grid.size == 13
     assert np.all(np.diff(grid) < 0.0)
-    with pytest.raises(ValueError):
-        eps_log_grid(1.0, 1e-12, 2, floor=1e-8)
+    # a generated grid stops at 1e-8; a listed one may go lower
+    assert eps_log_grid(1.0, 1e-8, 1)[-1] == pytest.approx(1e-8)
+    with pytest.raises(ValueError, match="lies below 1e-08, the lowest eps"):
+        eps_log_grid(1.0, 1e-12, 2)
     for per_decade in (0, -8):
         with pytest.raises(ValueError, match="per_decade"):
             eps_log_grid(1.0, 1e-3, per_decade)
