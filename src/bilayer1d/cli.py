@@ -200,19 +200,15 @@ class _Key(NamedTuple):
 _ALL = ("scatter", "boundstates", "resonance", "wavefunction", "deltaprime")
 _REALIZED = ("scatter", "wavefunction")  # a spec, or a family realized at eps
 
-# the config schema; units and their factor first, to read the energies after them
+# the config schema; units first, to read the energies after it
 _KEYS = {
     "units": _Key(_ALL, _AS_IS, ('"eV" or "nm^-2"', ("eV", "nm^-2").__contains__), "eV"),
-    "ev_to_inv_nm2": _Key(_ALL, _NUMBER, _POSITIVE, EV_TO_INV_NM2),
     "spec": _Key(_REALIZED + ("boundstates",), _layers(DoubleLayerSpec, "v1 l1 v2 l2 r", "v1 v2"),
                  needed='provide a "spec" or a "family" section', energy=True),
     "family": _Key(_ALL, _layers(SqueezeFamily, "mu nu tau h1 h2 d1 d2 c", "h1 h2"),
                    needed='this command needs a "family" section', energy=True, excludes="spec"),
     "eps": _Key(_REALIZED, _NUMBER, _EPS, needed='a "family" config needs "eps" to realize it'),
-    "k_grid": _Key(("scatter",), _LINEAR, _POSITIVE,
-                   needed='provide "k_grid" (nm^-1) or "k2_grid" (energy)'),
-    "k2_grid": _Key(("scatter",), lambda key, raw, scale: _LINEAR(key, raw) * scale,
-                    ("positive energies in nm^-2", _POSITIVE[1]), energy=True, excludes="k_grid"),
+    "k_grid": _Key(("scatter",), _LINEAR, _POSITIVE, needed='provide "k_grid" (nm^-1)'),
     "tol": _Key(("boundstates", "resonance"), _NUMBER, _NONNEGATIVE, 1e-9),
     "spread_tol": _Key(("resonance",), _NUMBER, _NONNEGATIVE),  # default: tol
     "k": _Key(("resonance", "wavefunction"), _NUMBER, _POSITIVE,  # resonance's default: 1.0
@@ -222,7 +218,6 @@ _KEYS = {
                      stop=_REAL, per_decade=(_integer, _COUNT)), _EPS, {}),
     "mode": _Key(("wavefunction",), _AS_IS,
                  ('"scatter" or "bound"', ("scatter", "bound").__contains__), "scatter"),
-    "kappa": _Key(("wavefunction",), _NUMBER, _POSITIVE),
     "level": _Key(("wavefunction",), _scalar(_integer), _COUNT, 1),
     "x_grid": _Key(("wavefunction",), _LINEAR),
     "test_function": _Key(("deltaprime",), _probe, default={"kind": "bump"}),
@@ -239,24 +234,22 @@ class _Checked(dict):
         return row.read(key, row.default)
 
 
-def _checked(args, cfg):
-    """The keys of cfg that args.command reads, each checked before anything is
-    computed, with --tol for "tol" and null as absent; an unknown key is refused."""
+def _checked(command, cfg):
+    """The keys of cfg that command reads, each checked before anything is
+    computed, with null as absent; an unknown key is refused."""
     _refuse_unknown("config key", cfg, _KEYS)
-    if getattr(args, "tol", None) is not None:
-        cfg = {**cfg, "tol": args.tol}
     checked = _Checked()
     for key, row in _KEYS.items():
         raw = cfg.get(key)
-        if raw is None or args.command not in row.commands:
+        if raw is None or command not in row.commands:
             continue
         if row.excludes in checked:
             raise ConfigError(f'give "{row.excludes}" or "{key}", not both')
         try:
             if not row.energy:
                 value = row.read(key, raw)
-            else:  # read after "units" and "ev_to_inv_nm2", which come first
-                scale = checked["ev_to_inv_nm2"] if checked["units"] == "eV" else 1.0
+            else:  # read after "units", which comes first
+                scale = EV_TO_INV_NM2 if checked["units"] == "eV" else 1.0
                 value = row.read(key, raw, scale)
         # MemoryError: a grid too large to allocate, refused at once by NumPy
         except (TypeError, ValueError, MemoryError) as exc:
@@ -314,20 +307,20 @@ def _write(args, files):
 
 
 def _float_texts(col):
-    """repr of each value of the float array col.  orjson prints a double's
-    shortest round-trip digits, as repr does: zero and magnitudes in
-    [1e-5, 1e16) plainly, the rest in an exponent layout ("1e16", "1.5e-6")
-    that _reprs makes repr's ("1e+16", "1.5e-06").  repr writes the cells
-    where the layouts differ otherwise: magnitudes in [1e-5, 1e-4), which it
-    writes in exponent form and orjson plainly ("1e-05", "0.00001"), and the
-    values that are not finite ("null").  orjson reads the array's buffer,
-    which must be contiguous, so a strided view such as a.real is copied."""
+    """repr of each value of the finite float array col.  orjson prints a
+    double's shortest round-trip digits, as repr does: zero and magnitudes
+    in [1e-5, 1e16) plainly, the rest in an exponent layout ("1e16",
+    "1.5e-6") that _reprs makes repr's ("1e+16", "1.5e-06").  repr writes
+    the cells where the layouts differ otherwise: magnitudes in [1e-5, 1e-4),
+    which it writes in exponent form and orjson plainly ("1e-05", "0.00001").
+    orjson reads the array's buffer, which must be contiguous, so a strided
+    view such as a.real is copied."""
     import orjson
 
     text = orjson.dumps(np.ascontiguousarray(col), option=orjson.OPT_SERIALIZE_NUMPY)
     texts = _reprs(text[1:-1] + b",").decode().split(",")[:len(col)]  # every cell ends in ","
     mag = np.abs(col)
-    idx = np.flatnonzero(~np.isfinite(col) | ((mag >= 1e-5) & (mag < 1e-4)))
+    idx = np.flatnonzero((mag >= 1e-5) & (mag < 1e-4))
     for i, value in zip(idx.tolist(), col[idx].tolist()):
         texts[i] = repr(value)
     return texts
@@ -399,9 +392,8 @@ plot 'deltaprime.csv' using 1:(abs($4)) with linespoints
 
 
 def _cmd_scatter(args, cfg):
-    spec = _spec_of(cfg)
-    ks = np.sqrt(cfg["k2_grid"]) if "k2_grid" in cfg else cfg["k_grid"]
-    a, b = amplitude_grid(spec, ks)
+    ks = cfg["k_grid"]
+    a, b = amplitude_grid(_spec_of(cfg), ks)
     a2 = np.abs(a) ** 2
     columns = {
         "k": ks,
@@ -467,8 +459,6 @@ def _cmd_wavefunction(args, cfg):
     mode = cfg["mode"]
     if mode == "scatter":
         k = cfg["k"]
-    elif "kappa" in cfg:
-        k = Wavenumber.bound(cfg["kappa"])
     else:
         level = cfg["level"]
         ladder = find_roots(build_chi_problem(spec))
@@ -542,15 +532,13 @@ def _parser():
             p.add_argument(
                 "--format", choices=("csv", "json"), default="csv", help="output format"
             )
-        if name in ("boundstates", "resonance"):
-            p.add_argument("--tol", type=float, default=None, help="tolerance override")
     return parser
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        cfg = _checked(args, _load_config(args.config))
+        cfg = _checked(args.command, _load_config(args.config))
         _COMMANDS[args.command][1](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,6 +11,8 @@ support; pairings use it in place of adaptive quadrature of f.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Probe:
@@ -90,11 +92,15 @@ def gaussian(sigma, center=0.0):
 
 
 def tabulated(xs, ys):
-    """Cubic-spline probe through sample points; zero outside the table."""
+    """Cubic-spline probe through sample points; zero outside the table.
+    A table whose spline coefficients overflow is refused with ValueError."""
     from scipy.interpolate import CubicSpline
 
-    spline = CubicSpline(xs, ys)
-    deriv = spline.derivative()
+    with np.errstate(all="ignore"):
+        spline = CubicSpline(xs, ys)
+        deriv = spline.derivative()
+    if not (np.isfinite(spline.c).all() and np.isfinite(deriv.c).all()):
+        raise ValueError("the spline through this table overflows: steps in xs too small for ys")
     lo, hi = float(xs[0]), float(xs[-1])
 
     def f(x):

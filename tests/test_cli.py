@@ -16,10 +16,8 @@ from bilayer1d import (
     DoubleLayerSpec,
     SqueezeFamily,
     bound,
-    build_chi_problem,
     cli,
     delta_prime_pairing,
-    find_roots,
     probes,
     scattering_data,
 )
@@ -77,14 +75,15 @@ def test_scatter_accepts_energy_grid_and_unit_override(tmp_path):
                 "l2": 0.6,
                 "r": 2.0,
             },
-            "k2_grid": [0.4, 0.9, 1.6],
+            # an energy grid in nm^-2, as the wavenumbers sqrt(k^2)
+            "k_grid": [math.sqrt(k2) for k2 in (0.4, 0.9, 1.6)],
         },
     )
     out = tmp_path / "out"
     assert _run(["scatter", "--config", cfg, "--out", out]) == 0
     lines = (out / "scatter.csv").read_text().strip().split("\n")
     ks = [float(line.split(",")[0]) for line in lines[1:]]
-    assert ks == pytest.approx([np.sqrt(0.4), np.sqrt(0.9), np.sqrt(1.6)])
+    assert ks == [math.sqrt(k2) for k2 in (0.4, 0.9, 1.6)]
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -181,10 +180,11 @@ def test_resonance_report(tmp_path):
             },
             "eps_samples": [1e-2],
             "k": 1.0,
+            "tol": 1e-9,
         },
     )
     out = tmp_path / "out"
-    assert _run(["resonance", "--config", cfg, "--out", out, "--tol", "1e-9"]) == 0
+    assert _run(["resonance", "--config", cfg, "--out", out]) == 0
     payload = json.loads((out / "resonance.json").read_text())
     assert payload["region"] == "S2"
     assert payload["verdict"] == "Y"
@@ -284,13 +284,15 @@ def test_bad_units_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("factor", [0.0, -2.0])
 def test_non_positive_ev_to_inv_nm2_is_config_error(tmp_path, capsys, factor):
-    # a negative factor would turn the barrier into a well and back
+    # a negative factor once turned the barrier into a well; the key is now
+    # retired, and refused as unknown whatever its value
     cfg = _write_config(
         tmp_path,
         {"units": "eV", "ev_to_inv_nm2": factor, "spec": SPEC_SECTION, "k_grid": [1.0]},
     )
     assert _run(["scatter", "--config", cfg, "--out", tmp_path / "o"]) == 2
-    assert "config error:" in capsys.readouterr().err
+    assert "config error: unknown config key 'ev_to_inv_nm2'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_boundstates_null_spec_runs_the_family_sweep(tmp_path):
@@ -461,8 +463,7 @@ def _outputs(folder):
 
 
 def test_cached_parser_carries_no_state_between_calls(tmp_path):
-    # 1e-7 nm off resonance: a surviving level under --tol 1e-6, separated
-    # under the default tol 1e-9, so a leaked --tol changes the bytes
+    # a leaked --format json changes the files of the call after it
     sweep = _write_config(
         tmp_path,
         {
@@ -479,7 +480,7 @@ def test_cached_parser_carries_no_state_between_calls(tmp_path):
         tmp_path, {"units": "eV", "spec": SPEC_SECTION, "k_grid": [0.5, 1.0, 2.0]}, "scatter.json"
     )
     calls = [
-        ["boundstates", "--config", sweep, "--tol", "1e-6"],
+        ["boundstates", "--config", sweep, "--format", "json"],
         ["boundstates", "--config", sweep],
         ["scatter", "--config", scatter, "--format", "json"],
         ["scatter", "--config", scatter],
@@ -523,9 +524,9 @@ def test_float_texts_are_the_repr_of_each_value():
     # orjson writes every finite cell outside [1e-5, 1e-4): plainly on
     # [1e-4, 1e16) and at zero, as repr does, and elsewhere in an exponent
     # layout that two substitutions make repr's ("1e16" to "1e+16", "1.5e-6"
-    # to "1.5e-06"); repr writes [1e-5, 1e-4), where orjson stays plain, and
-    # the values that are not finite.  A newer orjson that moves its switch
-    # between plain and exponent layout fails here
+    # to "1.5e-06"); repr writes [1e-5, 1e-4), where orjson stays plain.  A
+    # newer orjson that moves its switch between plain and exponent layout
+    # fails here
     edges = [x for edge in (1e-5, 1e-4, 1e16) for x in _neighbours(edge)]
     decades = [5e-324, *(10.0 ** e for e in range(-323, 309)), 1.7976931348623157e308]
     dense = np.geomspace(1e-4, 1e16, 20_001)[:-1]
@@ -533,7 +534,8 @@ def test_float_texts_are_the_repr_of_each_value():
     exponents = np.arange(-1074, 1024)
     binades = np.ldexp(1.0 + rng.random(exponents.size) * (exponents >= -1022), exponents)
     patterns = rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
-    special = [0.0, 5e-324, 2.2250738585072009e-308, 1e-310, np.nan, np.inf, 100000000000.00002]
+    patterns = patterns[np.isfinite(patterns)]  # a table refuses the rest before it writes
+    special = [0.0, 5e-324, 2.2250738585072009e-308, 1e-310, 100000000000.00002]
     values = np.concatenate([edges, decades, dense, np.round(dense[dense >= 1.0]), binades,
                              special])
     col = np.concatenate([values, -values, [-0.0], patterns])
@@ -687,6 +689,7 @@ HUGE = 10**400
         ("wavefunction", {**WAVE_SCATTER, "k": "3"}),
         ("scatter", {"spec": {**SPEC_SECTION, "r": "0.3"}, "k_grid": [1.0]}),
         ("scatter", {"spec": {**SPEC_SECTION, "v1": True}, "k_grid": [1.0]}),
+        # a retired key, refused as unknown whatever its value
         ("scatter", {"spec": SPEC_SECTION, "ev_to_inv_nm2": "2.6", "k_grid": [1.0]}),
         ("resonance", {"family": {**FAMILY_SECTION, "mu": "2.0"}}),
         ("resonance", {"family": {**FAMILY_SECTION, "h1": False}}),
@@ -722,6 +725,7 @@ HUGE = 10**400
         ("resonance", {"k": -1.0, "eps_samples": [0.5]}),
         ("wavefunction", {**WAVE_SCATTER, "k": -1.0}),
         ("wavefunction", {**WAVE_SCATTER, "k": 0.0}),
+        # a retired key, refused as unknown whatever its value
         ("wavefunction", {"spec": SPEC_SECTION, "mode": "bound", "kappa": -1.0}),
         # a JSON list is one value, not a list of values to check one by one
         ("scatter", {"units": ["eV"], "spec": SPEC_SECTION, "k_grid": [1.0]}),
@@ -840,12 +844,15 @@ K2_SECTION = {"mu": 1.5, "nu": 1.0, "tau": 1.0, "h1": 2.5296155177944195, "h2": 
 
 @pytest.mark.parametrize("command", ["resonance", "boundstates"])
 def test_negative_tol_flag_is_config_error(tmp_path, capsys, command):
-    # --tol -1 once reported K2 "separated" with exit code 0
+    # --tol -1 once reported K2 "separated" with exit code 0; the flag is
+    # now retired, and argparse refuses it whatever its value
     cfg = _write_config(tmp_path, {"units": "nm^-2", "family": K2_SECTION,
                                    "eps_grid": [0.1]})
     out = tmp_path / "o"
-    assert _run([command, "--config", cfg, "--out", out, "--tol", "-1"]) == 2
-    assert "config error: tol must be >= 0, got -1.0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        _run([command, "--config", cfg, "--out", out, "--tol", "-1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --tol -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -855,16 +862,20 @@ def test_a_tolerance_of_zero_is_valid(tmp_path):
     assert _run(["resonance", "--config", cfg, "--out", tmp_path / "o"]) == 0
 
 
-def test_non_finite_tol_flag_is_config_error(tmp_path):
-    # a NaN tolerance fails every comparison, so a resonant family was
-    # reported "separated" with exit code 0
+def test_non_finite_tol_flag_is_config_error(tmp_path, capsys):
+    # a NaN tolerance fails every comparison, so a resonant family was once
+    # reported "separated" with exit code 0; the config's "tol" refuses NaN
+    # (the resonance-tol-nan row of the malformed values), and the flag is gone
     cfg = _write_config(tmp_path, {"units": "nm^-2", "family": FAMILY_SECTION})
     argv = ["resonance", "--config", cfg, "--out", tmp_path / "o", "--tol", "nan"]
-    assert _run(argv) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        _run(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --tol nan" in capsys.readouterr().err
 
 
 def test_tol_flag_is_refused_where_nothing_reads_it(tmp_path, capsys):
-    # only boundstates and resonance have a tolerance to override
+    # the config's "tol" is the only tolerance; no subcommand has a flag for it
     cfg = _write_config(tmp_path, {"units": "eV", "spec": SPEC_SECTION, "k_grid": [1.0]})
     with pytest.raises(SystemExit) as exit_info:
         _run(["scatter", "--config", cfg, "--out", tmp_path / "o", "--tol", "1e-3"])
@@ -893,26 +904,20 @@ def test_out_that_cannot_be_a_folder_is_config_error(tmp_path, capsys, below):
 
 
 def test_ev_to_inv_nm2_scales_spec_and_k2_grid(tmp_path):
-    factor = 2.0
-    k2_ev = [0.2, 0.45, 0.8]
-    in_ev = _write_config(
-        tmp_path,
-        {"units": "eV", "ev_to_inv_nm2": factor, "spec": SPEC_SECTION, "k2_grid": k2_ev},
-        name="ev.json",
-    )
-    scaled = {key: SPEC_SECTION[key] * (factor if key in ("v1", "v2") else 1.0)
+    # an eV spec is the nm^-2 spec with its energies scaled by EV_TO_INV_NM2;
+    # another effective mass gives its energies in nm^-2
+    ks = [0.2, 0.45, 0.8]
+    in_ev = _write_config(tmp_path, {"units": "eV", "spec": SPEC_SECTION, "k_grid": ks},
+                          name="ev.json")
+    scaled = {key: SPEC_SECTION[key] * (EV_TO_INV_NM2 if key in ("v1", "v2") else 1.0)
               for key in SPEC_SECTION}
-    in_nm = _write_config(
-        tmp_path,
-        {"units": "nm^-2", "spec": scaled, "k2_grid": [factor * e for e in k2_ev]},
-        name="nm.json",
-    )
+    in_nm = _write_config(tmp_path, {"units": "nm^-2", "spec": scaled, "k_grid": ks},
+                          name="nm.json")
     assert _run(["scatter", "--config", in_ev, "--out", tmp_path / "ev"]) == 0
     assert _run(["scatter", "--config", in_nm, "--out", tmp_path / "nm"]) == 0
     text = (tmp_path / "ev" / "scatter.csv").read_text()
     assert text == (tmp_path / "nm" / "scatter.csv").read_text()
-    ks = [float(line.split(",")[0]) for line in text.strip().split("\n")[1:]]
-    assert ks == pytest.approx([np.sqrt(factor * e) for e in k2_ev], rel=1e-15)
+    assert [float(line.split(",")[0]) for line in text.strip().split("\n")[1:]] == ks
 
 
 DIPOLE_FAMILY = {
@@ -961,10 +966,42 @@ def test_json_format_holds_the_csv_table_and_summary(tmp_path, command, cfg, det
     assert {key: payload[key] for key in summary} == summary
 
 
+# the inputs that only restated another, each refused by name: --tol by
+# argparse, the config keys as unknown
+@pytest.mark.parametrize(
+    "command, extra, flags, message",
+    [
+        ("boundstates", {"spec": SPEC_SECTION}, ["--tol", "1e-6"],
+         "unrecognized arguments: --tol 1e-6"),
+        ("scatter", {"units": "eV", "spec": SPEC_SECTION, "k_grid": [1.0],
+                     "ev_to_inv_nm2": EV_TO_INV_NM2}, [], "unknown config key 'ev_to_inv_nm2'"),
+        ("scatter", {"spec": SPEC_SECTION, "k2_grid": [1.0]}, [],
+         "unknown config key 'k2_grid'"),
+        # the one level of DEEP_SPEC in nm^-2, "level": 1
+        ("wavefunction", {"spec": DEEP_SPEC, "mode": "bound", "kappa": 0.5481297268731239}, [],
+         "unknown config key 'kappa'"),
+    ],
+    ids=["tol-flag", "ev_to_inv_nm2", "k2_grid", "kappa"],
+)
+def test_a_retired_input_exits_2_naming_it(tmp_path, capsys, command, extra, flags, message):
+    cfg = _write_config(tmp_path, {"units": "nm^-2", **extra})
+    out = tmp_path / "o"
+    try:
+        code = _run([command, "--config", cfg, "--out", out, *flags])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 SPEC_WITHOUT_R = {key: value for key, value in SPEC_SECTION.items() if key != "r"}
 # no finite squeezing limit: resonance exits 3 once it has computed
 DIVERGENT_FAMILY = {"mu": 1.5, "nu": 1.0, "tau": 0.75, "h1": 1.31232, "h2": -1.31232,
                     "d1": 1.0, "d2": 1.0, "c": 2.0}
+TINY_STEP_FAMILY = {**DIVERGENT_FAMILY, "tau": 1.0}
+# a step of 1.05e-167 under a rise of 1 overflows the spline's coefficients
+TINY_STEP_TABLE = {"kind": "tabulated", "xs": [0.0, 1.05e-167, 1.0], "ys": [0.0, 1.0, 0.0]}
 
 
 @pytest.mark.parametrize(
@@ -981,9 +1018,10 @@ DIVERGENT_FAMILY = {"mu": 1.5, "nu": 1.0, "tau": 0.75, "h1": 1.31232, "h2": -1.3
          "k_grid count must be >= 1"),
         ("scatter", {"spec": SPEC_SECTION, "k_grid": "0.5:1.0"},
          "k_grid must be a list or a start/stop/count object"),
+        # a retired key; an energy grid is listed in k_grid as sqrt(k^2)
         ("scatter", {"spec": SPEC_SECTION, "k2_grid": [1.0, 0.0]},
-         "k2_grid values must be positive energies"),
-        ("scatter", {"spec": SPEC_SECTION}, 'provide "k_grid" (nm^-1) or "k2_grid" (energy)'),
+         "unknown config key 'k2_grid'"),
+        ("scatter", {"spec": SPEC_SECTION}, 'provide "k_grid" (nm^-1)'),
         ("scatter", {"spec": SPEC_SECTION, "k_grid": [1.0, -0.5]}, "k_grid values must be positive"),
         ("boundstates", {"family": FAMILY_SECTION, "eps_grid": 0.1},
          "eps_grid must be a list or a start/stop/per_decade object"),
@@ -998,8 +1036,9 @@ DIVERGENT_FAMILY = {"mu": 1.5, "nu": 1.0, "tau": 0.75, "h1": 1.31232, "h2": -1.3
         ("wavefunction", {"spec": SPEC_SECTION, "mode": "Bound", "k": 1.0},
          """mode must be "scatter" or "bound", got 'Bound'"""),
         ("wavefunction", {"spec": SPEC_SECTION, "k": -1.0}, "k must be positive, got -1.0"),
+        # a retired key; a bound state is chosen by level
         ("wavefunction", {"spec": SPEC_SECTION, "mode": "bound", "kappa": 0.0},
-         "kappa must be positive, got 0.0"),
+         "unknown config key 'kappa'"),
         ("resonance", {"family": FAMILY_SECTION, "k": 0.0}, "k must be positive, got 0.0"),
         ("resonance", {"family": FAMILY_SECTION, "tol": -1.0}, "tol must be >= 0, got -1.0"),
         ("resonance", {"family": FAMILY_SECTION, "spread_tol": -1e-12},
@@ -1033,9 +1072,15 @@ DIVERGENT_FAMILY = {"mu": 1.5, "nu": 1.0, "tau": 0.75, "h1": 1.31232, "h2": -1.3
          "unknown eps_grid key 'floor'"),
         ("scatter", {"spec": {**SPEC_SECTION, "R": 2.0}, "k_grid": [1.0]},
          "unknown spec section key 'R'"),
-        # k2_grid was once dropped without a word
+        # k2_grid was once dropped without a word beside k_grid; now it is
+        # refused as a retired key even there
         ("scatter", {"spec": SPEC_SECTION, "k_grid": [1.0], "k2_grid": [1.0]},
-         'give "k_grid" or "k2_grid", not both'),
+         "unknown config key 'k2_grid'"),
+        # a step in xs far below the scale of ys overflows the spline, once
+        # exit 4 with "this structure overflows at eps=1.0" and a RuntimeWarning
+        ("deltaprime", {"family": TINY_STEP_FAMILY, "eps_grid": [1.0, 0.1],
+                        "test_function": TINY_STEP_TABLE},
+         "bad test_function: the spline through this table overflows"),
         # once exit 3, "level 0 does not exist"
         ("wavefunction", {"spec": SPEC_SECTION, "mode": "bound", "level": 0},
          "level must be >= 1, got 0"),
@@ -1077,6 +1122,7 @@ DIVERGENT_FAMILY = {"mu": 1.5, "nu": 1.0, "tau": 0.75, "h1": 1.31232, "h2": -1.3
         "eps_grid-floor",
         "spec-unknown-key",
         "k_grid-and-k2_grid",
+        "test_function-tabulated-tiny-step",
         "level-zero",
         "level-negative",
     ],
@@ -1148,19 +1194,6 @@ def test_deltaprime_with_a_gaussian_bump_probe(tmp_path):
     for eps, row in zip(eps_grid, _rows(out / "deltaprime.csv"), strict=True):
         want = delta_prime_pairing(family, eps, probe)
         assert [float(c) for c in row[:3]] == [eps, want.value, want.companion]
-
-
-def test_wavefunction_bound_mode_at_an_explicit_kappa(tmp_path):
-    # a "kappa" key replaces "level": the same level gives the same bytes
-    spec = DoubleLayerSpec.from_ev(*DEEP_SPEC.values())
-    kappa = float(find_roots(build_chi_problem(spec)).kappas[0])
-    base = {"units": "eV", "spec": DEEP_SPEC, "mode": "bound"}
-    by_level = _write_config(tmp_path, {**base, "level": 1}, name="level.json")
-    by_kappa = _write_config(tmp_path, {**base, "kappa": kappa}, name="kappa.json")
-    assert _run(["wavefunction", "--config", by_level, "--out", tmp_path / "level"]) == 0
-    assert _run(["wavefunction", "--config", by_kappa, "--out", tmp_path / "kappa"]) == 0
-    table = (tmp_path / "kappa" / "wavefunction.csv").read_bytes()
-    assert table == (tmp_path / "level" / "wavefunction.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import math
 import pathlib
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bilayer1d import cli
@@ -59,7 +60,6 @@ PROBE = st.one_of(
 # below refuses a key without one
 VALUES = {
     "units": st.sampled_from(["eV", "nm^-2"]),
-    "ev_to_inv_nm2": st.floats(1.0, 20.0),
     "spec": st.fixed_dictionaries({"v1": st.floats(-50.0, 50.0), "l1": st.floats(0.0, 3.0),
                                    "v2": st.floats(-50.0, 50.0), "l2": st.floats(0.0, 3.0),
                                    "r": st.floats(0.0, 3.0)}),
@@ -69,14 +69,12 @@ VALUES = {
                             "d1": LENGTH, "d2": LENGTH, "c": LENGTH})),
     "eps": EPS,
     "k_grid": _grid(POSITIVE, POSITIVE, "count", linear=True),
-    "k2_grid": _grid(POSITIVE, POSITIVE, "count", linear=True),
     "tol": st.floats(0.0, 0.1),
     "spread_tol": st.floats(0.0, 0.1),
     "k": POSITIVE,
     "eps_samples": st.lists(EPS, max_size=50),
     "eps_grid": _grid(EPS, EPS, "per_decade", linear=False),
     "mode": st.sampled_from(["scatter", "bound"]),
-    "kappa": POSITIVE,
     "level": st.integers(1, 6),
     "x_grid": _grid(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), "count", linear=True),
     "test_function": PROBE,
@@ -165,6 +163,9 @@ def test_every_declared_key_is_drawn():
     assert set(VALUES) == set(cli._KEYS)
 
 
+# a RuntimeWarning is a fault the run did not report: an overflow or an
+# invalid value that its exit code and files should have shown
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, max_examples=200, deadline=2000)
 @given(configs())
 # a gap ratio that underflows to 0 once made deltaprime exit 3 with "math
@@ -175,6 +176,14 @@ def test_every_declared_key_is_drawn():
                "d1": 1.478, "d2": 3.71e-5, "c": 59.85},
     "eps_grid": [0.001, 0.01, 0.1, 1.0],
     "test_function": {"kind": "gaussian_bump", "sigma": 4.0, "width": 40.0, "center": 2.0}}))
+# a table whose spline overflows once exited 4, blaming the structure, with a
+# RuntimeWarning
+@example(("deltaprime", "csv", {
+    "units": "nm^-2",
+    "family": {"mu": 1.5, "nu": 1.0, "tau": 1.0, "h1": 1.31232, "h2": -1.31232,
+               "d1": 1.0, "d2": 1.0, "c": 2.0},
+    "eps_grid": [1.0, 0.1],
+    "test_function": {"kind": "tabulated", "xs": [0, 1.05e-167, 1], "ys": [0, 1, 0]}}))
 def test_a_drawn_config_exits_0_2_3_or_4_and_writes_finite_numbers(drawn):
     command, fmt, cfg = drawn
     with tempfile.TemporaryDirectory() as folder:

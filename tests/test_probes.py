@@ -66,11 +66,16 @@ def test_tabulated_interpolates_samples():
     assert probe.df(0.0) == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tabulated_rejects_bad_tables():
     with pytest.raises(ValueError):
         probes.tabulated([0.0, 1.0], [1.0])
     with pytest.raises(ValueError):
         probes.tabulated([1.0, 0.0, 2.0], [1.0, 2.0, 3.0])
+    # a step far below the scale of ys overflows the spline's coefficients;
+    # once a RuntimeWarning and a probe that overflowed every pairing
+    with pytest.raises(ValueError, match="spline through this table overflows"):
+        probes.tabulated([0.0, 1.05e-167, 1.0], [0.0, 1.0, 0.0])
 
 
 @pytest.mark.parametrize("value", [-30.0, -0.0, 0.0, math.nan, math.inf])
